@@ -12,8 +12,8 @@
 //! Each cell also carries the selection counters (`selections_carried`,
 //! `slots_compacted`, `columns_pruned`) so the artifact shows *why* the
 //! timings move. A small-scale differential pass re-runs every cell plan
-//! through tuple / carry-forced / compact-forced execution and folds the
-//! result into the `equivalence` summary `check_selection` enforces.
+//! through the tuple and batch paths and folds the result into the
+//! `equivalence` summary `check_selection` enforces.
 //!
 //! Results land in `BENCH_selection.json` at the repo root.
 
@@ -22,9 +22,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_bench::validate::check_document;
 use seq_core::{record, schema, AttrType, BaseSequence, Record, Span};
-use seq_exec::{
-    execute, execute_batched_assigned, execute_batched_with, ExecContext, PhysNode, PhysPlan,
-};
+use seq_exec::{execute, execute_batched_with, ExecContext, PhysNode, PhysPlan};
 use seq_ops::Expr;
 use seq_storage::Catalog;
 use seq_workload::Rng;
@@ -113,30 +111,21 @@ fn cell_plans(n: i64) -> Vec<(&'static str, PhysNode)> {
     ]
 }
 
-/// The structural labels with every native select forced to `label`.
-fn forced_labels(node: &PhysNode, label: &'static str) -> Vec<&'static str> {
-    node.exec_mode_labels(true)
-        .into_iter()
-        .map(|l| if l == "batch+sel" || l == "batch+compact" { label } else { l })
-        .collect()
-}
-
 fn time_once<F: FnMut() -> usize>(f: &mut F) -> (Duration, usize) {
     let start = Instant::now();
     let rows = black_box(f());
     (start.elapsed(), rows)
 }
 
-/// Interleaved min-of-`SAMPLES` over three closures that must agree on rows.
-fn measure3<A, B, C>(label: &str, mut a: A, mut b: B, mut c: C) -> (Duration, Duration, Duration)
+/// Interleaved min-of-`SAMPLES` over two closures that must agree on rows.
+fn measure2<A, B>(label: &str, mut a: A, mut b: B) -> (Duration, Duration)
 where
     A: FnMut() -> usize,
     B: FnMut() -> usize,
-    C: FnMut() -> usize,
 {
     const SAMPLES: usize = 7;
-    let mut best = [Duration::MAX; 3];
-    let mut rows = [0usize; 3];
+    let mut best = [Duration::MAX; 2];
+    let mut rows = [0usize; 2];
     for _ in 0..SAMPLES {
         let (t, r) = time_once(&mut a);
         best[0] = best[0].min(t);
@@ -144,12 +133,9 @@ where
         let (t, r) = time_once(&mut b);
         best[1] = best[1].min(t);
         rows[1] = r;
-        let (t, r) = time_once(&mut c);
-        best[2] = best[2].min(t);
-        rows[2] = r;
     }
-    assert!(rows[0] == rows[1] && rows[1] == rows[2], "{label}: paths disagree on rows");
-    (best[0], best[1], best[2])
+    assert!(rows[0] == rows[1], "{label}: paths disagree on rows");
+    (best[0], best[1])
 }
 
 struct Counters {
@@ -161,21 +147,14 @@ struct Counters {
 }
 
 /// Run once on a fresh catalog so the storage counters belong to this run.
-fn counted(node: &PhysNode, mode: &str, n: i64) -> Counters {
+fn counted(node: &PhysNode, batched: bool, n: i64) -> Counters {
     let cat = catalog(n);
     let ctx = ExecContext::new(&cat);
     let plan = PhysPlan::new(node.clone(), Span::new(1, n));
-    let rows = match mode {
-        "tuple" => execute(&plan, &ctx).unwrap().len(),
-        "carry" => {
-            let labels = forced_labels(node, "batch+sel");
-            execute_batched_assigned(&plan, &ctx, BATCH_SIZE, &labels).unwrap().len()
-        }
-        "compact" => {
-            let labels = forced_labels(node, "batch+compact");
-            execute_batched_assigned(&plan, &ctx, BATCH_SIZE, &labels).unwrap().len()
-        }
-        other => unreachable!("{other}"),
+    let rows = if batched {
+        execute_batched_with(&plan, &ctx, BATCH_SIZE).unwrap().len()
+    } else {
+        execute(&plan, &ctx).unwrap().len()
     };
     let storage = cat.stats().snapshot();
     let exec = ctx.stats.snapshot();
@@ -188,40 +167,32 @@ fn counted(node: &PhysNode, mode: &str, n: i64) -> Counters {
     }
 }
 
-/// Differential pass: every cell plan at small scale through the three
-/// survivor representations; rows must be bit-identical and the
-/// path-independent counters exact.
+/// Differential pass: every cell plan at small scale through both paths;
+/// rows must be bit-identical and the path-independent counters exact.
 fn equivalence_pass() -> (usize, bool, bool) {
     let mut plans = 0usize;
     let (mut rows_identical, mut counters_exact) = (true, true);
     for (_, node) in cell_plans(EQ_N) {
         plans += 1;
         let mut runs = Vec::new();
-        for mode in ["tuple", "carry", "compact"] {
+        for batched in [false, true] {
             let cat = catalog(EQ_N);
             let ctx = ExecContext::new(&cat);
             let plan = PhysPlan::new(node.clone(), Span::new(1, EQ_N));
-            let rows = match mode {
-                "tuple" => execute(&plan, &ctx).unwrap(),
-                "carry" => {
-                    let labels = forced_labels(&node, "batch+sel");
-                    execute_batched_assigned(&plan, &ctx, 512, &labels).unwrap()
-                }
-                _ => {
-                    let labels = forced_labels(&node, "batch+compact");
-                    execute_batched_assigned(&plan, &ctx, 512, &labels).unwrap()
-                }
+            let rows = if batched {
+                execute_batched_with(&plan, &ctx, 512).unwrap()
+            } else {
+                execute(&plan, &ctx).unwrap()
             };
             runs.push((rows, cat.stats().snapshot(), ctx.stats.snapshot()));
         }
         let (t_rows, t_storage, t_exec) = &runs[0];
-        for (rows, storage, exec) in &runs[1..] {
-            rows_identical &= rows == t_rows;
-            counters_exact &= storage.page_reads == t_storage.page_reads
-                && storage.pages_skipped == t_storage.pages_skipped
-                && storage.probes == t_storage.probes
-                && exec.predicate_evals == t_exec.predicate_evals;
-        }
+        let (rows, storage, exec) = &runs[1];
+        rows_identical &= rows == t_rows;
+        counters_exact &= storage.page_reads == t_storage.page_reads
+            && storage.pages_skipped == t_storage.pages_skipped
+            && storage.probes == t_storage.probes
+            && exec.predicate_evals == t_exec.predicate_evals;
     }
     (plans, rows_identical, counters_exact)
 }
@@ -250,9 +221,7 @@ fn bench(c: &mut Criterion) {
     let mut cells = Vec::new();
     for (name, node) in &plans {
         let plan = PhysPlan::new(node.clone(), Span::new(1, N));
-        let carry_labels = forced_labels(node, "batch+sel");
-        let compact_labels = forced_labels(node, "batch+compact");
-        let (t_tuple, t_carry, t_compact) = measure3(
+        let (t_tuple, t_carry) = measure2(
             name,
             || {
                 let ctx = ExecContext::new(&cat);
@@ -260,44 +229,40 @@ fn bench(c: &mut Criterion) {
             },
             || {
                 let ctx = ExecContext::new(&cat);
-                execute_batched_assigned(&plan, &ctx, BATCH_SIZE, &carry_labels).unwrap().len()
-            },
-            || {
-                let ctx = ExecContext::new(&cat);
-                execute_batched_assigned(&plan, &ctx, BATCH_SIZE, &compact_labels).unwrap().len()
+                execute_batched_with(&plan, &ctx, BATCH_SIZE).unwrap().len()
             },
         );
-        let tuple = counted(node, "tuple", N);
-        let carry = counted(node, "carry", N);
+        let tuple = counted(node, false, N);
+        let carry = counted(node, true, N);
         assert!(
             carry.bytes_decoded <= tuple.bytes_decoded,
             "{name}: batch decoded more than tuple"
         );
         // Round first, then derive the speedup from the rounded timings so
         // the artifact is self-consistent under re-parsing.
-        let (tuple_ms, carry_ms, compact_ms) = (ms3(t_tuple), ms3(t_carry), ms3(t_compact));
+        let (tuple_ms, carry_ms) = (ms3(t_tuple), ms3(t_carry));
         let speedup = tuple_ms / carry_ms;
         println!(
-            "  {name}: tuple {tuple_ms:.3}ms carry {carry_ms:.3}ms compact {compact_ms:.3}ms \
+            "  {name}: tuple {tuple_ms:.3}ms carry {carry_ms:.3}ms \
              ({speedup:.2}x, {} rows, decode {} -> {} bytes)",
             carry.rows, tuple.bytes_decoded, carry.bytes_decoded
         );
-        cells.push((name, tuple_ms, carry_ms, compact_ms, speedup, tuple, carry));
+        cells.push((name, tuple_ms, carry_ms, speedup, tuple, carry));
     }
 
     // The two acceptance claims.
     let plain = &cells[0];
     assert!(
-        plain.4 >= 1.15,
+        plain.3 >= 1.15,
         "plain filtered scan must be >= 1.15x over tuple, got {:.3}x",
-        plain.4
+        plain.3
     );
     let fused_cell = cells.iter().find(|c| c.0 == &"fused-low-selectivity").unwrap();
     assert!(
-        fused_cell.5.bytes_decoded as f64 >= 2.0 * fused_cell.6.bytes_decoded as f64,
+        fused_cell.4.bytes_decoded as f64 >= 2.0 * fused_cell.5.bytes_decoded as f64,
         "low-selectivity multi-column scan must cut bytes_decoded >= 2x, got {} -> {}",
-        fused_cell.5.bytes_decoded,
-        fused_cell.6.bytes_decoded
+        fused_cell.4.bytes_decoded,
+        fused_cell.5.bytes_decoded
     );
 
     let (eq_plans, rows_identical, counters_exact) = equivalence_pass();
@@ -306,11 +271,11 @@ fn bench(c: &mut Criterion) {
 
     let cell_json: Vec<String> = cells
         .iter()
-        .map(|(name, tuple_ms, carry_ms, compact_ms, speedup, tuple, carry)| {
+        .map(|(name, tuple_ms, carry_ms, speedup, tuple, carry)| {
             format!(
                 "    {{\n      \"name\": \"{name}\",\n      \"selectivity\": {:.4},\n      \
                  \"tuple_ms\": {tuple_ms:.3},\n      \"carry_ms\": {carry_ms:.3},\n      \
-                 \"compact_ms\": {compact_ms:.3},\n      \"speedup_vs_tuple\": {speedup:.6},\n      \
+                 \"speedup_vs_tuple\": {speedup:.6},\n      \
                  \"rows_out\": {},\n      \"bytes_decoded_tuple\": {},\n      \
                  \"bytes_decoded_carry\": {},\n      \"columns_pruned\": {},\n      \
                  \"selections_carried\": {},\n      \"slots_compacted\": {}\n    }}",
@@ -329,7 +294,7 @@ fn bench(c: &mut Criterion) {
          \"samples_per_path\": 7,\n  \"statistic\": \"min of interleaved samples\",\n  \
          \"cells\": [\n{}\n  ],\n  \"equivalence\": {{\n    \"plans\": {eq_plans},\n    \
          \"rows_identical\": {rows_identical},\n    \"counters_exact\": {counters_exact},\n    \
-         \"paths\": \"tuple vs carry-forced vs compact-forced at {EQ_N} positions\"\n  }}\n}}\n",
+         \"paths\": \"tuple vs batch at {EQ_N} positions\"\n  }}\n}}\n",
         cell_json.join(",\n"),
     );
     check_document(&json).expect("BENCH_selection.json must satisfy its own validator");

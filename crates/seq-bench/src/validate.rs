@@ -17,8 +17,8 @@
 //!   (when present) the hottest plan templates with their latency digests
 //!   ([`check_serve`]);
 //! - **selection benchmarks** — the `selection_pipeline` artifact
-//!   (`BENCH_selection.json`, `selection_version: 1`): tuple vs carried vs
-//!   compacted timings per cell, the bytes-decoded drop from late
+//!   (`BENCH_selection.json`, `selection_version: 1`): tuple vs
+//!   selection-carrying batch timings per cell, the bytes-decoded drop from late
 //!   materialization, and the differential-equivalence summary
 //!   ([`check_selection`]).
 //!
@@ -46,11 +46,11 @@ pub fn check_document(text: &str) -> Result<String, String> {
 }
 
 /// Validate a `selection_pipeline` benchmark artifact (`BENCH_selection.json`,
-/// `selection_version: 1`): per-cell timings for the tuple / carried /
-/// compacted executions of the same filtered scan, the speedup derived from
-/// them, the bytes-decoded comparison showing late materialization paying
-/// off, and the differential summary asserting the three paths produced
-/// bit-identical rows.
+/// `selection_version: 1`): per-cell timings for the tuple and
+/// selection-carrying batch executions of the same filtered scan, the speedup
+/// derived from them, the bytes-decoded comparison showing late
+/// materialization paying off, and the differential summary asserting both
+/// paths produced bit-identical rows.
 pub fn check_selection(doc: &Json) -> Result<String, String> {
     if doc.get("selection_version").and_then(Json::as_f64) != Some(1.0) {
         return Err("missing or unexpected selection_version".into());
@@ -72,7 +72,6 @@ pub fn check_selection(doc: &Json) -> Result<String, String> {
             "selectivity",
             "tuple_ms",
             "carry_ms",
-            "compact_ms",
             "speedup_vs_tuple",
             "rows_out",
             "bytes_decoded_tuple",
@@ -237,7 +236,7 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
             return Err(format!("operator {i} missing label"));
         }
         match op.get("mode").and_then(Json::as_str) {
-            Some("batch" | "batch+sel" | "batch+compact" | "tuple" | "fused") => {}
+            Some("batch" | "batch+sel" | "tuple" | "fused") => {}
             Some(m) => return Err(format!("operator {i} has unknown mode {m:?}")),
             None => return Err(format!("operator {i} missing mode")),
         }
@@ -273,9 +272,9 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
         }
     }
     // EXPLAIN ANALYZE reports (anything that embeds its profile) additionally
-    // carry per-operator estimates with the costed mode decision and its
-    // margin, plus the refreshed-statistics array the feedback loop folds
-    // back into the catalog overlay.
+    // carry per-operator estimates with the lowered mode, plus the
+    // refreshed-statistics array the feedback loop folds back into the
+    // catalog overlay.
     let mut n_est = 0;
     let mut n_fb = 0;
     if doc.get("profile").is_some() {
@@ -285,13 +284,13 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
             return Err(format!("{} estimates for {} operators", ests.len(), ops.len()));
         }
         for (i, est) in ests.iter().enumerate() {
-            for key in ["id", "mode_margin", "est_rows", "actual_rows"] {
+            for key in ["id", "est_rows", "actual_rows"] {
                 if est.get(key).and_then(Json::as_f64).is_none() {
                     return Err(format!("estimate {i} missing numeric {key:?}"));
                 }
             }
             match est.get("mode").and_then(Json::as_str) {
-                Some("batch" | "batch+sel" | "batch+compact" | "tuple" | "fused") => {}
+                Some("batch" | "batch+sel" | "tuple" | "fused") => {}
                 _ => return Err(format!("estimate {i} missing or unknown mode")),
             }
             if !matches!(est.get("divergent"), Some(Json::Bool(_))) {
@@ -612,7 +611,7 @@ mod tests {
                     "rows": 100000, "batch_size": 4096,
                     "cells": [
                         {{"name": "plain_filter", "selectivity": 0.05,
-                          "tuple_ms": 10.0, "carry_ms": 5.0, "compact_ms": 7.0,
+                          "tuple_ms": 10.0, "carry_ms": 5.0,
                           "speedup_vs_tuple": {speedup}, "rows_out": 5000,
                           "bytes_decoded_tuple": 800000, "bytes_decoded_carry": 200000,
                           "columns_pruned": 120, "selections_carried": 25,

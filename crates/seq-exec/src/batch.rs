@@ -14,9 +14,8 @@
 //! their own modules (lock-step and stream-probe joins in [`crate::compose`],
 //! Cache-Strategy-B value offsets in [`crate::offset`], cumulative and
 //! whole-span aggregates in [`crate::aggregate`]), so whole plans lower
-//! vectorized end-to-end; the [`BatchToRecordCursor`] /
-//! [`RecordToBatchCursor`] adapters remain for plans that deliberately mix
-//! the paths (e.g. a `NaiveProbe` strategy choice).
+//! vectorized end-to-end; the [`RecordToBatchCursor`] adapter remains for
+//! the kernel-less nodes (a `NaiveProbe` strategy choice, `Constant`).
 
 use std::collections::VecDeque;
 
@@ -141,21 +140,10 @@ pub(crate) fn conjunction_filter_indices(
     Ok(idx)
 }
 
-/// How a [`SelectBatchCursor`] hands survivors downstream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectPolicy {
-    /// Attach a selection vector to the input batch (zero row copies); the
-    /// consumer reads through it or a downstream boundary compacts.
-    #[default]
-    Carry,
-    /// Gather survivors into a dense batch here (the pre-selection-vector
-    /// behavior), chosen by the costed lowering when a dense consumer sits
-    /// directly above and survivors are few.
-    Compact,
-}
-
 /// σ over a batched stream: one predicate evaluation per row, charged as a
-/// single folded add per batch.
+/// single folded add per batch. Survivors are handed on as a selection vector
+/// over the input batch (zero row copies); the consumer reads through it, or
+/// a [`CompactBatchCursor`] boundary densifies it.
 ///
 /// Predicates that are conjunctions of `Col <op> Lit` terms are compiled at
 /// open time into column kernels — tight comparison loops over the column
@@ -167,21 +155,18 @@ pub struct SelectBatchCursor {
     /// The conjunctive `(column, op, literal)` terms, when the predicate
     /// decomposes into them.
     compiled: Option<Vec<(usize, seq_core::CmpOp, Value)>>,
-    policy: SelectPolicy,
     stats: ExecStats,
 }
 
 impl SelectBatchCursor {
-    /// Filter the batched input by a bound predicate, handing survivors
-    /// downstream per `policy`.
+    /// Filter the batched input by a bound predicate.
     pub fn new(
         input: Box<dyn BatchCursor>,
         predicate: Expr,
-        policy: SelectPolicy,
         stats: ExecStats,
     ) -> SelectBatchCursor {
         let compiled = predicate.as_conjunctive_col_cmp_lits();
-        SelectBatchCursor { input, predicate, compiled, policy, stats }
+        SelectBatchCursor { input, predicate, compiled, stats }
     }
 
     fn filter(&mut self, mut batch: RecordBatch) -> Result<RecordBatch> {
@@ -202,21 +187,11 @@ impl SelectBatchCursor {
         if keep.len() == n {
             return Ok(batch);
         }
-        match self.policy {
-            SelectPolicy::Carry => {
-                batch.select_logical(keep);
-                if !batch.is_empty() {
-                    self.stats.record_selection_carried();
-                }
-                Ok(batch)
-            }
-            SelectPolicy::Compact => {
-                batch.select_logical(keep);
-                let copied = batch.compact();
-                self.stats.record_slots_compacted(copied as u64);
-                Ok(batch)
-            }
+        batch.select_logical(keep);
+        if !batch.is_empty() {
+            self.stats.record_selection_carried();
         }
+        Ok(batch)
     }
 }
 
@@ -299,7 +274,7 @@ impl BatchCursor for FusedBaseBatchCursor {
     }
 }
 
-/// A costed compaction boundary: densifies selection-carrying batches before
+/// The compaction boundary: densifies selection-carrying batches before
 /// a consumer that indexes rows physically (the positional joins, the
 /// aggregate cursors, parallel merge buffers).
 ///
@@ -733,8 +708,8 @@ impl BatchCursor for WindowAggBatchCursor {
 
 /// Adapter: expose a record-at-a-time [`Cursor`] as a [`BatchCursor`].
 ///
-/// Used at block boundaries: operators with non-unit scope (compose, value
-/// offsets, cumulative aggregates) keep their record-at-a-time
+/// Used at block boundaries: nodes without a batch kernel (the naive
+/// probe-walk strategies, `Constant`) keep their record-at-a-time
 /// implementations, and this adapter re-batches their output so operators
 /// above them still run vectorized.
 pub struct RecordToBatchCursor {
@@ -771,69 +746,5 @@ impl BatchCursor for RecordToBatchCursor {
     fn next_batch_from(&mut self, lower: i64) -> Result<Option<RecordBatch>> {
         let first = self.input.next_from(lower)?;
         self.fill(first)
-    }
-}
-
-/// Adapter: expose a [`BatchCursor`] as a record-at-a-time [`Cursor`].
-///
-/// Lets batched pipelines feed consumers that still speak records (the
-/// positional joins, value offsets, or a caller iterating results).
-pub struct BatchToRecordCursor {
-    input: Box<dyn BatchCursor>,
-    buf: Option<RecordBatch>,
-    row: usize,
-}
-
-impl BatchToRecordCursor {
-    /// Unbatch `input` into single records.
-    pub fn new(input: Box<dyn BatchCursor>) -> BatchToRecordCursor {
-        BatchToRecordCursor { input, buf: None, row: 0 }
-    }
-}
-
-impl Cursor for BatchToRecordCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        loop {
-            if let Some(b) = &self.buf {
-                if self.row < b.len() {
-                    let item = b.record(self.row);
-                    self.row += 1;
-                    return Ok(Some(item));
-                }
-                self.buf = None;
-                self.row = 0;
-            }
-            match self.input.next_batch()? {
-                Some(b) if !b.is_empty() => {
-                    self.buf = Some(b);
-                    self.row = 0;
-                }
-                Some(_) => continue,
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        if let Some(b) = &self.buf {
-            if b.last_pos().is_some_and(|p| p >= lower) {
-                // The buffered batch still covers `lower`: binary-search
-                // forward within it (logical view, so a selection-carrying
-                // batch is consumed natively — no compaction needed here).
-                let lb = b.lower_bound(lower);
-                self.row = self.row.max(lb);
-                return self.next();
-            }
-            self.buf = None;
-            self.row = 0;
-        }
-        match self.input.next_batch_from(lower)? {
-            Some(b) => {
-                self.buf = Some(b);
-                self.row = 0;
-                self.next()
-            }
-            None => Ok(None),
-        }
     }
 }

@@ -6,10 +6,26 @@
 //! specific positions ([`probe_positions`]) covers the other query form the
 //! template supports ("records at (a) specific positions").
 
-use seq_core::{Record, Result, Span};
+use seq_core::{Record, RecordBatch, Result, SeqError, Span};
 
-use crate::plan::{ExecContext, PhysPlan};
+use crate::plan::{ExecContext, PhysNode, PhysPlan};
 use crate::telemetry::{instrument, QueryPath};
+
+/// The range a stream driver materializes: the Start operator's position
+/// range clamped to the root's span. `None` when empty (nothing to run);
+/// an unbounded range cannot be materialized.
+pub(crate) fn materialized_range(plan: &PhysPlan) -> Result<Option<Span>> {
+    let range = plan.range.intersect(&plan.root.span());
+    if range.is_empty() {
+        return Ok(None);
+    }
+    if !range.is_bounded() {
+        return Err(SeqError::Unsupported(
+            "cannot materialize an unbounded range; clamp the plan's position range".into(),
+        ));
+    }
+    Ok(Some(range))
+}
 
 /// Stream-evaluate the plan, materializing every non-Null output within the
 /// plan's position range, in positional order.
@@ -23,15 +39,7 @@ pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Vec<(i64, Recor
 }
 
 fn execute_inner(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Vec<(i64, Record)>> {
-    let range = plan.range.intersect(&plan.root.span());
-    if range.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !range.is_bounded() {
-        return Err(seq_core::SeqError::Unsupported(
-            "cannot materialize an unbounded range; clamp the plan's position range".into(),
-        ));
-    }
+    let Some(range) = materialized_range(plan)? else { return Ok(Vec::new()) };
     if let Some(p) = &ctx.profile {
         p.set_op_modes(plan.root.exec_mode_labels(false));
     }
@@ -74,29 +82,30 @@ pub fn execute_batched_with(
         ctx,
         QueryPath::Batch,
         |rows: &Vec<(i64, Record)>| rows.len() as u64,
-        || execute_batched_inner(plan, ctx, batch_size),
+        || {
+            let Some(range) = materialized_range(plan)? else { return Ok(Vec::new()) };
+            if let Some(p) = &ctx.profile {
+                p.set_op_modes(plan.root.exec_mode_labels(true));
+            }
+            let mut out = Vec::new();
+            drain_batches(&plan.root, ctx, range, batch_size, |b| b.append_records_into(&mut out))?;
+            Ok(out)
+        },
     )
 }
 
-fn execute_batched_inner(
-    plan: &PhysPlan,
+/// The batch driver shared by the sequential path and each parallel morsel:
+/// open `root` on the batch path, pull from `range.start()`, clamp every
+/// batch to `range`, and hand the non-empty ones to `sink`. Rows the clamp
+/// discards are taken back off the profiled root's `rows_out`.
+pub(crate) fn drain_batches(
+    root: &PhysNode,
     ctx: &ExecContext<'_>,
+    range: Span,
     batch_size: usize,
-) -> Result<Vec<(i64, Record)>> {
-    let range = plan.range.intersect(&plan.root.span());
-    if range.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !range.is_bounded() {
-        return Err(seq_core::SeqError::Unsupported(
-            "cannot materialize an unbounded range; clamp the plan's position range".into(),
-        ));
-    }
-    if let Some(p) = &ctx.profile {
-        p.set_op_modes(plan.root.exec_mode_labels(true));
-    }
-    let mut cursor = plan.root.open_batch(ctx, batch_size)?;
-    let mut out = Vec::new();
+    mut sink: impl FnMut(RecordBatch),
+) -> Result<()> {
+    let mut cursor = root.open_batch(ctx, batch_size)?;
     let mut item = cursor.next_batch_from(range.start())?;
     while let Some(mut batch) = item {
         if batch.first_pos().is_some_and(|p| p > range.end()) {
@@ -111,71 +120,13 @@ fn execute_batched_inner(
         if let Some(p) = &ctx.profile {
             p.uncount_root_rows((before - batch.len()) as u64);
         }
-        ctx.stats.record_outputs(batch.len() as u64);
-        batch.append_records_into(&mut out);
+        if !batch.is_empty() {
+            ctx.stats.record_outputs(batch.len() as u64);
+            sink(batch);
+        }
         item = cursor.next_batch()?;
     }
-    Ok(out)
-}
-
-/// [`execute_batched_with`] honoring a forced per-node execution-mode
-/// assignment (`"batch"` / `"tuple"` / `"fused"`, pre-order — the
-/// profiler's node ids). Nodes left at their structural default lower
-/// exactly as [`execute_batched`]; forced nodes get a record<->batch
-/// adapter at the boundary, so any assignment yields identical rows. The
-/// attached profile (if any) reports the assigned labels per operator.
-pub fn execute_batched_assigned(
-    plan: &PhysPlan,
-    ctx: &ExecContext<'_>,
-    batch_size: usize,
-    modes: &[&'static str],
-) -> Result<Vec<(i64, Record)>> {
-    instrument(
-        ctx,
-        QueryPath::Batch,
-        |rows: &Vec<(i64, Record)>| rows.len() as u64,
-        || execute_batched_assigned_inner(plan, ctx, batch_size, modes),
-    )
-}
-
-fn execute_batched_assigned_inner(
-    plan: &PhysPlan,
-    ctx: &ExecContext<'_>,
-    batch_size: usize,
-    modes: &[&'static str],
-) -> Result<Vec<(i64, Record)>> {
-    let range = plan.range.intersect(&plan.root.span());
-    if range.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !range.is_bounded() {
-        return Err(seq_core::SeqError::Unsupported(
-            "cannot materialize an unbounded range; clamp the plan's position range".into(),
-        ));
-    }
-    if let Some(p) = &ctx.profile {
-        p.set_op_modes(modes.to_vec());
-    }
-    let mut cursor = plan.root.open_batch_assigned(ctx, batch_size, modes)?;
-    let mut out = Vec::new();
-    let mut item = cursor.next_batch_from(range.start())?;
-    while let Some(mut batch) = item {
-        if batch.first_pos().is_some_and(|p| p > range.end()) {
-            if let Some(p) = &ctx.profile {
-                p.uncount_root_rows(batch.len() as u64);
-            }
-            break;
-        }
-        let before = batch.len();
-        batch.clamp_positions(range.start(), range.end());
-        if let Some(p) = &ctx.profile {
-            p.uncount_root_rows((before - batch.len()) as u64);
-        }
-        ctx.stats.record_outputs(batch.len() as u64);
-        batch.append_records_into(&mut out);
-        item = cursor.next_batch()?;
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Morsel-driven parallel evaluation with `workers` threads and default
@@ -225,17 +176,6 @@ fn probe_positions_inner(
         out.push((pos, rec));
     }
     Ok(out)
-}
-
-/// Convenience: execute and return only the `(position, record)` pairs whose
-/// positions fall in `window` (used by tests and examples to spot-check).
-pub fn execute_within(
-    plan: &PhysPlan,
-    ctx: &ExecContext<'_>,
-    window: Span,
-) -> Result<Vec<(i64, Record)>> {
-    let clamped = PhysPlan::new(plan.root.clone(), plan.range.intersect(&window));
-    execute(&clamped, ctx)
 }
 
 #[cfg(test)]
@@ -364,237 +304,6 @@ mod tests {
             assert_eq!(sp, pp);
             assert_eq!(Some(sr), pr.as_ref());
         }
-    }
-
-    #[test]
-    fn execute_within_narrows() {
-        let c = catalog();
-        let ctx = ExecContext::new(&c);
-        let plan = PhysPlan::new(
-            PhysNode::Base { name: "HP".into(), span: Span::new(1, 30) },
-            Span::new(1, 30),
-        );
-        let out = execute_within(&plan, &ctx, Span::new(5, 9)).unwrap();
-        let got: Vec<i64> = out.iter().map(|(p, _)| *p).collect();
-        assert_eq!(got, vec![5, 7, 9]);
-    }
-}
-
-#[cfg(test)]
-mod mixed_mode_tests {
-    use super::*;
-    use crate::plan::{AggStrategy, JoinStrategy, PhysNode, ValueOffsetStrategy};
-    use seq_core::{record, schema, AttrType, BaseSequence, CmpOp, Value};
-    use seq_ops::{AggFunc, Expr, Window};
-    use seq_storage::Catalog;
-
-    const N: i64 = 500;
-
-    fn catalog() -> Catalog {
-        let mut c = Catalog::new();
-        c.set_page_capacity(8);
-        let sch = schema(&[("time", AttrType::Int), ("close", AttrType::Float)]);
-        let s = BaseSequence::from_entries(
-            sch.clone(),
-            (1..=N).filter(|p| p % 7 != 0).map(|p| (p, record![p, (p % 50) as f64])).collect(),
-        )
-        .unwrap();
-        let t = BaseSequence::from_entries(
-            sch,
-            (1..=N).map(|p| (p, record![p, (p % 31) as f64])).collect(),
-        )
-        .unwrap();
-        c.register("S", &s);
-        c.register("T", &t);
-        c
-    }
-
-    fn base(name: &str) -> Box<PhysNode> {
-        Box::new(PhysNode::Base { name: name.into(), span: Span::new(1, N) })
-    }
-
-    fn select(input: Box<PhysNode>) -> Box<PhysNode> {
-        Box::new(PhysNode::Select {
-            input,
-            predicate: Expr::Col(1).gt(Expr::lit(10.0)),
-            span: Span::new(1, N),
-        })
-    }
-
-    /// Plans covering every adapter pair: native batch chains, a fused
-    /// scan, both join strategies, and kernel-less (naive) strategies that
-    /// interpose record-path subtrees mid-tree.
-    fn plans() -> Vec<PhysPlan> {
-        let span = Span::new(1, N);
-        vec![
-            PhysPlan::new(
-                PhysNode::Project {
-                    // `Out(i) = In(i + 2)`: output positions stay inside the
-                    // span so both drivers drain to stream exhaustion (the
-                    // record driver stops one pull earlier than a batched
-                    // driver on plans that emit past the range end).
-                    input: select(Box::new(PhysNode::PosOffset {
-                        input: base("S"),
-                        offset: 2,
-                        span,
-                    })),
-                    indices: vec![1, 0],
-                    span,
-                },
-                span,
-            ),
-            PhysPlan::new(
-                PhysNode::Project {
-                    input: Box::new(PhysNode::FusedScan {
-                        name: "S".into(),
-                        predicate: Expr::Col(1).gt(Expr::lit(40.0)),
-                        terms: vec![(1, CmpOp::Gt, Value::Float(40.0))],
-                        span,
-                    }),
-                    indices: vec![0],
-                    span,
-                },
-                span,
-            ),
-            PhysPlan::new(
-                PhysNode::Aggregate {
-                    input: Box::new(PhysNode::Compose {
-                        left: base("S"),
-                        right: base("T"),
-                        predicate: Some(Expr::Col(1).gt(Expr::Col(3))),
-                        strategy: JoinStrategy::LockStep,
-                        span,
-                    }),
-                    func: AggFunc::Avg,
-                    attr_index: 1,
-                    window: Window::trailing(5),
-                    strategy: AggStrategy::CacheA,
-                    span,
-                },
-                span,
-            ),
-            PhysPlan::new(
-                PhysNode::Compose {
-                    left: select(base("S")),
-                    right: base("T"),
-                    predicate: None,
-                    strategy: JoinStrategy::StreamLeftProbeRight,
-                    span,
-                },
-                span,
-            ),
-            PhysPlan::new(
-                PhysNode::Select {
-                    input: Box::new(PhysNode::Aggregate {
-                        input: base("T"),
-                        func: AggFunc::Sum,
-                        attr_index: 1,
-                        window: Window::trailing(3),
-                        strategy: AggStrategy::NaiveProbe,
-                        span,
-                    }),
-                    predicate: Expr::Col(0).gt(Expr::lit(40.0)),
-                    span,
-                },
-                span,
-            ),
-            PhysPlan::new(
-                PhysNode::ValueOffset {
-                    input: select(base("S")),
-                    offset: -1,
-                    strategy: ValueOffsetStrategy::IncrementalCacheB,
-                    span,
-                },
-                span,
-            ),
-        ]
-    }
-
-    /// Deterministic LCG so the "random" assignments are reproducible.
-    fn lcg(seed: &mut u64) -> u64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        *seed >> 33
-    }
-
-    /// The counters every execution mode must account identically: pages
-    /// touched, pages skipped, probes issued, and predicates evaluated.
-    /// `stream_records` is deliberately absent — the batch lock-step join
-    /// seeks the right stream across gaps in the left and so legitimately
-    /// scans fewer records than the record-at-a-time join.
-    fn counters(c: &Catalog, ctx: &ExecContext<'_>) -> (u64, u64, u64, u64) {
-        let st = c.stats().snapshot();
-        let ex = ctx.stats.snapshot();
-        (st.page_reads, st.pages_skipped, st.probes, ex.predicate_evals)
-    }
-
-    #[test]
-    fn forced_assignments_are_row_and_counter_identical() {
-        let c = catalog();
-        let mut seed = 0x5eeded_u64;
-        for (pi, plan) in plans().iter().enumerate() {
-            // Reference: the record-at-a-time path.
-            c.reset_measurement();
-            let want = {
-                let ctx = ExecContext::new(&c);
-                let rows = execute(plan, &ctx).unwrap();
-                (rows, counters(&c, &ctx))
-            };
-            assert!(!want.0.is_empty(), "plan {pi} must produce rows");
-
-            let n = plan.root.subtree_size();
-            let mut assignments: Vec<Vec<&'static str>> = vec![vec!["tuple"; n], vec!["batch"; n]];
-            for _ in 0..6 {
-                assignments.push(
-                    (0..n)
-                        .map(|_| if lcg(&mut seed).is_multiple_of(2) { "batch" } else { "tuple" })
-                        .collect(),
-                );
-            }
-            for (ai, modes) in assignments.iter().enumerate() {
-                // Tiny batches stress the adapters; the default exercises
-                // the bulk path.
-                for bs in [3usize, 64] {
-                    c.reset_measurement();
-                    let ctx = ExecContext::new(&c);
-                    let got = execute_batched_assigned(plan, &ctx, bs, modes).unwrap();
-                    assert_eq!(
-                        got.len(),
-                        want.0.len(),
-                        "plan {pi} assignment {ai} ({modes:?}) batch_size {bs}"
-                    );
-                    for (w, g) in want.0.iter().zip(&got) {
-                        assert_eq!(w, g, "plan {pi} assignment {ai} batch_size {bs}");
-                    }
-                    assert_eq!(
-                        counters(&c, &ctx),
-                        want.1,
-                        "storage/predicate counters drifted: plan {pi} assignment {ai} \
-                         ({modes:?}) batch_size {bs}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn assignment_inserts_adapters_only_at_boundaries() {
-        // A forced all-tuple assignment over a capable chain must still
-        // produce one batch stream at the root (the driver contract), and a
-        // forced batch-under-tuple sandwich exercises both adapter
-        // directions in one plan.
-        let c = catalog();
-        let span = Span::new(1, N);
-        let plan = PhysPlan::new(
-            PhysNode::Project { input: select(base("S")), indices: vec![0, 1], span },
-            span,
-        );
-        let ctx = ExecContext::new(&c);
-        let want = execute(&plan, &ctx).unwrap();
-        // Root batch, middle tuple, leaf batch: RecordToBatch above the
-        // select, BatchToRecord between select and base scan.
-        let sandwich = vec!["batch", "tuple", "batch"];
-        let got = execute_batched_assigned(&plan, &ctx, 16, &sandwich).unwrap();
-        assert_eq!(want, got);
     }
 }
 

@@ -17,8 +17,8 @@
 //! - [`batch`] — the vectorized batch-at-a-time path: every physical
 //!   operator (unit-scope kernels here; joins, value offsets, and
 //!   cumulative/whole-span aggregates in their own modules) over columnar
-//!   [`seq_core::RecordBatch`]es, with adapters to and from the
-//!   record-at-a-time cursors for plans that mix the paths;
+//!   [`seq_core::RecordBatch`]es, with an adapter from the record-at-a-time
+//!   cursors for the nodes that have no batch kernel;
 //! - [`parallel`] — morsel-driven parallel execution of position-
 //!   partitionable plans with an order-preserving bounded merge;
 //! - [`profile`] — seq-trace: opt-in per-operator/per-worker instrumentation
@@ -43,15 +43,13 @@ pub mod stats;
 pub mod telemetry;
 
 pub use aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
-pub use batch::{
-    BatchCursor, BatchToRecordCursor, FusedBaseBatchCursor, RecordToBatchCursor, DEFAULT_BATCH_SIZE,
-};
+pub use batch::{BatchCursor, FusedBaseBatchCursor, RecordToBatchCursor, DEFAULT_BATCH_SIZE};
 pub use cache::OpCache;
 pub use compose::{LockStepJoinBatch, StreamProbeJoinBatch, StreamSide};
 pub use cursor::{Cursor, PointAccess};
 pub use exec::{
-    execute, execute_batched, execute_batched_assigned, execute_batched_with, execute_parallel,
-    execute_within, materialize_into, probe_positions,
+    execute, execute_batched, execute_batched_with, execute_parallel, materialize_into,
+    probe_positions,
 };
 pub use incremental::{replay, Emission, TriggerEngine};
 pub use offset::ValueOffsetBatchCursor;

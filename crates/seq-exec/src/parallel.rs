@@ -212,28 +212,8 @@ fn run_morsel(
     batch_size: usize,
 ) -> Result<Vec<RecordBatch>> {
     let node = plan.root.restrict_to(morsel);
-    let mut cursor = node.open_batch(ctx, batch_size)?;
     let mut out = Vec::new();
-    let mut item = cursor.next_batch_from(morsel.start())?;
-    while let Some(mut batch) = item {
-        if batch.first_pos().is_some_and(|p| p > morsel.end()) {
-            // Entirely past the morsel: the driver discards the batch.
-            if let Some(p) = &ctx.profile {
-                p.uncount_root_rows(batch.len() as u64);
-            }
-            break;
-        }
-        let before = batch.len();
-        batch.clamp_positions(morsel.start(), morsel.end());
-        if let Some(p) = &ctx.profile {
-            p.uncount_root_rows((before - batch.len()) as u64);
-        }
-        if !batch.is_empty() {
-            ctx.stats.record_outputs(batch.len() as u64);
-            out.push(batch);
-        }
-        item = cursor.next_batch()?;
-    }
+    crate::exec::drain_batches(&node, ctx, morsel, batch_size, |b| out.push(b))?;
     Ok(out)
 }
 
@@ -249,15 +229,7 @@ pub fn execute_parallel_with(
     ctx: &ExecContext<'_>,
     config: ParallelConfig,
 ) -> Result<Vec<(i64, Record)>> {
-    let range = plan.range.intersect(&plan.root.span());
-    if range.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !range.is_bounded() {
-        return Err(SeqError::Unsupported(
-            "cannot materialize an unbounded range; clamp the plan's position range".into(),
-        ));
-    }
+    let Some(range) = crate::exec::materialized_range(plan)? else { return Ok(Vec::new()) };
     let batch_size = config.batch_size.max(1);
     if config.workers <= 1 {
         // Degree 1 is *exactly* the sequential batch path: same cursors,

@@ -20,9 +20,8 @@ use crate::aggregate::{
     WholeSpanAggBatchCursor, WholeSpanAggCursor, WindowAggCursor,
 };
 use crate::batch::{
-    BaseBatchCursor, BatchCursor, BatchToRecordCursor, CompactBatchCursor, FusedBaseBatchCursor,
-    PosOffsetBatchCursor, ProjectBatchCursor, RecordToBatchCursor, SelectBatchCursor, SelectPolicy,
-    WindowAggBatchCursor,
+    BaseBatchCursor, BatchCursor, CompactBatchCursor, FusedBaseBatchCursor, PosOffsetBatchCursor,
+    ProjectBatchCursor, RecordToBatchCursor, SelectBatchCursor, WindowAggBatchCursor,
 };
 use crate::compose::{
     ComposeProbe, LockStepJoin, LockStepJoinBatch, StreamProbeJoin, StreamProbeJoinBatch,
@@ -69,41 +68,6 @@ pub enum ValueOffsetStrategy {
     IncrementalCacheB,
     /// The naive algorithm: walk backward/forward per output position.
     NaiveProbe,
-}
-
-/// A forced per-node execution-mode assignment, indexed by pre-order node
-/// id (the profiler's ids). `"batch"`-family entries (`"batch"`,
-/// `"batch+sel"`, `"batch+compact"`) run their native batch kernel even when
-/// entered from the record path (behind a [`BatchToRecordCursor`]); `"tuple"`
-/// entries run their stream cursor even when entered from the batch path
-/// (behind a [`RecordToBatchCursor`]); `"fused"` and any id past the end
-/// leave the structural default in place. On a Select node the batch-family
-/// suffix picks the [`SelectPolicy`]: `"batch+compact"` gathers survivors
-/// densely at the filter, anything else carries a selection vector.
-/// Adapters are inserted exactly at assignment boundaries, so results are
-/// identical under every assignment.
-#[derive(Debug, Clone, Copy)]
-pub struct ModeAssignment<'a> {
-    modes: &'a [&'static str],
-    batch_size: usize,
-}
-
-impl ModeAssignment<'_> {
-    fn forces_tuple(&self, id: usize) -> bool {
-        self.modes.get(id) == Some(&"tuple")
-    }
-
-    fn forces_batch(&self, id: usize) -> bool {
-        matches!(self.modes.get(id), Some(m) if m.starts_with("batch"))
-    }
-
-    fn select_policy(&self, id: usize) -> SelectPolicy {
-        if self.modes.get(id) == Some(&"batch+compact") {
-            SelectPolicy::Compact
-        } else {
-            SelectPolicy::Carry
-        }
-    }
 }
 
 /// A physical plan node. `span` is the node's output span after top-down
@@ -282,32 +246,6 @@ impl PhysNode {
     /// [`PhysNode::open_stream`] with this node's pre-order id supplied, so a
     /// profiling context can attribute work to plan nodes.
     fn open_stream_at(&self, ctx: &ExecContext<'_>, id: usize) -> Result<Box<dyn Cursor>> {
-        self.open_stream_in(ctx, id, None)
-    }
-
-    /// [`PhysNode::open_stream_at`] under an optional forced mode
-    /// assignment: a node the assignment forces to `"batch"` runs its native
-    /// batch kernel behind a [`BatchToRecordCursor`] adapter (which is not
-    /// re-instrumented — the kernel underneath already charges this id).
-    fn open_stream_in(
-        &self,
-        ctx: &ExecContext<'_>,
-        id: usize,
-        assign: Option<ModeAssignment<'_>>,
-    ) -> Result<Box<dyn Cursor>> {
-        if let Some(a) = assign {
-            if a.forces_batch(id) && self.is_batch_capable() {
-                // The record consumer above reads whole rows, so the batch
-                // subtree underneath must materialize every column.
-                return Ok(Box::new(BatchToRecordCursor::new(self.open_batch_native(
-                    ctx,
-                    a.batch_size,
-                    id,
-                    assign,
-                    &ColumnSet::All,
-                )?)));
-            }
-        }
         let cursor: Box<dyn Cursor> = match self {
             PhysNode::Base { name, span } => {
                 let store = ctx.base_store(name, id)?;
@@ -329,23 +267,20 @@ impl PhysNode {
                 Box::new(ConstCursor::new(record.clone(), *span)?)
             }
             PhysNode::Select { input, predicate, .. } => Box::new(SelectCursor::new(
-                input.open_stream_in(ctx, id + 1, assign)?,
+                input.open_stream_at(ctx, id + 1)?,
                 predicate.clone(),
                 ctx.op_stats(id),
             )),
-            PhysNode::Project { input, indices, .. } => Box::new(ProjectCursor::new(
-                input.open_stream_in(ctx, id + 1, assign)?,
-                indices.clone(),
-            )),
-            PhysNode::PosOffset { input, offset, span } => Box::new(PosOffsetCursor::new(
-                input.open_stream_in(ctx, id + 1, assign)?,
-                *offset,
-                *span,
-            )),
+            PhysNode::Project { input, indices, .. } => {
+                Box::new(ProjectCursor::new(input.open_stream_at(ctx, id + 1)?, indices.clone()))
+            }
+            PhysNode::PosOffset { input, offset, span } => {
+                Box::new(PosOffsetCursor::new(input.open_stream_at(ctx, id + 1)?, *offset, *span))
+            }
             PhysNode::ValueOffset { input, offset, strategy, span } => match strategy {
                 ValueOffsetStrategy::IncrementalCacheB => {
                     Box::new(IncrementalValueOffsetCursor::new(
-                        input.open_stream_in(ctx, id + 1, assign)?,
+                        input.open_stream_at(ctx, id + 1)?,
                         *offset,
                         *span,
                         ctx.op_stats(id),
@@ -371,7 +306,7 @@ impl PhysNode {
                         ctx.op_stats(id),
                     )?),
                     (_, Window::Sliding { .. }) => Box::new(WindowAggCursor::new(
-                        input.open_stream_in(ctx, id + 1, assign)?,
+                        input.open_stream_at(ctx, id + 1)?,
                         *func,
                         *attr_index,
                         *window,
@@ -380,13 +315,13 @@ impl PhysNode {
                         ctx.op_stats(id),
                     )?),
                     (_, Window::Cumulative) => Box::new(CumulativeAggCursor::new(
-                        input.open_stream_in(ctx, id + 1, assign)?,
+                        input.open_stream_at(ctx, id + 1)?,
                         *func,
                         *attr_index,
                         *span,
                     )?),
                     (_, Window::WholeSpan) => Box::new(WholeSpanAggCursor::new(
-                        input.open_stream_in(ctx, id + 1, assign)?,
+                        input.open_stream_at(ctx, id + 1)?,
                         *func,
                         *attr_index,
                         *span,
@@ -397,20 +332,20 @@ impl PhysNode {
                 let right_id = id + 1 + left.subtree_size();
                 match strategy {
                     JoinStrategy::LockStep => Box::new(LockStepJoin::new(
-                        left.open_stream_in(ctx, id + 1, assign)?,
-                        right.open_stream_in(ctx, right_id, assign)?,
+                        left.open_stream_at(ctx, id + 1)?,
+                        right.open_stream_at(ctx, right_id)?,
                         predicate.clone(),
                         ctx.op_stats(id),
                     )),
                     JoinStrategy::StreamLeftProbeRight => Box::new(StreamProbeJoin::new(
-                        left.open_stream_in(ctx, id + 1, assign)?,
+                        left.open_stream_at(ctx, id + 1)?,
                         right.open_probe_at(ctx, right_id)?,
                         StreamSide::Left,
                         predicate.clone(),
                         ctx.op_stats(id),
                     )),
                     JoinStrategy::StreamRightProbeLeft => Box::new(StreamProbeJoin::new(
-                        right.open_stream_in(ctx, right_id, assign)?,
+                        right.open_stream_at(ctx, right_id)?,
                         left.open_probe_at(ctx, id + 1)?,
                         StreamSide::Right,
                         predicate.clone(),
@@ -456,8 +391,8 @@ impl PhysNode {
     /// Strategy-A compose keeps its streamed side vectorized while the
     /// probed side is a record-path subtree; a fused scan is its own mode
     /// on either path (the σ ran inside the storage scan); a native-batch
-    /// Select is `"batch+sel"` — the structural default carries a selection
-    /// vector (the costed lowering may force `"batch+compact"` instead).
+    /// Select is `"batch+sel"` — it hands survivors on as a selection
+    /// vector, densified only at a consumer that indexes rows physically.
     pub fn exec_mode_labels(&self, vectorized: bool) -> Vec<&'static str> {
         let mut out = Vec::with_capacity(self.subtree_size());
         self.push_mode_labels(vectorized, &mut out);
@@ -603,13 +538,15 @@ impl PhysNode {
     /// native batch kernels; at the first non-batch-capable node the plan
     /// falls back to [`PhysNode::open_stream`] behind a
     /// [`RecordToBatchCursor`] adapter (a block boundary), so any plan
-    /// lowers. Results are identical to the record-at-a-time path.
+    /// lowers. Results are identical to the record-at-a-time path. The root
+    /// materializes every column: the batch drivers hand whole rows to the
+    /// caller.
     pub fn open_batch(
         &self,
         ctx: &ExecContext<'_>,
         batch_size: usize,
     ) -> Result<Box<dyn BatchCursor>> {
-        self.open_batch_at(ctx, batch_size, 0)
+        self.open_batch_at(ctx, batch_size, 0, &ColumnSet::All)
     }
 
     /// The set of input columns each child must materialize for this node:
@@ -650,21 +587,16 @@ impl PhysNode {
     }
 
     /// True when this node's batch cursor can yield selection-carrying
-    /// batches under `assign`: a carry-policy Select originates them, the
+    /// batches: a native-batch Select originates them, the
     /// selection-transparent unit-scope operators pass them through, and
     /// everything else (scans, aggregates, joins, adapter fallbacks) emits
     /// dense batches. The lowering inserts a [`CompactBatchCursor`] boundary
     /// exactly where this is true and the consumer indexes rows physically.
-    fn may_carry_selection(&self, id: usize, assign: Option<ModeAssignment<'_>>) -> bool {
-        if !self.is_batch_capable() || assign.is_some_and(|a| a.forces_tuple(id)) {
-            return false;
-        }
+    fn may_carry_selection(&self) -> bool {
         match self {
-            PhysNode::Select { .. } => {
-                assign.map_or(SelectPolicy::Carry, |a| a.select_policy(id)) == SelectPolicy::Carry
-            }
+            PhysNode::Select { .. } => true,
             PhysNode::Project { input, .. } | PhysNode::PosOffset { input, .. } => {
-                input.may_carry_selection(id + 1, assign)
+                input.may_carry_selection()
             }
             _ => false,
         }
@@ -675,99 +607,46 @@ impl PhysNode {
     /// [`CompactBatchCursor`] only when this subtree may actually carry a
     /// selection. `consumer` is the consuming operator's id — the compaction
     /// is work the consumer demanded, so its rows are charged there.
-    #[allow(clippy::too_many_arguments)]
     fn open_batch_dense(
         &self,
         ctx: &ExecContext<'_>,
         batch_size: usize,
         id: usize,
-        assign: Option<ModeAssignment<'_>>,
         req: &ColumnSet,
         consumer: usize,
     ) -> Result<Box<dyn BatchCursor>> {
-        let cur = self.open_batch_in(ctx, batch_size, id, assign, req)?;
-        Ok(if self.may_carry_selection(id, assign) {
+        let cur = self.open_batch_at(ctx, batch_size, id, req)?;
+        Ok(if self.may_carry_selection() {
             Box::new(CompactBatchCursor::new(cur, ctx.op_stats(consumer)))
         } else {
             cur
         })
     }
 
-    /// [`PhysNode::open_batch`] under a forced per-node [`ModeAssignment`]
-    /// (pre-order, same ids the profiler uses). Nodes the assignment leaves
-    /// at their structural default lower exactly as [`PhysNode::open_batch`];
-    /// forced nodes get a [`RecordToBatchCursor`] / [`BatchToRecordCursor`]
-    /// adapter at the boundary. Results are identical to every other mode.
-    pub fn open_batch_assigned(
-        &self,
-        ctx: &ExecContext<'_>,
-        batch_size: usize,
-        modes: &[&'static str],
-    ) -> Result<Box<dyn BatchCursor>> {
-        self.open_batch_in(
-            ctx,
-            batch_size,
-            0,
-            Some(ModeAssignment { modes, batch_size }),
-            &ColumnSet::All,
-        )
-    }
-
-    /// [`PhysNode::open_batch`] with this node's pre-order id supplied, so a
-    /// profiling context can attribute work to plan nodes. The root always
-    /// materializes every column: the batch drivers hand whole rows to the
-    /// caller.
+    /// [`PhysNode::open_batch`] with this node's pre-order id supplied (so a
+    /// profiling context can attribute work to plan nodes) and `req`, the
+    /// set of this node's *output* columns some consumer above reads. A node
+    /// without a native batch kernel runs its stream cursor behind a
+    /// [`RecordToBatchCursor`] adapter (which always materializes full rows,
+    /// so `req` stops there). A native kernel translates `req` into its
+    /// child's requirement via [`PhysNode::child_column_req`], and consumers
+    /// that index rows physically open their children through
+    /// [`PhysNode::open_batch_dense`].
     fn open_batch_at(
         &self,
         ctx: &ExecContext<'_>,
         batch_size: usize,
         id: usize,
-    ) -> Result<Box<dyn BatchCursor>> {
-        self.open_batch_in(ctx, batch_size, id, None, &ColumnSet::All)
-    }
-
-    /// [`PhysNode::open_batch_at`] under an optional forced mode assignment
-    /// and the consumer's referenced-column set `req`: structurally
-    /// incapable nodes and nodes forced to `"tuple"` run their stream cursor
-    /// behind a [`RecordToBatchCursor`] adapter (which always materializes
-    /// full rows, so `req` stops there).
-    fn open_batch_in(
-        &self,
-        ctx: &ExecContext<'_>,
-        batch_size: usize,
-        id: usize,
-        assign: Option<ModeAssignment<'_>>,
         req: &ColumnSet,
     ) -> Result<Box<dyn BatchCursor>> {
-        let forced_tuple = assign.is_some_and(|a| a.forces_tuple(id));
-        if !self.is_batch_capable() || forced_tuple {
+        if !self.is_batch_capable() {
             // The stream cursor underneath is already instrumented for this
-            // node id, so the adapter itself must not be wrapped again. (A
-            // forced-tuple node cannot also be forced to batch, so the
-            // stream open below never bounces back here.)
+            // node id, so the adapter itself must not be wrapped again.
             return Ok(Box::new(RecordToBatchCursor::new(
-                self.open_stream_in(ctx, id, assign)?,
+                self.open_stream_at(ctx, id)?,
                 batch_size,
             )));
         }
-        self.open_batch_native(ctx, batch_size, id, assign, req)
-    }
-
-    /// This node's native batch kernel (capability already checked), with
-    /// children lowered through the assignment-aware entry points. `req` is
-    /// the set of this node's *output* columns some consumer above reads;
-    /// each arm translates it into the child requirement via
-    /// [`PhysNode::child_column_req`], and consumers that index rows
-    /// physically open their children through
-    /// [`PhysNode::open_batch_dense`].
-    fn open_batch_native(
-        &self,
-        ctx: &ExecContext<'_>,
-        batch_size: usize,
-        id: usize,
-        assign: Option<ModeAssignment<'_>>,
-        req: &ColumnSet,
-    ) -> Result<Box<dyn BatchCursor>> {
         let child_req = self.child_column_req(req);
         let cursor: Box<dyn BatchCursor> = match self {
             PhysNode::Base { name, span } => {
@@ -788,25 +667,23 @@ impl PhysNode {
                 ))
             }
             PhysNode::Select { input, predicate, .. } => Box::new(SelectBatchCursor::new(
-                input.open_batch_in(ctx, batch_size, id + 1, assign, &child_req)?,
+                input.open_batch_at(ctx, batch_size, id + 1, &child_req)?,
                 predicate.clone(),
-                assign.map_or(SelectPolicy::Carry, |a| a.select_policy(id)),
                 ctx.op_stats(id),
             )),
             PhysNode::Project { input, indices, .. } => Box::new(ProjectBatchCursor::new(
-                input.open_batch_in(ctx, batch_size, id + 1, assign, &child_req)?,
+                input.open_batch_at(ctx, batch_size, id + 1, &child_req)?,
                 indices.clone(),
             )),
             PhysNode::PosOffset { input, offset, span } => Box::new(PosOffsetBatchCursor::new(
-                input.open_batch_in(ctx, batch_size, id + 1, assign, &child_req)?,
+                input.open_batch_at(ctx, batch_size, id + 1, &child_req)?,
                 *offset,
                 *span,
             )),
             PhysNode::Aggregate { input, func, attr_index, window, strategy, span } => {
                 // The aggregate cursors index their input rows physically, so
                 // a selection-carrying child densifies at a charged boundary.
-                let child =
-                    input.open_batch_dense(ctx, batch_size, id + 1, assign, &child_req, id)?;
+                let child = input.open_batch_dense(ctx, batch_size, id + 1, &child_req, id)?;
                 match window {
                     Window::Sliding { .. } => Box::new(WindowAggBatchCursor::new(
                         child,
@@ -837,7 +714,7 @@ impl PhysNode {
                 // Only IncrementalCacheB is batch-capable; the guard above
                 // routed NaiveProbe through the adapter.
                 Box::new(ValueOffsetBatchCursor::new(
-                    input.open_batch_dense(ctx, batch_size, id + 1, assign, &child_req, id)?,
+                    input.open_batch_dense(ctx, batch_size, id + 1, &child_req, id)?,
                     *offset,
                     *span,
                     ctx.op_stats(id),
@@ -848,23 +725,21 @@ impl PhysNode {
                 let right_id = id + 1 + left.subtree_size();
                 match strategy {
                     JoinStrategy::LockStep => Box::new(LockStepJoinBatch::new(
-                        left.open_batch_dense(ctx, batch_size, id + 1, assign, &child_req, id)?,
-                        right
-                            .open_batch_dense(ctx, batch_size, right_id, assign, &child_req, id)?,
+                        left.open_batch_dense(ctx, batch_size, id + 1, &child_req, id)?,
+                        right.open_batch_dense(ctx, batch_size, right_id, &child_req, id)?,
                         predicate.clone(),
                         ctx.op_stats(id),
                         batch_size,
                     )),
                     JoinStrategy::StreamLeftProbeRight => Box::new(StreamProbeJoinBatch::new(
-                        left.open_batch_dense(ctx, batch_size, id + 1, assign, &child_req, id)?,
+                        left.open_batch_dense(ctx, batch_size, id + 1, &child_req, id)?,
                         right.open_probe_at(ctx, right_id)?,
                         StreamSide::Left,
                         predicate.clone(),
                         ctx.op_stats(id),
                     )),
                     JoinStrategy::StreamRightProbeLeft => Box::new(StreamProbeJoinBatch::new(
-                        right
-                            .open_batch_dense(ctx, batch_size, right_id, assign, &child_req, id)?,
+                        right.open_batch_dense(ctx, batch_size, right_id, &child_req, id)?,
                         left.open_probe_at(ctx, id + 1)?,
                         StreamSide::Right,
                         predicate.clone(),

@@ -12,8 +12,7 @@
 use seq_core::{record, schema, AttrType, BaseSequence, Record, Span, Value};
 use seq_exec::{
     execute, execute_batched_with, execute_parallel, execute_parallel_with, AggStrategy,
-    BatchToRecordCursor, ExecContext, JoinStrategy, ParallelConfig, PhysNode, PhysPlan,
-    RecordToBatchCursor, ValueOffsetStrategy,
+    ExecContext, JoinStrategy, ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -286,8 +285,8 @@ fn degenerate_ranges() {
 }
 
 // ---------------------------------------------------------------------------
-// Stat folding: identical counters across pure-batch, adapter-sandwiched,
-// and parallel drives of the same plan.
+// Stat folding: identical counters across pure-batch and parallel drives of
+// the same plan.
 // ---------------------------------------------------------------------------
 
 /// A fully dense catalog so batch boundaries align exactly across drives.
@@ -321,46 +320,23 @@ fn stat_folding_is_identical_across_drives() {
     let ctx1 = ExecContext::new(&c1);
     let pure = execute_batched_with(&plan, &ctx1, B).unwrap();
 
-    // Drive 2: the same pipeline sandwiched through both adapters
-    // (batch -> record -> batch), drained the way execute_batched drains.
+    // Drive 2: parallel, morsels of 512 positions (8 aligned batches each).
     let c2 = dense_catalog(N);
     let ctx2 = ExecContext::new(&c2);
-    let inner = plan.root.open_batch(&ctx2, B).unwrap();
-    let mut sandwich = RecordToBatchCursor::new(Box::new(BatchToRecordCursor::new(inner)), B);
-    let mut sandwiched = Vec::new();
-    {
-        use seq_exec::BatchCursor;
-        let mut item = sandwich.next_batch_from(span.start()).unwrap();
-        while let Some(batch) = item {
-            ctx2.stats.record_outputs(batch.len() as u64);
-            batch.append_records_into(&mut sandwiched);
-            item = sandwich.next_batch().unwrap();
-        }
-    }
-
-    // Drive 3: parallel, morsels of 512 positions (8 aligned batches each).
-    let c3 = dense_catalog(N);
-    let ctx3 = ExecContext::new(&c3);
     let config = ParallelConfig { workers: 4, batch_size: B, morsel_positions: 512 };
-    let parallel = execute_parallel_with(&plan, &ctx3, config).unwrap();
+    let parallel = execute_parallel_with(&plan, &ctx2, config).unwrap();
 
-    assert_eq!(pure, sandwiched);
     assert_eq!(pure, parallel);
     assert_eq!(pure.len(), N as usize);
 
-    let (s1, s2, s3) = (ctx1.stats.snapshot(), ctx2.stats.snapshot(), ctx3.stats.snapshot());
+    let (s1, s2) = (ctx1.stats.snapshot(), ctx2.stats.snapshot());
     assert_eq!(s1.output_records, s2.output_records);
-    assert_eq!(s1.output_records, s3.output_records);
     assert_eq!(s1.predicate_evals, s2.predicate_evals);
-    assert_eq!(s1.predicate_evals, s3.predicate_evals);
-    assert_eq!(s1.stat_folds, s2.stat_folds, "sandwich changed fold granularity");
-    assert_eq!(s1.stat_folds, s3.stat_folds, "parallel changed fold granularity");
+    assert_eq!(s1.stat_folds, s2.stat_folds, "parallel changed fold granularity");
 
-    let (a1, a2, a3) = (c1.stats().snapshot(), c2.stats().snapshot(), c3.stats().snapshot());
+    let (a1, a2) = (c1.stats().snapshot(), c2.stats().snapshot());
     assert_eq!(a1.stream_records, a2.stream_records);
-    assert_eq!(a1.stream_records, a3.stream_records);
-    assert_eq!(a1.page_reads, a2.page_reads);
-    assert_eq!(a1.page_reads, a3.page_reads, "aligned morsels must not re-read pages");
+    assert_eq!(a1.page_reads, a2.page_reads, "aligned morsels must not re-read pages");
 }
 
 #[test]

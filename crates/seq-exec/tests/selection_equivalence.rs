@@ -1,25 +1,25 @@
 //! Differential audit of selection-vector execution.
 //!
-//! Every plan in a randomized family runs five ways — record-at-a-time,
-//! structurally-lowered batch (selections carried by default), carry-forced,
-//! compact-forced, and parallel — and the paths must agree:
+//! Every plan in a randomized family runs three ways — record-at-a-time,
+//! batch, and parallel — and the paths must agree:
 //!
-//! - **rows bit-identical** across all five executions;
+//! - **rows bit-identical** across all three executions;
 //! - **path-independent counters exact**: `page_reads`, `pages_skipped`,
 //!   `probes`, and `predicate_evals` do not depend on how survivors are
 //!   represented between operators;
-//! - **path-dependent counters follow the documented taxonomy**:
-//!   `selections_carried` is non-zero exactly when a partially-filtering
-//!   select hands survivors on under the carry policy, `slots_compacted`
-//!   counts the rows copied when a selection is densified (at the filter
-//!   under the compact policy, at a physical consumer's boundary under
-//!   carry), and `bytes_decoded` / `columns_pruned` show the late-
+//! - **path-dependent counters follow the structural rule**: a partially-
+//!   filtering batch select always hands survivors on as a selection vector
+//!   (`selections_carried > 0`); a selection is densified only where the
+//!   nearest physical consumer indexes rows densely (aggregate, value
+//!   offset, join), and those copied rows are charged as `slots_compacted`
+//!   to the *consumer's* operator id; a root-facing select is never
+//!   compacted. `bytes_decoded` / `columns_pruned` show the late-
 //!   materialization savings the batch path exists for.
 
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
 use seq_exec::{
-    execute, execute_batched_assigned, execute_batched_with, execute_parallel, AggStrategy,
-    ExecContext, PhysNode, PhysPlan,
+    execute, execute_batched_with, execute_parallel, AggStrategy, ExecContext, JoinStrategy,
+    PhysNode, PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -90,14 +90,24 @@ fn fused(predicate: Expr) -> PhysNode {
     PhysNode::FusedScan { name: "T".into(), predicate, terms, span: span() }
 }
 
-/// A plan plus what the taxonomy says its counters must show.
+/// Who reads a case's partially-filtering Select, per the structural rule.
+#[derive(Clone, Copy)]
+enum Consumer {
+    /// No partially-filtering Select whose counters the case pins down.
+    Unknown,
+    /// Only selection-aware operators (or the driver) sit above the Select:
+    /// its selections are carried to the root and never compacted.
+    Root,
+    /// The nearest physical consumer above the Select indexes rows densely;
+    /// the boundary compaction is charged to this pre-order operator id.
+    Dense(usize),
+}
+
+/// A plan plus what the structural rule says its counters must show.
 struct Case {
     name: &'static str,
     node: PhysNode,
-    /// The plan filters partially: survivors exist and so do casualties, so
-    /// the carry run must record carried selections and the compact run must
-    /// record copied slots.
-    partial_filter: bool,
+    consumer: Consumer,
     /// The batch path decodes strictly less than the record path (scan-level
     /// column pruning or fused survivor-only materialization).
     late_mat_wins: bool,
@@ -108,19 +118,19 @@ fn cases() -> Vec<Case> {
         Case {
             name: "select-mid",
             node: select(base(), pred_close(40.0)),
-            partial_filter: true,
+            consumer: Consumer::Root,
             late_mat_wins: false,
         },
         Case {
             name: "select-all-filtered",
             node: select(base(), pred_close(1000.0)),
-            partial_filter: false,
+            consumer: Consumer::Unknown,
             late_mat_wins: false,
         },
         Case {
             name: "stacked-selects",
             node: select(Box::new(select(base(), pred_close(25.0))), pred_conj(40.0, 7000.0)),
-            partial_filter: true,
+            consumer: Consumer::Root,
             late_mat_wins: false,
         },
         Case {
@@ -133,7 +143,7 @@ fn cases() -> Vec<Case> {
                 indices: vec![1],
                 span: span(),
             },
-            partial_filter: true,
+            consumer: Consumer::Root,
             late_mat_wins: true,
         },
         Case {
@@ -142,7 +152,7 @@ fn cases() -> Vec<Case> {
             // most slots are never decoded.
             name: "fused-low-selectivity",
             node: fused(pred_conj(80.0, 2000.0)),
-            partial_filter: false, // fused filters in the scan, not a Select
+            consumer: Consumer::Unknown, // fused filters in the scan, not a Select
             late_mat_wins: true,
         },
         Case {
@@ -152,12 +162,10 @@ fn cases() -> Vec<Case> {
                 indices: vec![1, 3],
                 span: span(),
             },
-            partial_filter: false,
+            consumer: Consumer::Unknown,
             late_mat_wins: true,
         },
         Case {
-            // A dense consumer above the filter: under carry the boundary
-            // compacts, under compact the filter does — both must agree.
             name: "agg-over-select-boundary",
             node: PhysNode::Aggregate {
                 input: Box::new(select(base(), pred_close(30.0))),
@@ -167,7 +175,53 @@ fn cases() -> Vec<Case> {
                 strategy: AggStrategy::CacheAIncremental,
                 span: span(),
             },
-            partial_filter: true,
+            consumer: Consumer::Dense(0),
+            late_mat_wins: false,
+        },
+        Case {
+            // The projection is selection-transparent: the aggregate is
+            // still the Select's nearest physical consumer.
+            name: "agg-over-project-over-select",
+            node: PhysNode::Aggregate {
+                input: Box::new(PhysNode::Project {
+                    input: Box::new(select(base(), pred_close(30.0))),
+                    indices: vec![0, 1],
+                    span: span(),
+                }),
+                func: AggFunc::Sum,
+                attr_index: 1,
+                window: Window::trailing(5),
+                strategy: AggStrategy::CacheA,
+                span: span(),
+            },
+            consumer: Consumer::Dense(0),
+            late_mat_wins: false,
+        },
+        Case {
+            name: "value-offset-over-select",
+            node: PhysNode::Project {
+                input: Box::new(PhysNode::ValueOffset {
+                    input: Box::new(select(base(), pred_close(45.0))),
+                    offset: -1,
+                    strategy: ValueOffsetStrategy::IncrementalCacheB,
+                    span: span(),
+                }),
+                indices: vec![0, 1],
+                span: span(),
+            },
+            consumer: Consumer::Dense(1),
+            late_mat_wins: false,
+        },
+        Case {
+            name: "join-over-select",
+            node: PhysNode::Compose {
+                left: Box::new(select(base(), pred_close(50.0))),
+                right: base(),
+                predicate: None,
+                strategy: JoinStrategy::LockStep,
+                span: span(),
+            },
+            consumer: Consumer::Dense(0),
             late_mat_wins: false,
         },
         Case {
@@ -177,7 +231,7 @@ fn cases() -> Vec<Case> {
                 offset: -3,
                 span: span(),
             },
-            partial_filter: true,
+            consumer: Consumer::Root,
             late_mat_wins: false,
         },
     ];
@@ -198,46 +252,38 @@ fn cases() -> Vec<Case> {
         cases.push(Case {
             name: Box::leak(format!("random-stack-{seed}").into_boxed_str()),
             node,
-            partial_filter: false, // unknown a priori; carried/compacted checked relationally
+            consumer: Consumer::Unknown, // how much survives is unknown a priori
             late_mat_wins: false,
         });
     }
     cases
 }
 
-/// The structural labels with every native select forced to `label`.
-fn forced_labels(node: &PhysNode, label: &'static str) -> Vec<&'static str> {
-    node.exec_mode_labels(true)
-        .into_iter()
-        .map(|l| if l == "batch+sel" || l == "batch+compact" { label } else { l })
-        .collect()
-}
-
 struct Run {
     rows: Vec<(i64, seq_core::Record)>,
     storage: seq_storage::StatsSnapshot,
     exec: seq_exec::ExecSnapshot,
+    /// `slots_compacted` per pre-order operator id.
+    compacted_by_op: Vec<u64>,
 }
 
 fn run(node: &PhysNode, mode: &str, batch_size: usize) -> Run {
     let plan = PhysPlan::new(node.clone(), span());
     let cat = catalog(17);
-    let ctx = ExecContext::new(&cat);
+    let mut ctx = ExecContext::new(&cat);
+    let profile = ctx.enable_profiling(&plan);
     let rows = match mode {
         "tuple" => execute(&plan, &ctx).unwrap(),
         "batch" => execute_batched_with(&plan, &ctx, batch_size).unwrap(),
-        "carry" => {
-            let labels = forced_labels(node, "batch+sel");
-            execute_batched_assigned(&plan, &ctx, batch_size, &labels).unwrap()
-        }
-        "compact" => {
-            let labels = forced_labels(node, "batch+compact");
-            execute_batched_assigned(&plan, &ctx, batch_size, &labels).unwrap()
-        }
         "parallel" => execute_parallel(&plan, &ctx, 3).unwrap(),
         other => unreachable!("unknown mode {other}"),
     };
-    Run { rows, storage: cat.stats().snapshot(), exec: ctx.stats.snapshot() }
+    Run {
+        rows,
+        storage: cat.stats().snapshot(),
+        exec: ctx.stats.snapshot(),
+        compacted_by_op: profile.op_reports().iter().map(|o| o.exec.slots_compacted).collect(),
+    }
 }
 
 #[test]
@@ -246,85 +292,77 @@ fn all_paths_agree_on_rows_and_shared_counters() {
         for batch_size in [7usize, 64, 512] {
             let tuple = run(&case.node, "tuple", batch_size);
             let batch = run(&case.node, "batch", batch_size);
-            let carry = run(&case.node, "carry", batch_size);
-            let compact = run(&case.node, "compact", batch_size);
-
             let name = case.name;
             assert_eq!(tuple.rows, batch.rows, "{name}/bs={batch_size}: batch rows");
-            assert_eq!(tuple.rows, carry.rows, "{name}/bs={batch_size}: carry rows");
-            assert_eq!(tuple.rows, compact.rows, "{name}/bs={batch_size}: compact rows");
 
-            // Path-independent counters: exact across every representation.
-            for (label, r) in [("batch", &batch), ("carry", &carry), ("compact", &compact)] {
-                assert_eq!(
-                    tuple.storage.page_reads, r.storage.page_reads,
-                    "{name}/bs={batch_size}: {label} page_reads"
-                );
-                assert_eq!(
-                    tuple.storage.pages_skipped, r.storage.pages_skipped,
-                    "{name}/bs={batch_size}: {label} pages_skipped"
-                );
-                assert_eq!(
-                    tuple.storage.probes, r.storage.probes,
-                    "{name}/bs={batch_size}: {label} probes"
-                );
-                assert_eq!(
-                    tuple.exec.predicate_evals, r.exec.predicate_evals,
-                    "{name}/bs={batch_size}: {label} predicate_evals"
-                );
+            // Path-independent counters: exact across representations.
+            assert_eq!(
+                tuple.storage.page_reads, batch.storage.page_reads,
+                "{name}/bs={batch_size}: page_reads"
+            );
+            assert_eq!(
+                tuple.storage.pages_skipped, batch.storage.pages_skipped,
+                "{name}/bs={batch_size}: pages_skipped"
+            );
+            assert_eq!(
+                tuple.storage.probes, batch.storage.probes,
+                "{name}/bs={batch_size}: probes"
+            );
+            assert_eq!(
+                tuple.exec.predicate_evals, batch.exec.predicate_evals,
+                "{name}/bs={batch_size}: predicate_evals"
+            );
+
+            // The structural rule. The record path has no selections at all.
+            assert_eq!(tuple.exec.selections_carried, 0, "{name}: tuple carried");
+            assert_eq!(tuple.exec.slots_compacted, 0, "{name}: tuple compacted");
+            match case.consumer {
+                Consumer::Unknown => {}
+                Consumer::Root => {
+                    assert!(
+                        batch.exec.selections_carried > 0,
+                        "{name}/bs={batch_size}: partial filter must carry selections"
+                    );
+                    assert_eq!(
+                        batch.exec.slots_compacted, 0,
+                        "{name}/bs={batch_size}: a root-facing select is never compacted"
+                    );
+                }
+                Consumer::Dense(consumer) => {
+                    assert!(
+                        batch.exec.selections_carried > 0,
+                        "{name}/bs={batch_size}: the filter carries up to the boundary"
+                    );
+                    assert!(
+                        batch.exec.slots_compacted > 0,
+                        "{name}/bs={batch_size}: a dense consumer must compact"
+                    );
+                    for (id, &n) in batch.compacted_by_op.iter().enumerate() {
+                        let want = if id == consumer { batch.exec.slots_compacted } else { 0 };
+                        assert_eq!(
+                            n, want,
+                            "{name}/bs={batch_size}: op {id} slots_compacted (consumer is \
+                             op {consumer})"
+                        );
+                    }
+                }
             }
-
-            // Carry and compact differ only in survivor representation:
-            // identical storage traffic, identical decode, identical pruning.
-            assert_eq!(
-                carry.storage, compact.storage,
-                "{name}/bs={batch_size}: storage snapshots must match across policies"
-            );
-            // The structural default is carry, so the unassigned batch run
-            // must be the carry run.
-            assert_eq!(
-                batch.exec.selections_carried, carry.exec.selections_carried,
-                "{name}/bs={batch_size}: structural default is not carry"
-            );
-
-            // The documented taxonomy.
-            assert_eq!(
-                compact.exec.selections_carried, 0,
-                "{name}/bs={batch_size}: compact-forced run carried a selection"
-            );
-            if case.partial_filter {
-                assert!(
-                    carry.exec.selections_carried > 0,
-                    "{name}/bs={batch_size}: partial filter must carry selections"
-                );
-                assert!(
-                    compact.exec.slots_compacted > 0,
-                    "{name}/bs={batch_size}: compact-forced partial filter must copy rows"
-                );
-            }
-            // Wherever the carry run compacted (a dense boundary), the
-            // compact run compacted at least as many rows at the filter,
-            // plus whatever its own boundaries added.
-            assert!(
-                carry.exec.slots_compacted <= compact.exec.slots_compacted,
-                "{name}/bs={batch_size}: carrying must not copy more than compacting"
-            );
 
             // Late materialization: the batch pipeline never decodes more
             // than the record path, and strictly less where pruning or
             // fused survivor-decode applies.
             assert!(
-                carry.storage.bytes_decoded <= tuple.storage.bytes_decoded,
+                batch.storage.bytes_decoded <= tuple.storage.bytes_decoded,
                 "{name}/bs={batch_size}: batch decoded more than tuple \
                  ({} vs {})",
-                carry.storage.bytes_decoded,
+                batch.storage.bytes_decoded,
                 tuple.storage.bytes_decoded
             );
             if case.late_mat_wins {
                 assert!(
-                    carry.storage.bytes_decoded < tuple.storage.bytes_decoded,
+                    batch.storage.bytes_decoded < tuple.storage.bytes_decoded,
                     "{name}/bs={batch_size}: expected a decode win, got {} vs {}",
-                    carry.storage.bytes_decoded,
+                    batch.storage.bytes_decoded,
                     tuple.storage.bytes_decoded
                 );
             }
@@ -355,22 +393,20 @@ fn parallel_path_agrees_where_partitionable() {
             parallel.storage.page_reads + parallel.storage.pages_skipped,
             "{name}: parallel read+skip accounting"
         );
-    }
-}
-
-#[test]
-fn costed_lowering_labels_execute_identically() {
-    // The executor must accept whatever label mix the costed lowering
-    // produces — including "batch+compact" under dense consumers — and
-    // produce the same rows as the structural default.
-    for case in cases() {
-        let labels = forced_labels(&case.node, "batch+compact");
-        let plan = PhysPlan::new(case.node.clone(), span());
-        let cat = catalog(17);
-        let ctx = ExecContext::new(&cat);
-        let via_labels = execute_batched_assigned(&plan, &ctx, 64, &labels).unwrap();
-        let cat2 = catalog(17);
-        let via_default = execute_batched_with(&plan, &ExecContext::new(&cat2), 64).unwrap();
-        assert_eq!(via_labels, via_default, "{}", case.name);
+        // The morsel workers lower through the same rule: compaction only
+        // at a dense consumer, charged to it.
+        match case.consumer {
+            Consumer::Dense(consumer) => {
+                assert!(parallel.compacted_by_op[consumer] > 0, "{name}: parallel boundary");
+                assert_eq!(
+                    parallel.compacted_by_op[consumer], parallel.exec.slots_compacted,
+                    "{name}: parallel compaction charged off the consumer"
+                );
+            }
+            Consumer::Root => {
+                assert_eq!(parallel.exec.slots_compacted, 0, "{name}: parallel compacted")
+            }
+            Consumer::Unknown => {}
+        }
     }
 }

@@ -35,10 +35,9 @@ pub struct OpAnalysis {
     /// Pre-order node id (matches [`QueryProfile`] ids).
     pub id: usize,
     /// Execution mode the operator lowered onto: "batch" (native vectorized
-    /// kernel), "batch+sel" / "batch+compact" (a vectorized filter carrying
-    /// a selection vector vs gathering survivors densely — the costed
-    /// carry-vs-compact decision), "tuple" (record-at-a-time, possibly
-    /// behind an adapter), or "fused" (predicate fused into the scan).
+    /// kernel), "batch+sel" (a vectorized filter handing survivors on as a
+    /// selection vector), "tuple" (record-at-a-time, possibly behind an
+    /// adapter), or "fused" (predicate fused into the scan).
     pub mode: &'static str,
     /// Optimizer-estimated output rows (Step 2.a meta-data rules).
     pub est_rows: f64,
@@ -47,10 +46,6 @@ pub struct OpAnalysis {
     /// Whether estimate and actual disagree by more than
     /// [`DIVERGENCE_FACTOR`].
     pub divergent: bool,
-    /// Signed per-record cost margin behind the lowering choice
-    /// (`tuple_cost - batch_cost`; positive favors the batch path). See
-    /// [`crate::lowering::OpModeDecision::margin`].
-    pub mode_margin: f64,
 }
 
 /// The result of [`explain_analyze`]: the query output plus the annotated
@@ -106,9 +101,9 @@ impl AnalyzeReport {
             }
             let _ = write!(
                 out,
-                "\n    {{\"id\": {}, \"mode\": \"{}\", \"mode_margin\": {:.4}, \
-                 \"est_rows\": {:.1}, \"actual_rows\": {}, \"divergent\": {}}}",
-                op.id, op.mode, op.mode_margin, op.est_rows, op.actual_rows, op.divergent
+                "\n    {{\"id\": {}, \"mode\": \"{}\", \"est_rows\": {:.1}, \
+                 \"actual_rows\": {}, \"divergent\": {}}}",
+                op.id, op.mode, op.est_rows, op.actual_rows, op.divergent
             );
         }
         out.push_str("\n  ],\n  \"feedback\": [");
@@ -202,7 +197,6 @@ pub fn explain_analyze_with(
                 est_rows: est,
                 actual_rows: op.rows_out,
                 divergent: !(1.0 / DIVERGENCE_FACTOR..=DIVERGENCE_FACTOR).contains(&ratio),
-                mode_margin: opt.op_modes.get(id).map(|d| d.margin()).unwrap_or(0.0),
             }
         })
         .collect();
@@ -438,11 +432,7 @@ fn render(
     let _ = writeln!(out, "Start range={}", opt.plan.range);
     for (op, a) in profile.op_reports().iter().zip(per_op) {
         let pad = "  ".repeat(op.depth + 1);
-        let _ = writeln!(
-            out,
-            "{pad}{} span={} mode={} margin={:+.4}",
-            op.label, op.span, a.mode, a.mode_margin
-        );
+        let _ = writeln!(out, "{pad}{} span={} mode={}", op.label, op.span, a.mode);
         let flag = if a.divergent { "  << divergent" } else { "" };
         let _ = write!(
             out,
@@ -590,6 +580,41 @@ mod tests {
     }
 
     #[test]
+    fn explain_and_analyze_report_the_same_modes_on_every_path() {
+        // A Select under an aggregate (pushdown off so it stays a Select):
+        // the filter carries its selection up to the aggregate's compaction
+        // boundary. The sequential and the morsel-parallel paths lower it
+        // identically, and EXPLAIN states exactly what \analyze measures.
+        let c = catalog();
+        let q =
+            parse_query("(agg avg close (trailing 8) (select (> close 49.0) (base S)))").unwrap();
+        let mut per_path = Vec::new();
+        for parallelism in [1usize, 4] {
+            let mut cfg = OptimizerConfig::new(Span::new(1, N));
+            cfg.pushdown = false;
+            cfg.parallelism = parallelism;
+            let opt = optimize(&q, &CatalogRef(&c), &cfg).unwrap();
+            assert_eq!(
+                matches!(opt.exec_mode, crate::lowering::ExecMode::Parallel { .. }),
+                parallelism > 1
+            );
+            let mut ctx = ExecContext::new(&c);
+            let report = explain_analyze(&opt, &mut ctx, &cfg.cost).unwrap();
+            let modes: Vec<&str> = report.per_op.iter().map(|a| a.mode).collect();
+            for (id, mode) in modes.iter().enumerate() {
+                assert!(
+                    opt.explain.contains(&format!("op {id}: {mode}\n")),
+                    "p={parallelism}: EXPLAIN does not state op {id} as {mode}:\n{}",
+                    opt.explain
+                );
+            }
+            per_path.push(modes);
+        }
+        assert_eq!(per_path[0], vec!["batch", "batch+sel", "batch"]);
+        assert_eq!(per_path[0], per_path[1]);
+    }
+
+    #[test]
     fn full_native_stack_lowers_with_zero_adapters() {
         // Compose + value offset + cumulative aggregate: every stream-
         // strategy operator now has a native batch kernel, so the lowered
@@ -634,7 +659,6 @@ mod tests {
         let json = report.to_json(&opt.exec_mode.to_string());
         assert!(json.contains("\"est_cost\""));
         assert!(json.contains("\"estimates\": ["));
-        assert!(json.contains("\"mode_margin\""));
         assert!(json.contains("\"feedback\": ["));
         assert!(json.contains("\"profile\": {"));
         assert!(json.contains("\"profile_version\": 1"));

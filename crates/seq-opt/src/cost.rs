@@ -39,15 +39,6 @@ pub struct CostParams {
     /// run expansion, dictionary lookup). Charged only for the compressed
     /// fraction of the data: plain-stored columns copy at `record_cpu`.
     pub decode_cpu: f64,
-    /// Reading one surviving row through a selection vector (one index
-    /// indirection) instead of a dense slot. Charged per survivor when a
-    /// filter *carries* its selection downstream.
-    pub sel_indirect_cpu: f64,
-    /// Gathering one surviving row's column slots into a dense batch — the
-    /// per-row price of compacting, whether at the filter itself
-    /// (`"batch+compact"`) or at a downstream compaction boundary in front
-    /// of a consumer that indexes rows physically.
-    pub sel_compact_cpu: f64,
 }
 
 impl Default for CostParams {
@@ -60,8 +51,6 @@ impl Default for CostParams {
             predicate_k: 0.01,
             null_correlation: 1.0,
             decode_cpu: 0.002,
-            sel_indirect_cpu: 0.001,
-            sel_compact_cpu: 0.004,
         }
     }
 }

@@ -16,14 +16,6 @@ pub trait CatalogInfo: SchemaProvider {
     /// Records per page, used to convert record counts into page I/Os.
     fn page_capacity(&self) -> usize;
 
-    /// Compression ratio (encoded bytes over plain bytes, `<= 1.0`) of a
-    /// base sequence's columnar pages. Hypothetical catalogs default to
-    /// uncompressed, which makes every encoded-cost formula collapse to its
-    /// plain-layout counterpart.
-    fn compression_ratio(&self, _name: &str) -> f64 {
-        1.0
-    }
-
     /// Measured selectivity of the last profiled predicate over this base
     /// sequence, when execution feedback is attached (see [`WithFeedback`]).
     /// `None` means "no measurement": estimators fall back to the model.
@@ -155,10 +147,6 @@ impl<I: CatalogInfo> CatalogInfo for WithFeedback<'_, I> {
         self.inner.page_capacity()
     }
 
-    fn compression_ratio(&self, name: &str) -> f64 {
-        self.inner.compression_ratio(name)
-    }
-
     fn measured_selectivity(&self, name: &str) -> Option<f64> {
         self.overlay.get(name).and_then(|f| f.selectivity)
     }
@@ -184,10 +172,6 @@ impl CatalogInfo for CatalogRef<'_> {
 
     fn page_capacity(&self) -> usize {
         self.0.page_capacity()
-    }
-
-    fn compression_ratio(&self, name: &str) -> f64 {
-        self.0.get(name).map(|s| s.compression().ratio()).unwrap_or(1.0)
     }
 }
 
@@ -253,11 +237,6 @@ mod tests {
         assert_eq!(info.meta_of("S").unwrap().span, Span::new(1, 10));
         assert_eq!(info.page_capacity(), 16);
         assert!(info.schema_of("missing").is_err());
-        // Delta-friendly integers compress, and the ratio reaches the
-        // optimizer; unknown names price as uncompressed instead of failing.
-        let ratio = info.compression_ratio("S");
-        assert!(ratio > 0.0 && ratio < 1.0, "ratio {ratio}");
-        assert_eq!(info.compression_ratio("missing"), 1.0);
     }
 
     #[test]

@@ -39,10 +39,7 @@ pub use cost::{
 pub use info::{
     CatalogInfo, CatalogRef, FeedbackStats, StaticCatalogInfo, StatsOverlay, WithFeedback,
 };
-pub use lowering::{
-    batch_run_len, choose_exec_mode, choose_exec_mode_with, choose_op_modes,
-    decode_costs_per_record, ExecMode, OpModeDecision,
-};
+pub use lowering::{choose_exec_mode, ExecMode};
 pub use planner::{optimize, Optimized, OptimizerConfig};
 pub use pushdown::{fuse_selects, PushdownReport};
 pub use selinger::{BlockPhys, DpStats, PlanOptions};

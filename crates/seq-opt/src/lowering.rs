@@ -1,15 +1,14 @@
-//! Execution-mode lowering: record-at-a-time vs vectorized.
+//! Execution-mode lowering: which executor entry point runs the plan.
 //!
-//! The two execution paths produce identical results, so choosing between
-//! them is purely a physical decision, made after plan selection (Step 6).
-//! Vectorization pays off proportionally to the length of the contiguous
-//! run of batch-capable operators at the plan root — each such operator
-//! amortizes its per-record dispatch and counter traffic over a whole
-//! batch. Every stream-strategy operator — including compose (both join
-//! strategies), Cache-B value offsets, and cumulative/whole-span
-//! aggregates — now has a native batch kernel; only the naive probe-walk
-//! strategies and constants remain block boundaries that interpose a
-//! record-path adapter.
+//! All execution paths produce identical results, so this is a purely
+//! physical decision made after plan selection (Step 6) — and a structural
+//! one: nothing here is priced. The paper's costed physical choice is the
+//! access mode (stream vs. probed, §3.3/§4.1), which the Step-5 DP has
+//! already fixed in the plan's strategies. Which nodes then run a batch
+//! kernel, which fall back to record cursors behind an adapter, and where a
+//! filter's selection vector is densified all follow from the plan's shape
+//! and live in one place, `seq-exec`'s lowering
+//! ([`PhysNode::open_batch`], mirrored by [`PhysNode::exec_mode_labels`]).
 
 use seq_core::Span;
 use seq_exec::PhysNode;
@@ -39,270 +38,22 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// Length of the contiguous batch-capable operator run at the plan root —
-/// the stretch that executes natively vectorized before the first block
-/// boundary forces a fallback adapter.
-pub fn batch_run_len(node: &PhysNode) -> usize {
-    if !node.is_batch_capable() {
-        return 0;
-    }
-    1 + match node {
-        PhysNode::Select { input, .. }
-        | PhysNode::Project { input, .. }
-        | PhysNode::PosOffset { input, .. }
-        | PhysNode::Aggregate { input, .. }
-        | PhysNode::ValueOffset { input, .. } => batch_run_len(input),
-        // A Strategy-A compose only streams its outer side in batches; the
-        // probed side is a record-path subtree by construction.
-        PhysNode::Compose { left, right, strategy, .. } => match strategy {
-            seq_exec::JoinStrategy::LockStep => batch_run_len(left) + batch_run_len(right),
-            seq_exec::JoinStrategy::StreamLeftProbeRight => batch_run_len(left),
-            seq_exec::JoinStrategy::StreamRightProbeLeft => batch_run_len(right),
-        },
-        _ => 0,
-    }
-}
-
 /// Decide the execution mode for a selected plan.
 ///
 /// Parallel wins when the user asked for more than one worker *and* the
 /// plan can be evaluated morsel-by-morsel: every operator position-
 /// partitionable and the materialized range bounded (morsels are contiguous
-/// position intervals). Partitionability, not batch-capability, is the
-/// gate — a partitionable plan whose root run is all adapters (e.g. a
-/// lock-step join of bases) still splits across workers. Otherwise the
-/// vectorized single-threaded path applies when the root run has at least
-/// one native batch kernel, and the record path is the final fallback.
-pub fn choose_exec_mode(
-    root: &PhysNode,
-    vectorized: bool,
-    parallelism: usize,
-    range: Span,
-) -> ExecMode {
-    choose_exec_mode_with(
-        root,
-        vectorized,
-        parallelism,
-        range,
-        &crate::cost::CostParams::default(),
-        1.0,
-    )
-}
-
-/// Per-record decode cost of the two sequential paths over pages with
-/// compression `ratio` (encoded bytes over plain). The record path
-/// materializes every entered page as a full row view — each value is
-/// decoded and copied regardless of encoding — while the batch path's bulk
-/// decoders stream the encoded representation directly into column vectors
-/// (work proportional to encoded size) and its fused select kernels decode
-/// only survivors. Returned as `(tuple, batch)` so the lowering decision
-/// and EXPLAIN can show the margin.
-pub fn decode_costs_per_record(params: &crate::cost::CostParams, ratio: f64) -> (f64, f64) {
-    let ratio = ratio.clamp(0.0, 1.0);
-    let tuple = params.record_cpu + params.decode_cpu;
-    let batch = params.record_cpu + params.decode_cpu * ratio;
-    (tuple, batch)
-}
-
-/// One operator's costed batch-vs-tuple lowering decision.
-///
-/// `tuple_cost` and `batch_cost` are per-record CPU prices of running this
-/// one operator on each path: scans pay the decode term of
-/// [`decode_costs_per_record`] with *their own* base's compression ratio
-/// (not the plan-wide minimum), other native kernels pay plain dispatch on
-/// either path, and an operator without a batch kernel pays an extra
-/// per-record materialize-and-push for the adapter the batch path would
-/// interpose. The chosen `mode` is the cheaper side (ties to batch, whose
-/// folded counters amortize), which makes the margin the *reason* EXPLAIN
-/// and the profile JSON can show next to each node's label.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpModeDecision {
-    /// The chosen label: `"batch"`, `"batch+sel"`, `"batch+compact"`,
-    /// `"tuple"`, or `"fused"`.
-    pub mode: &'static str,
-    /// Per-record cost of this operator on the record-at-a-time path.
-    pub tuple_cost: f64,
-    /// Per-record cost of this operator on the batch path (adapter
-    /// included when the node has no native kernel).
-    pub batch_cost: f64,
-}
-
-impl OpModeDecision {
-    /// Signed per-record margin, `tuple_cost - batch_cost`: positive favors
-    /// the batch path, negative the tuple path.
-    pub fn margin(&self) -> f64 {
-        self.tuple_cost - self.batch_cost
-    }
-}
-
-/// Per-operator costed lowering decisions in pre-order (the profiler's node
-/// ids). `in_batch` says whether the root enters on the batch path at all
-/// (false lowers the whole tree to tuple, as a record-at-a-time or probed
-/// root does). Within the batch path each node is priced individually —
-/// scans with their own base's compression ratio from `info` — and keeps
-/// its native kernel only while it wins the comparison; a losing or
-/// kernel-less node drops its subtree to the record path exactly as
-/// [`seq_exec::PhysNode::exec_mode_labels`] describes, so the decisions
-/// stay label-compatible with what the executor actually lowers (and can be
-/// fed to `execute_batched_assigned` verbatim).
-pub fn choose_op_modes(
-    root: &PhysNode,
-    in_batch: bool,
-    info: &dyn crate::info::CatalogInfo,
-    params: &crate::cost::CostParams,
-) -> Vec<OpModeDecision> {
-    let mut out = Vec::with_capacity(root.subtree_size());
-    // The batch drivers (and the batch→record adapter) consume selection
-    // vectors natively, so the root's consumer is never a dense boundary.
-    push_op_modes(root, in_batch, false, info, params, &mut out);
-    out
-}
-
-/// The leftmost base sequence a subtree scans, if any — the sequence whose
-/// meta-data (column statistics, feedback selectivity) prices the filters
-/// stacked above it.
-fn scanned_base(node: &PhysNode) -> Option<&str> {
-    match node {
-        PhysNode::Base { name, .. } | PhysNode::FusedScan { name, .. } => Some(name),
-        _ => node.children().into_iter().find_map(scanned_base),
-    }
-}
-
-/// Price the carry-vs-compact choice for a native-batch Select whose
-/// survivors have selectivity `sel` over `arity`-column rows.
-///
-/// Carrying attaches a selection vector (no row copies): each survivor pays
-/// one index indirection at the consumer, plus — when the nearest physical
-/// consumer above indexes rows densely (`dense_above`) — the compaction the
-/// lowering inserts at that boundary anyway. Compacting at the filter
-/// gathers each survivor's `arity` slots once, and everything above runs
-/// dense. Returned as `(carry, compact)` per *input* record so the margin
-/// composes with the other per-record costs.
-fn select_policy_costs(
-    sel: f64,
-    arity: usize,
-    dense_above: bool,
-    params: &crate::cost::CostParams,
-) -> (f64, f64) {
-    let sel = sel.clamp(0.0, 1.0);
-    let compact = sel * arity as f64 * params.sel_compact_cpu;
-    let boundary = if dense_above { compact } else { 0.0 };
-    let carry = sel * params.sel_indirect_cpu + boundary;
-    (carry, compact)
-}
-
-fn push_op_modes(
-    node: &PhysNode,
-    in_batch: bool,
-    dense_above: bool,
-    info: &dyn crate::info::CatalogInfo,
-    params: &crate::cost::CostParams,
-    out: &mut Vec<OpModeDecision>,
-) {
-    let capable = node.is_batch_capable();
-    let (mut tuple_cost, mut batch_cost) = match node {
-        PhysNode::Base { name, .. } | PhysNode::FusedScan { name, .. } => {
-            decode_costs_per_record(params, info.compression_ratio(name))
-        }
-        _ if capable => (params.record_cpu, params.record_cpu),
-        // No native batch kernel: the batch path would run the tuple kernel
-        // behind a RecordToBatch adapter, re-materializing every record.
-        _ => (params.record_cpu, params.record_cpu * 2.0),
-    };
-    // A native-batch Select additionally chooses how to hand survivors
-    // down: carry a selection vector or gather densely at the filter. Both
-    // sides are priced from the scanned base's statistics (feedback
-    // overlay first, model estimate otherwise) and the cheaper side's
-    // per-record price folds into the batch cost EXPLAIN shows.
-    let mut carry_selection = false;
-    if capable && in_batch {
-        if let PhysNode::Select { input, predicate, .. } = node {
-            let (sel, arity) = match scanned_base(input) {
-                Some(name) => (
-                    info.measured_selectivity(name).unwrap_or_else(|| {
-                        info.meta_of(name)
-                            .map(|m| predicate.estimate_selectivity(&m))
-                            .unwrap_or(1.0)
-                    }),
-                    info.schema_of(name).map(|s| s.arity()).unwrap_or(1),
-                ),
-                None => (1.0, 1),
-            };
-            let (carry, compact) = select_policy_costs(sel, arity, dense_above, params);
-            carry_selection = carry <= compact;
-            batch_cost += carry.min(compact);
-            // The tuple path materializes every surviving record as it
-            // passes the filter — the same per-survivor copy the compact
-            // policy pays, so the selection margin compares like with like.
-            tuple_cost += sel * arity as f64 * params.sel_compact_cpu;
-        }
-    }
-    let native = in_batch && capable && batch_cost <= tuple_cost;
-    let mode = match node {
-        PhysNode::FusedScan { .. } => "fused",
-        PhysNode::Select { .. } if native && carry_selection => "batch+sel",
-        PhysNode::Select { .. } if native => "batch+compact",
-        _ if native => "batch",
-        _ => "tuple",
-    };
-    out.push(OpModeDecision { mode, tuple_cost, batch_cost });
-    // What the *child* sees above it: a Select kernel evaluates through its
-    // input's selection vector (and any later compaction is priced at the
-    // Select itself), so it is never a dense boundary; the
-    // selection-transparent unit-scope operators pass the question through
-    // to their own consumer; aggregates, value offsets, and joins index
-    // rows physically.
-    let child_dense = match node {
-        PhysNode::Select { .. } => false,
-        PhysNode::Project { .. } | PhysNode::PosOffset { .. } => dense_above,
-        _ => true,
-    };
-    match node {
-        PhysNode::Base { .. } | PhysNode::FusedScan { .. } | PhysNode::Constant { .. } => {}
-        PhysNode::Select { input, .. }
-        | PhysNode::Project { input, .. }
-        | PhysNode::PosOffset { input, .. }
-        | PhysNode::Aggregate { input, .. }
-        | PhysNode::ValueOffset { input, .. } => {
-            push_op_modes(input, native, child_dense, info, params, out)
-        }
-        PhysNode::Compose { left, right, strategy, .. } => {
-            let (l, r) = match strategy {
-                seq_exec::JoinStrategy::LockStep => (native, native),
-                seq_exec::JoinStrategy::StreamLeftProbeRight => (native, false),
-                seq_exec::JoinStrategy::StreamRightProbeLeft => (false, native),
-            };
-            push_op_modes(left, l, child_dense, info, params, out);
-            push_op_modes(right, r, child_dense, info, params, out);
-        }
-    }
-}
-
-/// [`choose_exec_mode`] with the decode-cost term made explicit: the
-/// batch-vs-tuple decision compares the per-record decode costs of the two
-/// paths over pages compressed to `ratio`. With `ratio = 1.0` (or default
-/// parameters on uncompressed data) the comparison degenerates to the purely
-/// structural rule — batch wherever a native kernel run exists — and
-/// compression only ever widens the batch path's margin, so the structural
-/// gates (partitionability, bounded range, batch-capable root run) remain
-/// the binding conditions.
-pub fn choose_exec_mode_with(
-    root: &PhysNode,
-    vectorized: bool,
-    parallelism: usize,
-    range: Span,
-    params: &crate::cost::CostParams,
-    ratio: f64,
-) -> ExecMode {
-    if vectorized
-        && parallelism > 1
+/// position intervals). Otherwise the sequential batch path runs every plan
+/// whose root has a native batch kernel; a kernel-less root (the naive
+/// probe-walk strategies, `Constant`) would only re-batch the record
+/// cursor's output behind an adapter, so it runs the record path directly.
+pub fn choose_exec_mode(root: &PhysNode, parallelism: usize, range: Span) -> ExecMode {
+    if parallelism > 1
         && root.is_position_partitionable()
         && range.intersect(&root.span()).is_bounded()
     {
-        return ExecMode::Parallel { workers: parallelism };
-    }
-    let (tuple_cost, batch_cost) = decode_costs_per_record(params, ratio);
-    if vectorized && batch_run_len(root) > 0 && batch_cost <= tuple_cost {
+        ExecMode::Parallel { workers: parallelism }
+    } else if root.is_batch_capable() {
         ExecMode::Batched
     } else {
         ExecMode::RecordAtATime
@@ -320,269 +71,47 @@ mod tests {
     }
 
     #[test]
-    fn run_length_counts_contiguous_capable_prefix() {
+    fn kernel_less_root_runs_the_record_path() {
         let span = Span::new(1, 10);
-        assert_eq!(batch_run_len(&base()), 1);
-        // Lock-step compose streams both sides in batches: it counts itself
-        // plus both child runs.
-        let compose = PhysNode::Compose {
-            left: base(),
-            right: base(),
-            predicate: None,
-            strategy: JoinStrategy::LockStep,
-            span,
-        };
-        assert_eq!(batch_run_len(&compose), 3);
-        let stack = PhysNode::Project { input: Box::new(compose), indices: vec![0], span };
-        assert_eq!(batch_run_len(&stack), 4);
-        // Strategy-A only streams the outer side in batches.
-        let stream_probe = PhysNode::Compose {
-            left: base(),
-            right: base(),
-            predicate: None,
-            strategy: JoinStrategy::StreamLeftProbeRight,
-            span,
-        };
-        assert_eq!(batch_run_len(&stream_probe), 2);
-        let deep = PhysNode::Project {
-            input: Box::new(PhysNode::PosOffset { input: base(), offset: -1, span }),
-            indices: vec![0],
-            span,
-        };
-        assert_eq!(batch_run_len(&deep), 3);
-        // Naive strategies stay block boundaries.
-        let naive_voff = PhysNode::ValueOffset {
-            input: base(),
-            offset: -1,
-            strategy: seq_exec::ValueOffsetStrategy::NaiveProbe,
-            span,
-        };
-        assert_eq!(batch_run_len(&naive_voff), 0);
-    }
-
-    #[test]
-    fn mode_follows_flag_and_run_length() {
-        let span = Span::new(1, 10);
-        let b = base();
-        assert_eq!(choose_exec_mode(&b, true, 1, span), ExecMode::Batched);
-        assert_eq!(choose_exec_mode(&b, false, 1, span), ExecMode::RecordAtATime);
-        let cum_agg = PhysNode::Aggregate {
+        assert_eq!(choose_exec_mode(&base(), 1, span), ExecMode::Batched);
+        let agg = |strategy| PhysNode::Aggregate {
             input: base(),
             func: seq_ops::AggFunc::Sum,
             attr_index: 0,
             window: seq_ops::Window::Cumulative,
-            strategy: AggStrategy::CacheA,
+            strategy,
             span,
         };
-        // Cumulative aggregates run vectorized natively now.
-        assert_eq!(batch_run_len(&cum_agg), 2);
-        assert_eq!(choose_exec_mode(&cum_agg, true, 1, span), ExecMode::Batched);
-        // The naive probe-walk strategy is still a block boundary at the root.
-        let naive_agg = PhysNode::Aggregate {
-            input: base(),
-            func: seq_ops::AggFunc::Sum,
-            attr_index: 0,
-            window: seq_ops::Window::Cumulative,
-            strategy: AggStrategy::NaiveProbe,
-            span,
-        };
-        assert_eq!(choose_exec_mode(&naive_agg, true, 1, span), ExecMode::RecordAtATime);
-    }
-
-    #[test]
-    fn decode_aware_mode_matches_structural_rule() {
-        use crate::cost::CostParams;
-        let span = Span::new(1, 10);
-        let p = CostParams::default();
-        let naive_agg = PhysNode::Aggregate {
-            input: base(),
-            func: seq_ops::AggFunc::Sum,
-            attr_index: 0,
-            window: seq_ops::Window::Cumulative,
-            strategy: AggStrategy::NaiveProbe,
-            span,
-        };
-        // Uncompressed pages: the decode terms cancel and the decision is
-        // exactly the structural one, for every scenario.
-        for (node, vectorized, workers) in
-            [(&*base(), true, 1), (&*base(), false, 1), (&*base(), true, 4), (&naive_agg, true, 1)]
-        {
-            assert_eq!(
-                choose_exec_mode_with(node, vectorized, workers, span, &p, 1.0),
-                choose_exec_mode(node, vectorized, workers, span),
-            );
-        }
-        // Compression only widens the batch path's per-record margin — the
-        // structural gates stay binding at any ratio.
-        let (t1, b1) = decode_costs_per_record(&p, 1.0);
-        let (t2, b2) = decode_costs_per_record(&p, 0.2);
-        assert_eq!(t1, t2); // row-view decode is encoding-blind
-        assert!(b2 < b1 && b1 <= t1);
-        assert_eq!(choose_exec_mode_with(&base(), true, 1, span, &p, 0.2), ExecMode::Batched);
-        assert_eq!(
-            choose_exec_mode_with(&naive_agg, true, 1, span, &p, 0.2),
-            ExecMode::RecordAtATime,
-        );
-    }
-
-    #[test]
-    fn per_op_decisions_agree_with_structural_labels() {
-        use crate::cost::CostParams;
-        use crate::info::StaticCatalogInfo;
-        let span = Span::new(1, 10);
-        let p = CostParams::default();
-        let info = StaticCatalogInfo::new(16);
-        // A mixed tree: batch-capable prefix, a naive value offset (no
-        // kernel), and a Strategy-A compose whose probed side is a record
-        // subtree by construction.
-        let naive_voff = PhysNode::ValueOffset {
-            input: base(),
-            offset: -1,
-            strategy: seq_exec::ValueOffsetStrategy::NaiveProbe,
-            span,
-        };
-        let plan = PhysNode::Compose {
-            left: Box::new(PhysNode::Project {
-                input: Box::new(naive_voff),
-                indices: vec![0],
-                span,
-            }),
-            right: base(),
-            predicate: None,
-            strategy: JoinStrategy::StreamLeftProbeRight,
-            span,
-        };
-        for in_batch in [true, false] {
-            let decisions = choose_op_modes(&plan, in_batch, &info, &p);
-            let labels: Vec<&str> = decisions.iter().map(|d| d.mode).collect();
-            assert_eq!(labels, plan.exec_mode_labels(in_batch), "in_batch={in_batch}");
-        }
-        let decisions = choose_op_modes(&plan, true, &info, &p);
-        // [Compose, Project, ValueOffset(naive), Base, Base(probed)]
-        assert_eq!(decisions.len(), 5);
-        for d in &decisions {
-            match d.mode {
-                // Native kernels win (or tie) their comparison.
-                "batch" => assert!(d.margin() >= 0.0, "{d:?}"),
-                // The naive value offset pays the adapter penalty; the
-                // probed base is structural (its costs still favor batch,
-                // but Strategy-A opens it in probe mode).
-                "tuple" => assert!(d.margin() < 0.0 || d.batch_cost <= d.tuple_cost, "{d:?}"),
-                other => panic!("unexpected mode {other}"),
-            }
-        }
-        // The kernel-less node is the one with a strictly negative margin.
-        assert!(decisions[2].margin() < 0.0);
-        assert_eq!(decisions[2].mode, "tuple");
-    }
-
-    #[test]
-    fn select_policy_follows_consumer_shape_and_selectivity() {
-        use crate::cost::CostParams;
-        use crate::info::{FeedbackStats, StaticCatalogInfo, StatsOverlay, WithFeedback};
-        use seq_core::{schema, AttrType, SeqMeta};
-        let span = Span::new(1, 1000);
-        let p = CostParams::default();
-        let mut info = StaticCatalogInfo::new(16);
-        info.insert(
-            "A",
-            schema(&[("time", AttrType::Int), ("close", AttrType::Float)]),
-            SeqMeta::with_span(span, 1.0),
-        );
-        let sch = schema(&[("time", AttrType::Int), ("close", AttrType::Float)]);
-        let pred = seq_ops::Expr::attr("close").gt(seq_ops::Expr::lit(10.0)).bind(&sch).unwrap();
-        let select =
-            |input: Box<PhysNode>| PhysNode::Select { input, predicate: pred.clone(), span };
-
-        // Root consumer is sel-aware: carrying the selection is free of any
-        // compaction, so the filter carries.
-        let carried = select(Box::new(PhysNode::Base { name: "A".into(), span }));
-        let modes = choose_op_modes(&carried, true, &info, &p);
-        assert_eq!(modes[0].mode, "batch+sel");
-        // Stacked filters evaluate through each other's selections: both
-        // carry, and the labels match the executor's structural default.
-        let stacked = select(Box::new(select(Box::new(PhysNode::Base { name: "A".into(), span }))));
-        let modes = choose_op_modes(&stacked, true, &info, &p);
-        assert_eq!(
-            modes.iter().map(|d| d.mode).collect::<Vec<_>>(),
-            stacked.exec_mode_labels(true),
-        );
-        assert_eq!(modes[0].mode, "batch+sel");
-        assert_eq!(modes[1].mode, "batch+sel");
-
-        // An aggregate above indexes rows physically: the boundary would
-        // compact anyway, so compacting at the filter is strictly cheaper
-        // than carrying plus the boundary copy.
-        let agg = PhysNode::Aggregate {
-            input: Box::new(select(Box::new(PhysNode::Base { name: "A".into(), span }))),
-            func: seq_ops::AggFunc::Sum,
-            attr_index: 1,
-            window: seq_ops::Window::trailing(4),
-            strategy: AggStrategy::CacheA,
-            span,
-        };
-        let modes = choose_op_modes(&agg, true, &info, &p);
-        assert_eq!(modes[0].mode, "batch");
-        assert_eq!(modes[1].mode, "batch+compact");
-        // A projection between filter and aggregate is selection-transparent:
-        // the dense boundary still reaches the filter through it.
-        let agg_proj = PhysNode::Aggregate {
-            input: Box::new(PhysNode::Project {
-                input: Box::new(select(Box::new(PhysNode::Base { name: "A".into(), span }))),
-                indices: vec![0, 1],
-                span,
-            }),
-            func: seq_ops::AggFunc::Sum,
-            attr_index: 1,
-            window: seq_ops::Window::trailing(4),
-            strategy: AggStrategy::CacheA,
-            span,
-        };
-        let modes = choose_op_modes(&agg_proj, true, &info, &p);
-        assert_eq!(modes[2].mode, "batch+compact");
-
-        // The margin is priced from measured selectivity when feedback is
-        // attached: the carried side's cost scales with survivors.
-        let mut overlay = StatsOverlay::new();
-        overlay.record("A", FeedbackStats { selectivity: Some(0.05), ..Default::default() });
-        let fb = WithFeedback::new(&info, &overlay);
-        let low = choose_op_modes(&carried, true, &fb, &p);
-        let mut dense_overlay = StatsOverlay::new();
-        dense_overlay.record("A", FeedbackStats { selectivity: Some(1.0), ..Default::default() });
-        let fb_hi = WithFeedback::new(&info, &dense_overlay);
-        let high = choose_op_modes(&carried, true, &fb_hi, &p);
-        assert_eq!(low[0].mode, "batch+sel");
-        assert_eq!(high[0].mode, "batch+sel");
-        assert!(low[0].batch_cost < high[0].batch_cost);
-        // Both policies priced explicitly: (carry, compact) per input record.
-        let (carry, compact) = select_policy_costs(0.5, 2, false, &p);
-        assert!(carry < compact);
-        let (carry_dense, compact_dense) = select_policy_costs(0.5, 2, true, &p);
-        assert!(carry_dense > compact_dense);
+        assert_eq!(choose_exec_mode(&agg(AggStrategy::CacheA), 1, span), ExecMode::Batched);
+        // The naive probe-walk strategy has no batch kernel.
+        let naive = agg(AggStrategy::NaiveProbe);
+        assert_eq!(choose_exec_mode(&naive, 1, span), ExecMode::RecordAtATime);
+        // Under a batch-capable root it is an adapter boundary, not a
+        // reason to leave the batch path.
+        let over = PhysNode::Project { input: Box::new(naive), indices: vec![0], span };
+        assert_eq!(choose_exec_mode(&over, 1, span), ExecMode::Batched);
+        assert_eq!(over.exec_mode_labels(true), vec!["batch", "tuple", "tuple"]);
     }
 
     #[test]
     fn parallel_mode_needs_partitionable_plan_and_bounded_range() {
         let span = Span::new(1, 10);
         let b = base();
-        assert_eq!(choose_exec_mode(&b, true, 4, span), ExecMode::Parallel { workers: 4 });
+        assert_eq!(choose_exec_mode(&b, 4, span), ExecMode::Parallel { workers: 4 });
         // Parallelism 1 is the sequential batch path.
-        assert_eq!(choose_exec_mode(&b, true, 1, span), ExecMode::Batched);
-        // Vectorization off keeps everything on the record path.
-        assert_eq!(choose_exec_mode(&b, false, 4, span), ExecMode::RecordAtATime);
+        assert_eq!(choose_exec_mode(&b, 1, span), ExecMode::Batched);
         // Unbounded range: morsels are position intervals, so no parallel —
         // the single-threaded batch path still applies.
         let unbounded = PhysNode::Base { name: "A".into(), span: Span::all() };
-        assert_eq!(choose_exec_mode(&unbounded, true, 4, Span::all()), ExecMode::Batched);
-        // A non-partitionable root falls back to the sequential batch path
-        // (Cache-B value offsets now have a native batch kernel).
+        assert_eq!(choose_exec_mode(&unbounded, 4, Span::all()), ExecMode::Batched);
+        // A non-partitionable root falls back to the sequential batch path.
         let voff = PhysNode::ValueOffset {
             input: base(),
             offset: -1,
             strategy: seq_exec::ValueOffsetStrategy::IncrementalCacheB,
             span,
         };
-        assert_eq!(choose_exec_mode(&voff, true, 4, span), ExecMode::Batched);
+        assert_eq!(choose_exec_mode(&voff, 4, span), ExecMode::Batched);
         // A partitionable lock-step join of bases parallelizes.
         let compose = PhysNode::Compose {
             left: base(),
@@ -591,6 +120,6 @@ mod tests {
             strategy: JoinStrategy::LockStep,
             span,
         };
-        assert_eq!(choose_exec_mode(&compose, true, 4, span), ExecMode::Parallel { workers: 4 });
+        assert_eq!(choose_exec_mode(&compose, 4, span), ExecMode::Parallel { workers: 4 });
     }
 }

@@ -47,8 +47,6 @@ pub struct OptimizerConfig {
     pub naive_aggregates: bool,
     /// Use O(1) incremental accumulators inside Cache-Strategy-A.
     pub incremental_aggregates: bool,
-    /// Lower eligible plans onto the vectorized batch execution path.
-    pub vectorized: bool,
     /// Fuse eligible selections into base scans (zone-map page skipping).
     pub pushdown: bool,
     /// Worker threads for morsel-driven parallel execution of position-
@@ -74,7 +72,6 @@ impl OptimizerConfig {
             // accumulators are an opt-in refinement (floating-point sums
             // drift in the last ULPs under add/remove).
             incremental_aggregates: false,
-            vectorized: true,
             pushdown: true,
             parallelism: 1,
             cost: CostParams::default(),
@@ -94,7 +91,6 @@ impl OptimizerConfig {
             cache_strategy_b: false,
             naive_aggregates: true,
             incremental_aggregates: false,
-            vectorized: false,
             pushdown: false,
             parallelism: 1,
             cost: CostParams::default(),
@@ -124,50 +120,19 @@ pub struct Optimized {
     pub block_count: usize,
     /// The execution path Step 6 lowered the plan onto.
     pub exec_mode: ExecMode,
-    /// Per-operator costed lowering decisions in pre-order (the profiler's
-    /// node ids): which mode each node runs in and the per-record cost
-    /// margin behind the choice ([`crate::lowering::choose_op_modes`]).
-    pub op_modes: Vec<crate::lowering::OpModeDecision>,
     /// Human-readable account of the pipeline.
     pub explain: String,
 }
 
 impl Optimized {
-    /// Run the selected plan on the execution path Step 6 chose. The
-    /// sequential batch path executes the per-operator assignment in
-    /// [`Optimized::op_modes`] (adapters at every mode boundary), so what
-    /// runs is exactly what EXPLAIN reported.
+    /// Run the selected plan on the execution path Step 6 chose.
     pub fn execute(&self, ctx: &seq_exec::ExecContext<'_>) -> Result<Vec<(i64, seq_core::Record)>> {
         match self.exec_mode {
             ExecMode::Parallel { workers } => seq_exec::execute_parallel(&self.plan, ctx, workers),
-            ExecMode::Batched => seq_exec::execute_batched_assigned(
-                &self.plan,
-                ctx,
-                seq_core::DEFAULT_BATCH_SIZE,
-                &self.op_mode_labels(),
-            ),
+            ExecMode::Batched => seq_exec::execute_batched(&self.plan, ctx),
             ExecMode::RecordAtATime => seq_exec::execute(&self.plan, ctx),
         }
     }
-
-    /// The per-operator mode labels alone, pre-order (feedable to
-    /// [`seq_exec::execute_batched_assigned`]).
-    pub fn op_mode_labels(&self) -> Vec<&'static str> {
-        self.op_modes.iter().map(|d| d.mode).collect()
-    }
-}
-
-/// The compression ratio of the most compressed base sequence the plan
-/// scans (1.0 when it scans none, e.g. pure constants): the base whose
-/// decode margin the batch path exploits hardest.
-fn scanned_compression_ratio(root: &seq_exec::PhysNode, info: &dyn CatalogInfo) -> f64 {
-    let own = match root {
-        seq_exec::PhysNode::Base { name, .. } | seq_exec::PhysNode::FusedScan { name, .. } => {
-            info.compression_ratio(name)
-        }
-        _ => 1.0,
-    };
-    root.children().into_iter().map(|c| scanned_compression_ratio(c, info)).fold(own, f64::min)
 }
 
 /// Run the full pipeline on a declarative query.
@@ -266,49 +231,17 @@ pub fn optimize(
         }
     }
 
-    // The decode-cost term of the batch-vs-tuple decision prices the most
-    // compressed base the plan scans (widest per-record decode margin).
-    let ratio = scanned_compression_ratio(&plan.root, info);
-    let exec_mode = crate::lowering::choose_exec_mode_with(
-        &plan.root,
-        config.vectorized,
-        config.parallelism,
-        plan.range,
-        &config.cost,
-        ratio,
-    );
+    let exec_mode = crate::lowering::choose_exec_mode(&plan.root, config.parallelism, plan.range);
     let _ = writeln!(explain, "== Step 6: selected plan (est. cost {est_cost:.2}) ==");
     let _ = writeln!(explain, "{}", plan.render());
-    let (tuple_cost, batch_cost) = crate::lowering::decode_costs_per_record(&config.cost, ratio);
-    let _ = writeln!(
-        explain,
-        "exec mode: {exec_mode} (batch-capable root run: {}, base compression {:.2}, \
-         decode cost/record tuple {:.4} vs batch {:.4})",
-        crate::lowering::batch_run_len(&plan.root),
-        ratio,
-        tuple_cost,
-        batch_cost,
-    );
-
-    // Per-node lowering: each operator keeps its native kernel only while
-    // it wins its own cost comparison (scans priced with their own base's
-    // compression ratio); the decisions drive the batched execution path.
-    let op_modes = crate::lowering::choose_op_modes(
-        &plan.root,
-        !matches!(exec_mode, ExecMode::RecordAtATime),
-        info,
-        &config.cost,
-    );
-    let _ = writeln!(explain, "per-op modes (pre-order, margin = tuple - batch cost/record):");
-    for (id, d) in op_modes.iter().enumerate() {
-        let _ = writeln!(
-            explain,
-            "  op {id}: {} (tuple {:.4} vs batch {:.4}, margin {:+.4})",
-            d.mode,
-            d.tuple_cost,
-            d.batch_cost,
-            d.margin(),
-        );
+    let _ = writeln!(explain, "exec mode: {exec_mode}");
+    // The per-operator labels are the executor's own account of how it
+    // lowers this tree on the chosen path — the same ones a profiled run
+    // reports.
+    let labels = plan.root.exec_mode_labels(exec_mode != ExecMode::RecordAtATime);
+    let _ = writeln!(explain, "per-op modes (pre-order):");
+    for (id, label) in labels.iter().enumerate() {
+        let _ = writeln!(explain, "  op {id}: {label}");
     }
 
     Ok(Optimized {
@@ -320,7 +253,6 @@ pub fn optimize(
         dp_stats,
         block_count: blocks.blocks.len(),
         exec_mode,
-        op_modes,
         explain,
     })
 }

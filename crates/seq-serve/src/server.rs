@@ -44,6 +44,11 @@ use crate::engine::{Engine, SessionConfig};
 /// How often blocked loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
+/// Longest command line a session may send. A peer that exceeds it without
+/// a newline gets `ERR proto` and is disconnected, so a connection cannot
+/// grow its read buffer without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// How many hot plan templates `\metrics` surfaces.
 const HOT_TEMPLATE_TOP_N: usize = 8;
 
@@ -343,6 +348,15 @@ fn handle_connection(
         {
             LineEvent::Line(line) => line,
             LineEvent::Closed => return,
+            LineEvent::TooLong => {
+                let _ = writeln!(out, "ERR proto line exceeds {MAX_LINE_BYTES} bytes");
+                // Closing with unread input resets the connection, which can
+                // destroy the reply in flight: half-close, then discard what
+                // the peer already sent.
+                let _ = out.shutdown(std::net::Shutdown::Write);
+                reader.discard_pending();
+                return;
+            }
             LineEvent::ShuttingDown => {
                 let _ = writeln!(out, "ERR shutdown server is draining");
                 return;
@@ -489,6 +503,8 @@ enum LineEvent {
     Line(String),
     /// Peer closed the connection.
     Closed,
+    /// More than [`MAX_LINE_BYTES`] arrived without a newline.
+    TooLong,
     /// Shutdown was requested while waiting for input.
     ShuttingDown,
 }
@@ -507,11 +523,15 @@ impl LineReader {
 
     fn next_line(&mut self, shutting_down: impl Fn() -> bool) -> LineEvent {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                return LineEvent::Line(
-                    String::from_utf8_lossy(&line[..line.len() - 1]).into_owned(),
-                );
+            match self.buf.iter().position(|&b| b == b'\n') {
+                Some(pos) if pos <= MAX_LINE_BYTES => {
+                    let line: Vec<u8> = self.buf.drain(..=pos).collect();
+                    return LineEvent::Line(
+                        String::from_utf8_lossy(&line[..line.len() - 1]).into_owned(),
+                    );
+                }
+                None if self.buf.len() <= MAX_LINE_BYTES => {}
+                _ => return LineEvent::TooLong,
             }
             if shutting_down() {
                 return LineEvent::ShuttingDown;
@@ -527,6 +547,19 @@ impl LineReader {
                     continue; // timeout poll: loop re-checks shutdown
                 }
                 Err(_) => return LineEvent::Closed,
+            }
+        }
+    }
+
+    /// Read and drop input until the peer closes, goes quiet for one poll
+    /// interval, or has sent a bounded amount more.
+    fn discard_pending(&mut self) {
+        let mut chunk = [0u8; 4096];
+        let mut budget = 16 * MAX_LINE_BYTES;
+        while budget > 0 {
+            match self.stream.read(&mut chunk) {
+                Ok(n) if n > 0 => budget = budget.saturating_sub(n),
+                _ => return,
             }
         }
     }

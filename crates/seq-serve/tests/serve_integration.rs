@@ -239,6 +239,30 @@ fn wire_sessions_share_the_plan_cache_and_keep_private_config() {
 }
 
 #[test]
+fn oversized_line_gets_err_proto_and_the_connection_closes() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = serve(engine(1), &ServerConfig::local(Span::new(1, 750))).unwrap();
+    let addr = handle.addr().to_string();
+
+    // 128 KiB and no newline: the server must not buffer it all waiting.
+    let mut hostile = std::net::TcpStream::connect(&addr).unwrap();
+    hostile.write_all(&vec![b'x'; 128 * 1024]).unwrap();
+    let mut reader = BufReader::new(hostile.try_clone().unwrap());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "ERR proto line exceeds 65536 bytes");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection must close, got {rest:?}");
+
+    // The server itself is unharmed.
+    let mut fresh = Client::connect(&addr).unwrap();
+    assert!(matches!(fresh.send("\\ping").unwrap(), Response::Ok(v) if v == ["pong"]));
+    drop(fresh);
+    drop(hostile);
+    handle.join();
+}
+
+#[test]
 fn hot_templates_rank_by_hits_with_latency_digest() {
     let eng = engine(1);
     let cfg = config(1);

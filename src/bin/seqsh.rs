@@ -11,10 +11,12 @@
 //! - `\tables` — list base sequences with meta-data, including the encoded
 //!   page footprint as a percentage of the plain layout and each column's
 //!   dominant encoding;
-//! - `\explain <query>` — show the optimizer pipeline for a query;
+//! - `\explain <query>` — show the optimizer pipeline for a query, ending
+//!   with the chosen execution path and each operator's execution mode;
 //! - `\analyze <query>` — execute under seq-trace instrumentation and show
 //!   the plan annotated with each operator's execution mode
-//!   (`batch`/`tuple`/`fused`), actual rows, per-operator timings and
+//!   (`batch`/`batch+sel`/`tuple`/`fused` — structural, the same labels
+//!   `\explain` prints), actual rows, per-operator timings and
 //!   counters, and estimated-vs-measured cost (`--profile-out FILE` also
 //!   writes the JSON profile export, mode field included);
 //! - `\stats` — show session-cumulative executor + storage counters plus the

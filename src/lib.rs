@@ -61,9 +61,9 @@ pub mod prelude {
     };
     pub use seq_exec::{
         execute, execute_batched, execute_batched_with, execute_parallel, execute_parallel_with,
-        execute_within, probe_positions, AggStrategy, ExecContext, ExecStats, HistogramSnapshot,
-        JoinStrategy, LatencyHistogram, MetricsSnapshot, ParallelConfig, Phase, PhysNode, PhysPlan,
-        QueryPath, QueryProfile, SessionMetrics, ValueOffsetStrategy,
+        probe_positions, AggStrategy, ExecContext, ExecStats, HistogramSnapshot, JoinStrategy,
+        LatencyHistogram, MetricsSnapshot, ParallelConfig, Phase, PhysNode, PhysPlan, QueryPath,
+        QueryProfile, SessionMetrics, ValueOffsetStrategy,
     };
     pub use seq_ops::{
         AggFunc, BinOp, Expr, QueryGraph, ReferenceEvaluator, SeqOperator, SeqQuery, Window,

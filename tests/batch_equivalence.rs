@@ -92,25 +92,27 @@ fn randomized_plans_match_at_awkward_batch_sizes() {
 }
 
 #[test]
-fn planner_vectorizes_exactly_when_enabled_and_capable() {
+fn planner_vectorizes_exactly_when_the_root_has_a_batch_kernel() {
     let world = random_world(99, 40);
     let range = Span::new(-5, 120);
-    let query = SeqQuery::base("S0").select(Expr::attr("close").gt(Expr::lit(10.0))).build();
+    let filter = SeqQuery::base("S0").select(Expr::attr("close").gt(Expr::lit(10.0))).build();
 
     let full = OptimizerConfig::new(range);
-    let optimized = optimize(&query, &CatalogRef(&world.catalog), &full).unwrap();
+    let optimized = optimize(&filter, &CatalogRef(&world.catalog), &full).unwrap();
     assert_eq!(optimized.exec_mode, ExecMode::Batched);
     assert!(
         optimized.explain.contains("exec mode: batched"),
         "explain output should surface the chosen mode"
     );
 
+    // The mode follows the plan's shape, not a switch: the naive ablation
+    // leaves the record path only where it picks a kernel-less strategy at
+    // the root (here a probe-walking aggregate).
     let naive = OptimizerConfig::naive(range);
-    let optimized = optimize(&query, &CatalogRef(&world.catalog), &naive).unwrap();
+    let optimized = optimize(&filter, &CatalogRef(&world.catalog), &naive).unwrap();
+    assert_eq!(optimized.exec_mode, ExecMode::Batched);
+    let agg = SeqQuery::base("S0").aggregate(AggFunc::Sum, "close", Window::trailing(3)).build();
+    let optimized = optimize(&agg, &CatalogRef(&world.catalog), &naive).unwrap();
     assert_eq!(optimized.exec_mode, ExecMode::RecordAtATime);
-
-    let mut no_vec = OptimizerConfig::new(range);
-    no_vec.vectorized = false;
-    let optimized = optimize(&query, &CatalogRef(&world.catalog), &no_vec).unwrap();
-    assert_eq!(optimized.exec_mode, ExecMode::RecordAtATime);
+    assert!(optimized.explain.contains("exec mode: record-at-a-time"));
 }
