@@ -3,13 +3,17 @@
 //! Strategies:
 //!
 //! - **Cache-Strategy-A** ([`WindowAggCursor`]): stream the input once,
-//!   holding the records of the effective scope in a FIFO [`OpCache`] sized
-//!   to the window, so "the Sum operator at every position needs to access
-//!   the input sequence only at that position" (§3.5). The aggregate is
-//!   recomputed from the cached window, exactly as the paper describes.
-//! - **Incremental** ([`SlidingAccumulator`]): a standard refinement of
-//!   Cache-A that maintains running sums (Sum/Count/Avg) or a monotonic
-//!   deque (Min/Max) so each slide costs O(1) amortized instead of O(w).
+//!   holding the effective scope in a window sized by the data it covers, so
+//!   "the Sum operator at every position needs to access the input sequence
+//!   only at that position" (§3.5). The window is a [`SlidingAccumulator`]:
+//!   a typed ring of the cached values beside their positions. Float Sum/Avg
+//!   are recomputed from the ring on every emit, left to right, exactly as
+//!   the paper describes (and bit-identical to [`AggFunc::apply`]); Count,
+//!   Min/Max and integer Sum are exact in any order, so they read O(1)
+//!   running state instead.
+//! - **Incremental**: a standard refinement of Cache-A that also keeps float
+//!   Sum/Avg as running sums (add on arrival, subtract on eviction), so every
+//!   slide costs O(1) amortized at the price of last-ulp drift.
 //! - **Naive** ([`NaiveAggCursor`] / [`AggProbe`]): for every output
 //!   position, probe the input at each window position — w probes per
 //!   output, the repeated-retrieval cost caching eliminates.
@@ -20,92 +24,207 @@
 use std::collections::VecDeque;
 
 use seq_core::{Record, RecordBatch, Result, SeqError, Span, Value};
-use seq_ops::{AggFunc, Window};
+use seq_ops::{float_result, AggFold, AggFunc, Window};
 
 use crate::batch::BatchCursor;
-use crate::cache::OpCache;
 use crate::cursor::{Cursor, PointAccess};
 use crate::stats::ExecStats;
 
-/// O(1)-amortized sliding-window aggregate state.
+/// The window's value payload, beside its positions: typed while every
+/// value in the window has one numeric variant, generic once a column turns
+/// out mixed (or holds strings or booleans).
+#[derive(Debug)]
+enum Ring {
+    F64(VecDeque<f64>),
+    I64(VecDeque<i64>),
+    Values(VecDeque<Value>),
+}
+
+impl Ring {
+    fn for_value(v: &Value) -> Ring {
+        match v {
+            Value::Float(_) => Ring::F64(VecDeque::new()),
+            Value::Int(_) => Ring::I64(VecDeque::new()),
+            _ => Ring::Values(VecDeque::new()),
+        }
+    }
+
+    fn accepts(&self, v: &Value) -> bool {
+        matches!(
+            (self, v),
+            (Ring::F64(_), Value::Float(_)) | (Ring::I64(_), Value::Int(_)) | (Ring::Values(_), _)
+        )
+    }
+
+    fn into_values(self) -> VecDeque<Value> {
+        match self {
+            Ring::F64(r) => r.into_iter().map(Value::Float).collect(),
+            Ring::I64(r) => r.into_iter().map(Value::Int).collect(),
+            Ring::Values(r) => r,
+        }
+    }
+
+    fn push_back(&mut self, v: &Value) {
+        match (self, v) {
+            (Ring::F64(r), Value::Float(x)) => r.push_back(*x),
+            (Ring::I64(r), Value::Int(i)) => r.push_back(*i),
+            (Ring::Values(r), v) => r.push_back(v.clone()),
+            _ => unreachable!("SlidingAccumulator::admit picks a ring that accepts v"),
+        }
+    }
+
+    fn get(&self, i: usize) -> Value {
+        match self {
+            Ring::F64(r) => Value::Float(r[i]),
+            Ring::I64(r) => Value::Int(r[i]),
+            Ring::Values(r) => r[i].clone(),
+        }
+    }
+
+    /// `v` (a value the ring accepts) ordered against `ring[j]`, in the
+    /// total order of [`Value::total_cmp`].
+    fn cmp_with(&self, v: &Value, j: usize) -> Result<std::cmp::Ordering> {
+        Ok(match (self, v) {
+            (Ring::F64(r), Value::Float(x)) => x.total_cmp(&r[j]),
+            (Ring::I64(r), Value::Int(i)) => i.cmp(&r[j]),
+            (Ring::Values(r), v) => v.total_cmp(&r[j])?,
+            _ => unreachable!("SlidingAccumulator::admit picks a ring that accepts v"),
+        })
+    }
+}
+
+/// The sliding-window aggregate state both window cursors share: Cache-A's
+/// window as a typed ring, plus the O(1) running state of the functions
+/// that are exact in any order.
 ///
 /// Entries must be pushed in increasing position order and removed in the
 /// same order (`evict_below`), matching how a sequential window slides.
+///
+/// - Count is the ring's length; integer Sum a wrapping running sum; Min/Max
+///   a monotonic deque of ring indices (equal values of one variant are the
+///   same bits, so which of them the deque keeps cannot show).
+/// - Float Sum/Avg (and an integer Avg, whose mean is a float sum): a
+///   [`SlidingAccumulator::recomputing`] state folds the ring left to right
+///   on every read with [`AggFold`], so the bits are those of
+///   [`AggFunc::apply`]; a [`SlidingAccumulator::new`] state keeps a running
+///   float sum (O(1), may drift in the last ulps under eviction).
+/// - A window that mixes variants keeps generic values; a recomputing state
+///   then folds Min/Max too, keeping `apply`'s first-of-equals rule for an
+///   integer and a float that compare equal.
 #[derive(Debug)]
 pub struct SlidingAccumulator {
     func: AggFunc,
-    count: i64,
+    recompute: bool,
+    positions: VecDeque<i64>,
+    ring: Ring,
+    /// Absolute index of the oldest entry (`mono` holds absolute indices).
+    head: u64,
     int_count: i64,
     sum_i: i64,
+    /// Running float sum; only kept when not recomputing.
     sum_f: f64,
-    /// For Min/Max: positions+values in monotonically best-first order.
-    mono: VecDeque<(i64, Value)>,
-    /// All live positions (needed to know what `evict_below` removes).
-    live: VecDeque<(i64, Value)>,
+    /// For Min/Max: absolute indices of entries in best-first order.
+    mono: VecDeque<u64>,
 }
 
 impl SlidingAccumulator {
-    /// Empty state for the given aggregate function.
+    /// Empty state with running (add/subtract) float sums: the incremental
+    /// refinement, and the cumulative aggregates, which never evict and so
+    /// add left to right exactly as [`AggFunc::apply`] does.
     pub fn new(func: AggFunc) -> SlidingAccumulator {
         SlidingAccumulator {
             func,
-            count: 0,
+            recompute: false,
+            positions: VecDeque::new(),
+            ring: Ring::F64(VecDeque::new()),
+            head: 0,
             int_count: 0,
             sum_i: 0,
             sum_f: 0.0,
             mono: VecDeque::new(),
-            live: VecDeque::new(),
         }
+    }
+
+    /// Empty Cache-Strategy-A state: float Sum/Avg are recomputed from the
+    /// window on every read, bit-identical to [`AggFunc::apply`].
+    pub fn recomputing(func: AggFunc) -> SlidingAccumulator {
+        SlidingAccumulator { recompute: true, ..SlidingAccumulator::new(func) }
     }
 
     /// Live entries in the window.
     pub fn len(&self) -> usize {
-        self.count as usize
+        self.positions.len()
     }
 
     /// Whether the window holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.positions.is_empty()
+    }
+
+    fn sums(&self) -> bool {
+        matches!(self.func, AggFunc::Sum | AggFunc::Avg)
+    }
+
+    /// Make the ring accept `v`: an empty window picks its payload afresh, a
+    /// non-empty one turns generic on the first value of another variant.
+    fn admit(&mut self, v: &Value) -> Result<()> {
+        if self.sums() && !matches!(v, Value::Int(_) | Value::Float(_)) {
+            return Err(SeqError::Type(format!(
+                "{} requires numeric values, found {}",
+                self.func,
+                v.attr_type()
+            )));
+        }
+        if !self.ring.accepts(v) {
+            self.ring = if self.is_empty() {
+                Ring::for_value(v)
+            } else {
+                let ring = std::mem::replace(&mut self.ring, Ring::Values(VecDeque::new()));
+                Ring::Values(ring.into_values())
+            };
+        }
+        Ok(())
+    }
+
+    /// Fold `n` copies of `v` into the running sums.
+    fn add_to_sums(&mut self, v: &Value, n: usize) {
+        match v {
+            Value::Int(i) => {
+                self.int_count += n as i64;
+                self.sum_i = self.sum_i.wrapping_add(i.wrapping_mul(n as i64));
+                if !self.recompute {
+                    for _ in 0..n {
+                        self.sum_f += *i as f64;
+                    }
+                }
+            }
+            Value::Float(f) if !self.recompute => {
+                for _ in 0..n {
+                    self.sum_f += f;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// How many monotonic-deque entries survive the arrival of `v`: the
+    /// trailing entries `v` dominates are dropped.
+    fn mono_keep(&self, v: &Value) -> Result<usize> {
+        let mut keep = self.mono.len();
+        while keep > 0 {
+            let ord = self.ring.cmp_with(v, (self.mono[keep - 1] - self.head) as usize)?;
+            let dominated = if self.func == AggFunc::Min { ord.is_le() } else { ord.is_ge() };
+            if !dominated {
+                break;
+            }
+            keep -= 1;
+        }
+        Ok(keep)
     }
 
     /// Add the value at `pos` (positions strictly increasing).
     pub fn push(&mut self, pos: i64, v: &Value) -> Result<()> {
-        debug_assert!(self.live.back().map(|(p, _)| *p < pos).unwrap_or(true));
-        self.count += 1;
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match v {
-                Value::Int(i) => {
-                    self.int_count += 1;
-                    self.sum_i = self.sum_i.wrapping_add(*i);
-                    self.sum_f += *i as f64;
-                }
-                Value::Float(f) => self.sum_f += f,
-                other => {
-                    return Err(SeqError::Type(format!(
-                        "{} requires numeric values, found {}",
-                        self.func,
-                        other.attr_type()
-                    )))
-                }
-            },
-            AggFunc::Min | AggFunc::Max => {
-                // Pop dominated entries from the back of the monotonic deque.
-                while let Some((_, back)) = self.mono.back() {
-                    let ord = v.total_cmp(back)?;
-                    let dominated =
-                        if self.func == AggFunc::Min { ord.is_le() } else { ord.is_ge() };
-                    if dominated {
-                        self.mono.pop_back();
-                    } else {
-                        break;
-                    }
-                }
-                self.mono.push_back((pos, v.clone()));
-            }
-        }
-        self.live.push_back((pos, v.clone()));
-        Ok(())
+        self.push_run(std::slice::from_ref(&pos), v)
     }
 
     /// Add a run of entries that all hold the same value `v` (strict
@@ -114,120 +233,130 @@ impl SlidingAccumulator {
     ///
     /// Bit-identical to pushing each entry individually, but the run folds
     /// into the running state in O(1) comparisons: counts add in one step,
-    /// integer sums multiply, and a Min/Max run collapses to a single
-    /// monotonic-deque entry at the run's last position (each equal-value
-    /// push would dominate its predecessor anyway). Float accumulation is
-    /// order-sensitive, so `sum_f` still repeats the adds element by
-    /// element.
+    /// integer sums multiply, and a Min/Max run enters the monotonic deque
+    /// once, at its last entry (each equal-value push would dominate its
+    /// predecessor anyway). A running float sum is order-sensitive, so it
+    /// still repeats the adds element by element.
     pub fn push_run(&mut self, positions: &[i64], v: &Value) -> Result<()> {
-        let Some(&last) = positions.last() else { return Ok(()) };
+        if positions.is_empty() {
+            return Ok(());
+        }
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(self.live.back().map(|(p, _)| *p < positions[0]).unwrap_or(true));
-        let n = positions.len() as i64;
-        self.count += n;
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match v {
-                Value::Int(i) => {
-                    self.int_count += n;
-                    self.sum_i = self.sum_i.wrapping_add(i.wrapping_mul(n));
-                    for _ in 0..n {
-                        self.sum_f += *i as f64;
-                    }
-                }
-                Value::Float(f) => {
-                    for _ in 0..n {
-                        self.sum_f += f;
-                    }
-                }
-                other => {
-                    return Err(SeqError::Type(format!(
-                        "{} requires numeric values, found {}",
-                        self.func,
-                        other.attr_type()
-                    )))
-                }
-            },
-            AggFunc::Min | AggFunc::Max => {
-                while let Some((_, back)) = self.mono.back() {
-                    let ord = v.total_cmp(back)?;
-                    let dominated =
-                        if self.func == AggFunc::Min { ord.is_le() } else { ord.is_ge() };
-                    if dominated {
-                        self.mono.pop_back();
-                    } else {
-                        break;
-                    }
-                }
-                self.mono.push_back((last, v.clone()));
-            }
+        debug_assert!(self.positions.back().is_none_or(|&p| p < positions[0]));
+        self.admit(v)?;
+        if matches!(self.func, AggFunc::Min | AggFunc::Max) {
+            let keep = self.mono_keep(v)?;
+            self.mono.truncate(keep);
+            let last = self.head + (self.len() + positions.len() - 1) as u64;
+            self.mono.push_back(last);
+        } else if self.sums() {
+            self.add_to_sums(v, positions.len());
         }
-        for &p in positions {
-            self.live.push_back((p, v.clone()));
+        for _ in positions {
+            self.ring.push_back(v);
         }
+        self.positions.extend(positions);
         Ok(())
     }
 
     /// Remove entries at positions strictly below `pos`.
     pub fn evict_below(&mut self, pos: i64) {
-        while self.live.front().map(|(p, _)| *p < pos).unwrap_or(false) {
-            let (p, v) = self.live.pop_front().expect("checked front");
-            self.count -= 1;
-            match self.func {
-                AggFunc::Count | AggFunc::Min | AggFunc::Max => {}
-                AggFunc::Sum | AggFunc::Avg => match v {
+        while self.positions.front().is_some_and(|&p| p < pos) {
+            self.positions.pop_front();
+            let v = match &mut self.ring {
+                Ring::F64(r) => Value::Float(r.pop_front().expect("ring and positions agree")),
+                Ring::I64(r) => Value::Int(r.pop_front().expect("ring and positions agree")),
+                Ring::Values(r) => r.pop_front().expect("ring and positions agree"),
+            };
+            if self.sums() {
+                match v {
                     Value::Int(i) => {
                         self.int_count -= 1;
                         self.sum_i = self.sum_i.wrapping_sub(i);
-                        self.sum_f -= i as f64;
+                        if !self.recompute {
+                            self.sum_f -= i as f64;
+                        }
                     }
-                    Value::Float(f) => self.sum_f -= f,
-                    _ => unreachable!("push rejected non-numeric values"),
-                },
-            }
-            if let Some((mp, _)) = self.mono.front() {
-                if *mp == p {
-                    self.mono.pop_front();
+                    Value::Float(f) if !self.recompute => self.sum_f -= f,
+                    _ => {}
                 }
             }
+            if self.mono.front() == Some(&self.head) {
+                self.mono.pop_front();
+            }
+            self.head += 1;
         }
     }
 
     /// The current aggregate, or `None` when the window is empty.
     pub fn current(&self) -> Option<Value> {
-        if self.count == 0 {
+        if self.is_empty() {
             return None;
         }
+        let n = self.len() as i64;
         Some(match self.func {
-            AggFunc::Count => Value::Int(self.count),
-            AggFunc::Avg => Value::Float(self.sum_f / self.count as f64),
-            AggFunc::Sum => {
-                if self.int_count == self.count {
-                    Value::Int(self.sum_i)
-                } else {
-                    Value::Float(self.sum_f)
-                }
+            AggFunc::Count => Value::Int(n),
+            AggFunc::Sum if self.int_count == n => Value::Int(self.sum_i),
+            AggFunc::Sum | AggFunc::Avg if self.recompute => return self.fold(),
+            AggFunc::Sum => float_result(self.sum_f),
+            AggFunc::Avg => float_result(self.sum_f / n as f64),
+            AggFunc::Min | AggFunc::Max
+                if self.recompute && matches!(self.ring, Ring::Values(_)) =>
+            {
+                return self.fold()
             }
             AggFunc::Min | AggFunc::Max => {
-                self.mono.front().map(|(_, v)| v.clone()).expect("non-empty window")
+                let best = *self.mono.front().expect("non-empty window");
+                self.ring.get((best - self.head) as usize)
             }
         })
+    }
+
+    /// Recompute the aggregate from the window, left to right.
+    fn fold(&self) -> Option<Value> {
+        let mut fold = AggFold::new(self.func);
+        let folded = match &self.ring {
+            Ring::F64(r) => {
+                let (a, b) = r.as_slices();
+                fold.push_f64s(a).and_then(|()| fold.push_f64s(b))
+            }
+            Ring::I64(r) => {
+                let (a, b) = r.as_slices();
+                fold.push_i64s(a).and_then(|()| fold.push_i64s(b))
+            }
+            Ring::Values(r) => r.iter().try_for_each(|v| fold.push(v)),
+        };
+        // `admit` rejected non-numeric Sum/Avg inputs and every Min/Max entry
+        // was compared against the window when it arrived, so all of the
+        // window's values are mutually comparable.
+        folded.expect("the window holds only values the fold accepts");
+        fold.finish()
+    }
+}
+
+/// The window state of a sliding-window aggregate under Cache-A
+/// (`incremental` false) or its incremental refinement.
+pub(crate) fn window_state(func: AggFunc, incremental: bool) -> SlidingAccumulator {
+    if incremental {
+        SlidingAccumulator::new(func)
+    } else {
+        SlidingAccumulator::recomputing(func)
     }
 }
 
 /// Cache-Strategy-A over a sliding window `[i+lo, i+hi]`.
+///
+/// Every input record entering the window is charged as one cache store;
+/// under Cache-A (not the incremental refinement) every emitted value is
+/// one read of the cached window, charged as one cache probe.
 pub struct WindowAggCursor {
     input: Box<dyn Cursor>,
-    func: AggFunc,
     attr_index: usize,
     lo: i64,
     hi: i64,
-    cache: OpCache,
-    /// Incremental accumulator (kept in lock-step with the cache) when the
-    /// strategy asks for O(1) slides; otherwise the aggregate is recomputed
-    /// from the cache window on every emit, which is bit-for-bit identical
-    /// to the reference semantics.
-    accumulator: Option<SlidingAccumulator>,
+    acc: SlidingAccumulator,
+    reads_window: bool,
+    stats: ExecStats,
     pending: Option<(i64, Record)>,
     input_done: bool,
     cur: i64,
@@ -235,8 +364,8 @@ pub struct WindowAggCursor {
 }
 
 impl WindowAggCursor {
-    /// Cache-Strategy-A over a sliding window; `incremental` switches the
-    /// per-emit recompute to O(1) accumulators.
+    /// Cache-Strategy-A over a sliding window; `incremental` switches float
+    /// Sum/Avg from the per-emit recompute to O(1) running sums.
     pub fn new(
         input: Box<dyn Cursor>,
         func: AggFunc,
@@ -257,16 +386,15 @@ impl WindowAggCursor {
                 "stream evaluation of an aggregate needs a bounded output span".into(),
             ));
         }
-        let capacity = (hi - lo).unsigned_abs() as usize + 1;
         let (span, cur) = crate::cursor::span_cursor_start(span);
         Ok(WindowAggCursor {
             input,
-            func,
             attr_index,
             lo,
             hi,
-            cache: OpCache::new(capacity, stats),
-            accumulator: incremental.then(|| SlidingAccumulator::new(func)),
+            acc: window_state(func, incremental),
+            reads_window: !incremental,
+            stats,
             pending: None,
             input_done: false,
             cur,
@@ -302,10 +430,8 @@ impl Cursor for WindowAggCursor {
             loop {
                 match self.pull_input()? {
                     Some((p, r)) if p <= o.saturating_add(self.hi) => {
-                        if let Some(acc) = &mut self.accumulator {
-                            acc.push(p, r.value(self.attr_index)?)?;
-                        }
-                        self.cache.push(p, r);
+                        self.acc.push(p, r.value(self.attr_index)?)?;
+                        self.stats.record_cache_store();
                     }
                     Some(item) => {
                         self.pending = Some(item);
@@ -315,27 +441,14 @@ impl Cursor for WindowAggCursor {
                 }
             }
             // Slide the window: drop records below o + lo.
-            self.cache.evict_below(o.saturating_add(self.lo));
-            if let Some(acc) = &mut self.accumulator {
-                acc.evict_below(o.saturating_add(self.lo));
-            }
+            self.acc.evict_below(o.saturating_add(self.lo));
             self.cur += 1;
 
-            if !self.cache.is_empty() {
-                let value = match &self.accumulator {
-                    Some(acc) => acc.current(),
-                    None => {
-                        let values: Vec<Value> = self
-                            .cache
-                            .range(o.saturating_add(self.lo), o.saturating_add(self.hi))
-                            .map(|(_, r)| r.value(self.attr_index).cloned())
-                            .collect::<Result<_>>()?;
-                        self.func.apply(values.iter())?
-                    }
-                };
-                if let Some(v) = value {
-                    return Ok(Some((o, Record::new(vec![v]))));
+            if let Some(v) = self.acc.current() {
+                if self.reads_window {
+                    self.stats.record_cache_probe();
                 }
+                return Ok(Some((o, Record::new(vec![v]))));
             }
             // Empty window: skip ahead to the first position whose window can
             // contain the pending input record, instead of walking the gap.
@@ -499,11 +612,11 @@ impl WholeSpanAggCursor {
 
     fn ensure_value(&mut self) -> Result<()> {
         if let Some(mut input) = self.input.take() {
-            let mut values = Vec::new();
+            let mut fold = AggFold::new(self.func);
             while let Some((_, r)) = input.next()? {
-                values.push(r.value(self.attr_index)?.clone());
+                fold.push(r.value(self.attr_index)?)?;
             }
-            self.value = self.func.apply(values.iter())?;
+            self.value = fold.finish();
         }
         Ok(())
     }
@@ -655,9 +768,10 @@ impl BatchCursor for CumulativeAggBatchCursor {
 }
 
 /// Vectorized whole-span aggregate: [`WholeSpanAggCursor`] batch-at-a-time.
-/// The input is drained once on the first pull (in the record path's fold
-/// order, so float results stay bit-identical) and the single value is
-/// replicated across the span in batches.
+/// The input is drained once on the first pull, each batch's column folded
+/// straight into an [`AggFold`] (the record path's fold order, so float
+/// results stay bit-identical), and the single value is replicated across the
+/// span in batches.
 pub struct WholeSpanAggBatchCursor {
     input: Option<Box<dyn BatchCursor>>,
     func: AggFunc,
@@ -698,11 +812,11 @@ impl WholeSpanAggBatchCursor {
 
     fn ensure_value(&mut self) -> Result<()> {
         if let Some(mut input) = self.input.take() {
-            let mut values = Vec::new();
+            let mut fold = AggFold::new(self.func);
             while let Some(b) = input.next_batch()? {
-                values.extend_from_slice(b.column(self.attr_index)?);
+                b.column(self.attr_index)?.iter().try_for_each(|v| fold.push(v))?;
             }
-            self.value = self.func.apply(values.iter())?;
+            self.value = fold.finish();
         }
         Ok(())
     }
@@ -946,6 +1060,60 @@ mod tests {
         cnt.push_run(&[1, 2], &Value::str("x")).unwrap();
         cnt.push_run(&[], &Value::Int(0)).unwrap();
         assert_eq!(cnt.current(), Some(Value::Int(2)));
+    }
+
+    #[test]
+    fn recomputing_window_is_bit_identical_to_apply() {
+        // Cancelling float runs, a stretch mixing an Int and a Float that
+        // compare equal (the generic-ring fallback, where Min/Max must keep
+        // `apply`'s first of equals), NaN and -0.0 after the window empties,
+        // then wrapping integers.
+        let (f, i) = (Value::Float, Value::Int);
+        let stream = [
+            (1, f(1e16)),
+            (2, f(1.0)),
+            (3, f(-1e16)),
+            (4, f(1.0)),
+            (5, f(-0.0)),
+            (6, i(1)),
+            (7, f(1.0)),
+            (8, i(1)),
+            (9, f(0.5)),
+            (30, f(-0.0)),
+            (31, f(-0.0)),
+            (32, f(f64::NAN)),
+            (33, f(2.0)),
+            (40, i(i64::MAX)),
+            (41, i(3)),
+            (42, i(-2)),
+        ];
+        let same = |a: &Option<Value>, b: &Option<Value>| match (a, b) {
+            (Some(Value::Float(x)), Some(Value::Float(y))) => x.to_bits() == y.to_bits(),
+            (Some(Value::Int(x)), Some(Value::Int(y))) => x == y,
+            (None, None) => true,
+            _ => false,
+        };
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+            for (lo, hi) in [(-2, 0), (-4, 1), (0, 0), (-3, -1)] {
+                let mut acc = SlidingAccumulator::recomputing(func);
+                let mut window: Vec<(i64, Value)> = Vec::new();
+                let mut next = 0;
+                for o in 0..=50 {
+                    while next < stream.len() && stream[next].0 <= o + hi {
+                        let (p, v) = &stream[next];
+                        acc.push(*p, v).unwrap();
+                        window.push((*p, v.clone()));
+                        next += 1;
+                    }
+                    acc.evict_below(o + lo);
+                    window.retain(|(p, _)| *p >= o + lo);
+                    let want = func.apply(window.iter().map(|(_, v)| v)).unwrap();
+                    let got = acc.current();
+                    assert!(same(&got, &want), "{func} [{lo},{hi}] at {o}: {got:?} vs {want:?}");
+                    assert_eq!(acc.len(), window.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! vectorized end-to-end; the [`RecordToBatchCursor`] adapter remains for
 //! the kernel-less nodes (a `NaiveProbe` strategy choice, `Constant`).
 
-use std::collections::VecDeque;
-
 use seq_core::{Record, RecordBatch, Result, Span, Value, NEG_INF, POS_INF};
 use seq_ops::{AggFunc, Expr};
 
@@ -449,21 +447,21 @@ impl BatchCursor for PosOffsetBatchCursor {
 ///
 /// Replicates [`crate::aggregate::WindowAggCursor`] exactly — one output per
 /// span position whose window `[o+lo, o+hi]` holds at least one input
-/// record, empty stretches skipped in one jump — but consumes and produces
-/// whole batches. With `incremental` set, a [`SlidingAccumulator`] keeps the
-/// slide O(1) amortized (Min/Max via monotonic deques); otherwise every emit
-/// recomputes from the cached window, matching CacheA's reference cost.
+/// record, empty stretches skipped in one jump — over the same
+/// [`SlidingAccumulator`] window state, but consumes and produces whole
+/// batches: input values are read straight off the buffered column, and the
+/// cache stores and probes the record path charges one at a time are charged
+/// once per output batch.
 pub struct WindowAggBatchCursor {
     input: Box<dyn BatchCursor>,
-    func: AggFunc,
     attr_index: usize,
     lo: i64,
     hi: i64,
-    /// The cached window of `(position, value)` pairs, oldest first. Only
-    /// maintained for the recomputing strategy; the incremental accumulator
-    /// tracks its own live window.
-    window: VecDeque<(i64, Value)>,
-    accumulator: Option<SlidingAccumulator>,
+    acc: SlidingAccumulator,
+    /// Cache-A reads its window once per emitted value (one cache probe);
+    /// the incremental refinement reads only its running state.
+    reads_window: bool,
+    stats: ExecStats,
     /// Input rows pulled but not yet folded into the window.
     in_batch: Option<RecordBatch>,
     in_row: usize,
@@ -475,7 +473,9 @@ pub struct WindowAggBatchCursor {
 
 impl WindowAggBatchCursor {
     /// Batched Cache-Strategy-A over a sliding window; `incremental`
-    /// switches the per-emit recompute to O(1) accumulators.
+    /// switches float Sum/Avg from the per-emit recompute to O(1) running
+    /// sums.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         input: Box<dyn BatchCursor>,
         func: AggFunc,
@@ -483,6 +483,7 @@ impl WindowAggBatchCursor {
         window: seq_ops::Window,
         span: Span,
         incremental: bool,
+        stats: ExecStats,
         batch_size: usize,
     ) -> Result<WindowAggBatchCursor> {
         let seq_ops::Window::Sliding { lo, hi } = window else {
@@ -498,12 +499,12 @@ impl WindowAggBatchCursor {
         let (span, cur) = crate::cursor::span_cursor_start(span);
         Ok(WindowAggBatchCursor {
             input,
-            func,
             attr_index,
             lo,
             hi,
-            window: VecDeque::new(),
-            accumulator: incremental.then(|| SlidingAccumulator::new(func)),
+            acc: crate::aggregate::window_state(func, incremental),
+            reads_window: !incremental,
+            stats,
             in_batch: None,
             in_row: 0,
             input_done: false,
@@ -550,85 +551,32 @@ impl WindowAggBatchCursor {
         }
     }
 
-    /// Fold buffered input records at positions `<= upto` into the window.
+    /// Fold buffered input records at positions `<= upto` into the window,
+    /// returning how many entered it (cache stores).
     ///
-    /// Consumes whole in-range runs of the buffered batch per iteration: the
-    /// run boundary is found by binary search and the values are read
-    /// straight off the column slice. The incremental accumulator keeps its
-    /// own live window, so the side `window` deque is only maintained for
-    /// the recomputing (non-incremental) strategy.
-    fn fold_input_through(&mut self, upto: i64) -> Result<()> {
+    /// Advances linearly, reading values straight off the column slice: the
+    /// window's leading edge moves one position per emit, so the run is
+    /// almost always zero or one rows and a binary search would cost more
+    /// than it saves.
+    fn fold_input_through(&mut self, upto: i64) -> Result<u64> {
+        let mut stored = 0;
         loop {
             self.fill_input()?;
-            let Some(b) = &self.in_batch else { return Ok(()) };
+            let Some(b) = &self.in_batch else { return Ok(stored) };
             let positions = b.positions();
-            if positions[self.in_row] > upto {
-                return Ok(());
-            }
-            // Advance linearly: the window's leading edge moves one position
-            // per emit, so the run is almost always zero or one rows and a
-            // binary search would cost more than it saves.
             let col = b.column(self.attr_index)?;
-            let mut i = self.in_row;
-            match &mut self.accumulator {
-                Some(acc) => {
-                    while i < positions.len() && positions[i] <= upto {
-                        // Fold strict-equality runs (decoded RLE runs) into
-                        // the accumulator in one call each.
-                        let mut j = i + 1;
-                        while j < positions.len()
-                            && positions[j] <= upto
-                            && seq_storage::strict_eq(&col[j], &col[i])
-                        {
-                            j += 1;
-                        }
-                        acc.push_run(&positions[i..j], &col[i])?;
-                        i = j;
-                    }
-                }
-                None => {
-                    while i < positions.len() && positions[i] <= upto {
-                        self.window.push_back((positions[i], col[i].clone()));
-                        i += 1;
-                    }
-                }
+            let start = self.in_row;
+            let mut i = start;
+            while i < positions.len() && positions[i] <= upto {
+                self.acc.push(positions[i], &col[i])?;
+                i += 1;
             }
+            stored += (i - start) as u64;
             self.in_row = i;
             if i < positions.len() {
-                return Ok(());
+                return Ok(stored);
             }
             // Batch exhausted: let fill_input pull the next one.
-        }
-    }
-
-    /// Drop window entries below `below`.
-    fn evict_below(&mut self, below: i64) {
-        match &mut self.accumulator {
-            Some(acc) => acc.evict_below(below),
-            None => {
-                while self.window.front().is_some_and(|(p, _)| *p < below) {
-                    self.window.pop_front();
-                }
-            }
-        }
-    }
-
-    /// Whether the current window holds no input records.
-    fn window_is_empty(&self) -> bool {
-        match &self.accumulator {
-            Some(acc) => acc.is_empty(),
-            None => self.window.is_empty(),
-        }
-    }
-
-    /// The aggregate value of the current window, if defined.
-    fn current_value(&self) -> Result<Option<Value>> {
-        match &self.accumulator {
-            Some(acc) => Ok(acc.current()),
-            None => {
-                let values: Vec<Value> = self.window.iter().map(|(_, v)| v.clone()).collect();
-                self.func.apply(values.iter())
-            }
         }
     }
 }
@@ -636,19 +584,18 @@ impl WindowAggBatchCursor {
 impl BatchCursor for WindowAggBatchCursor {
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
         let mut out = RecordBatch::with_capacity(1, self.batch_size);
+        let mut stored = 0;
         while out.len() < self.batch_size {
             if self.span.is_empty() || self.cur > self.span.end() {
                 break;
             }
             let o = self.cur;
-            self.fold_input_through(o.saturating_add(self.hi))?;
-            self.evict_below(o.saturating_add(self.lo));
+            stored += self.fold_input_through(o.saturating_add(self.hi))?;
+            self.acc.evict_below(o.saturating_add(self.lo));
             self.cur += 1;
 
-            if !self.window_is_empty() {
-                if let Some(v) = self.current_value()? {
-                    out.push_single(o, v).expect("single aggregate column");
-                }
+            if let Some(v) = self.acc.current() {
+                out.push_single(o, v).expect("single aggregate column");
                 continue;
             }
             // Empty window: jump to the first position whose window can
@@ -660,6 +607,10 @@ impl BatchCursor for WindowAggBatchCursor {
                     // Force a pull on the next iteration.
                 }
             }
+        }
+        self.stats.record_cache_stores(stored);
+        if self.reads_window {
+            self.stats.record_cache_probes(out.len() as u64);
         }
         if out.is_empty() {
             Ok(None)

@@ -10,8 +10,11 @@
 //! in increasing position order, with associative lookup by position. A query
 //! evaluation is *cache-finite* when every operator's cache capacity is a
 //! constant independent of the data (Definition 3.2); the capacity here is
-//! fixed at construction, so using `OpCache` everywhere makes an evaluation
-//! cache-finite by construction.
+//! fixed at construction, so an operator caching through `OpCache` is
+//! cache-finite by construction. Cache-Strategy-B caches its records here;
+//! Cache-Strategy-A caches only the aggregated column, in the typed window
+//! of [`crate::aggregate::SlidingAccumulator`], which holds at most one
+//! value per position of the window.
 
 use std::collections::VecDeque;
 
@@ -54,6 +57,15 @@ impl OpCache {
     /// Insert a record at a position greater than any cached position,
     /// evicting FIFO-style when full.
     pub fn push(&mut self, pos: i64, rec: Record) {
+        self.keep(pos, rec);
+        self.stats.record_cache_store();
+    }
+
+    /// Insert like [`OpCache::push`] but without charging the store: a batch
+    /// kernel reads most records straight off its input batch, caches only
+    /// the tail it still needs once that batch retires, and charges every
+    /// record that passed through with [`OpCache::charge_stores`].
+    pub fn keep(&mut self, pos: i64, rec: Record) {
         debug_assert!(
             self.entries.back().map(|(p, _)| *p < pos).unwrap_or(true),
             "cache pushes must be in increasing position order"
@@ -62,7 +74,11 @@ impl OpCache {
             self.entries.pop_front();
         }
         self.entries.push_back((pos, rec));
-        self.stats.record_cache_store();
+    }
+
+    /// Charge `n` stores at once (see [`OpCache::keep`]).
+    pub fn charge_stores(&self, n: u64) {
+        self.stats.record_cache_stores(n);
     }
 
     /// Evict cached entries at positions strictly below `pos` (the window
@@ -98,17 +114,6 @@ impl OpCache {
             return None;
         }
         self.entries.get(len - 1 - n).map(|(p, r)| (*p, r))
-    }
-
-    /// Iterate cached entries whose positions fall within `[lo, hi]`, in
-    /// increasing position order (Cache-Strategy-A's window read).
-    pub fn range(&self, lo: i64, hi: i64) -> impl Iterator<Item = (i64, &Record)> {
-        self.stats.record_cache_probe();
-        self.entries
-            .iter()
-            .skip_while(move |(p, _)| *p < lo)
-            .take_while(move |(p, _)| *p <= hi)
-            .map(|(p, r)| (*p, r))
     }
 }
 
@@ -167,17 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn range_reads_window() {
-        let mut c = cache(10);
-        for p in [1, 3, 5, 7, 9] {
-            c.push(p, record![p]);
-        }
-        let got: Vec<i64> = c.range(3, 7).map(|(p, _)| p).collect();
-        assert_eq!(got, vec![3, 5, 7]);
-        assert_eq!(c.range(10, 20).count(), 0);
-    }
-
-    #[test]
     fn stats_count_stores_and_probes() {
         let stats = ExecStats::new();
         let mut c = OpCache::new(4, stats.clone());
@@ -187,5 +181,12 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.cache_stores, 2);
         assert_eq!(snap.cache_probes, 1);
+        // Bulk form: `keep` caches without charging, `charge_stores` charges
+        // a run of stores in one update.
+        c.keep(3, record![3i64]);
+        assert_eq!(stats.snapshot().cache_stores, 2);
+        c.charge_stores(5);
+        assert_eq!(stats.snapshot().cache_stores, 7);
+        assert_eq!(c.back().unwrap().0, 3);
     }
 }

@@ -16,7 +16,7 @@
 //!   input at the previous position if it is non-Null." The incremental
 //!   algorithm is not usable in conjunction with probed access (§4.1.2).
 
-use seq_core::{Record, RecordBatch, Result, Span};
+use seq_core::{Record, RecordBatch, Result, Span, Value};
 
 use crate::batch::BatchCursor;
 use crate::cache::OpCache;
@@ -179,16 +179,33 @@ impl Cursor for IncrementalValueOffsetCursor {
 }
 
 /// Vectorized Cache-Strategy-B: [`IncrementalValueOffsetCursor`] batch-at-a-
-/// time. The |offset|-record FIFO [`OpCache`] carries across batch
-/// boundaries, so cache stores and probes are exactly those of the record
-/// path; only the input arrives in batches and the output leaves in batches.
+/// time, emitting runs.
+///
+/// All output positions between two consecutive input positions share one
+/// source row, so the kernel emits each such run column-wise in one step,
+/// reading the source row by index straight off the buffered input batch. A
+/// source may lie up to |offset| rows back, in an earlier batch, so the last
+/// |offset| rows of every retiring input batch enter the [`OpCache`]. Rows
+/// are consumed exactly when the record path consumes them, and the cache
+/// stores it charges one per stored record are charged once per output
+/// batch, with the same total.
 pub struct ValueOffsetBatchCursor {
     input: Box<dyn BatchCursor>,
-    magnitude: usize,
+    magnitude: u64,
     backward: bool,
+    /// The newest rows of retired input batches.
     cache: OpCache,
     in_batch: Option<RecordBatch>,
     in_row: usize,
+    /// Input rows consumed so far, i.e. the index of the next input row.
+    taken: u64,
+    /// Index of `in_batch`'s first row (`taken` when none is buffered).
+    batch_start: u64,
+    /// Forward only: how many of the newest consumed rows lie after the
+    /// current output position (the record path's cached lookahead).
+    ahead: u64,
+    /// Cache stores made since the last charge.
+    uncharged: u64,
     input_done: bool,
     /// Next candidate output position.
     cur: i64,
@@ -212,15 +229,19 @@ impl ValueOffsetBatchCursor {
                 "stream evaluation of a value offset needs a bounded output span".into(),
             ));
         }
-        let magnitude = offset.unsigned_abs() as usize;
+        let magnitude = offset.unsigned_abs();
         let (span, cur) = crate::cursor::span_cursor_start(span);
         Ok(ValueOffsetBatchCursor {
             input,
             magnitude,
             backward: offset < 0,
-            cache: OpCache::new(magnitude, stats),
+            cache: OpCache::new(magnitude as usize, stats),
             in_batch: None,
             in_row: 0,
+            taken: 0,
+            batch_start: 0,
+            ahead: 0,
+            uncharged: 0,
             input_done: false,
             cur,
             span,
@@ -228,7 +249,7 @@ impl ValueOffsetBatchCursor {
         })
     }
 
-    /// Position of the next unconsumed input record, pulling a fresh batch
+    /// Position of the next unconsumed input row, pulling a fresh batch
     /// when the buffered one is spent (never touched before the first
     /// output-position check admits work).
     fn peek_pos(&mut self) -> Result<Option<i64>> {
@@ -237,8 +258,7 @@ impl ValueOffsetBatchCursor {
                 if self.in_row < b.len() {
                     return Ok(Some(b.positions()[self.in_row]));
                 }
-                self.in_batch = None;
-                self.in_row = 0;
+                self.retire();
             }
             if self.input_done {
                 return Ok(None);
@@ -247,7 +267,6 @@ impl ValueOffsetBatchCursor {
                 Some(b) => {
                     debug_assert!(!b.is_empty());
                     self.in_batch = Some(b);
-                    self.in_row = 0;
                 }
                 None => {
                     self.input_done = true;
@@ -257,83 +276,152 @@ impl ValueOffsetBatchCursor {
         }
     }
 
-    /// Consume the record `peek_pos` just exposed.
-    fn take_input(&mut self) -> (i64, Record) {
-        let b = self.in_batch.as_ref().expect("peeked");
-        let item = b.record(self.in_row);
-        self.in_row += 1;
-        item
+    /// Drop the spent input batch, caching the last |offset| rows a later
+    /// output may still source.
+    fn retire(&mut self) {
+        let Some(b) = self.in_batch.take() else { return };
+        let n = b.len();
+        for i in n.saturating_sub(self.magnitude as usize)..n {
+            let (p, r) = b.record(i);
+            self.cache.keep(p, r);
+        }
+        self.batch_start += n as u64;
+        self.in_row = 0;
     }
 
-    /// One output record, mirroring
-    /// [`IncrementalValueOffsetCursor::next_backward`] step for step so the
-    /// cache sees the identical store sequence.
-    fn emit_backward(&mut self) -> Result<Option<(i64, Record)>> {
+    /// Consume the row `peek_pos` just exposed, returning its position.
+    fn take(&mut self) -> i64 {
+        let b = self.in_batch.as_ref().expect("peeked");
+        let p = b.positions()[self.in_row];
+        self.in_row += 1;
+        self.taken += 1;
+        p
+    }
+
+    /// Position of input row `g`, one of the last |offset| consumed.
+    fn pos_of(&self, g: u64) -> i64 {
+        match g.checked_sub(self.batch_start) {
+            Some(i) => self.in_batch.as_ref().expect("row is buffered").positions()[i as usize],
+            None => self.cached(g).0,
+        }
+    }
+
+    /// Retired input row `g`, from the cache.
+    fn cached(&self, g: u64) -> (i64, &Record) {
+        let back = (self.batch_start - 1 - g) as usize;
+        self.cache.from_back(back).expect("a source row is at most |offset| rows back")
+    }
+
+    /// The next run `(source row, first, last)` of at most `room` outputs,
+    /// consuming input exactly as
+    /// [`IncrementalValueOffsetCursor::next_backward`] does by the time it
+    /// produces output `last`.
+    fn run_backward(&mut self, room: usize) -> Result<Option<(u64, i64, i64)>> {
         loop {
             if self.span.is_empty() || self.cur > self.span.end() {
                 return Ok(None);
             }
             let o = self.cur;
             // Fold every input record strictly below o into the cache.
-            while let Some(p) = self.peek_pos()? {
-                if p >= o {
-                    break;
+            let next = loop {
+                match self.peek_pos()? {
+                    Some(p) if p < o => {
+                        self.take();
+                        self.uncharged += 1;
+                    }
+                    next => break next,
                 }
-                let (p, r) = self.take_input();
-                self.cache.push(p, r);
-            }
-            self.cur += 1;
-            if self.cache.len() >= self.magnitude {
-                let (_, rec) = self.cache.from_back(self.magnitude - 1).expect("len checked");
-                return Ok(Some((o, rec.clone())));
+            };
+            self.cur = o + 1;
+            if self.taken >= self.magnitude {
+                // Every output up to the next input position sees the same
+                // history.
+                let mut last = self.span.end().min(o.saturating_add(room as i64 - 1));
+                if let Some(q) = next {
+                    last = last.min(q);
+                }
+                self.cur = last + 1;
+                return Ok(Some((self.taken - self.magnitude, o, last)));
             }
             // Not enough history yet: jump past the next input record.
-            if self.peek_pos()?.is_none() {
+            if next.is_none() {
                 return Ok(None);
             }
-            let (p, r) = self.take_input();
-            self.cache.push(p, r);
+            let p = self.take();
+            self.uncharged += 1;
             self.cur = self.cur.max(p + 1);
         }
     }
 
-    /// One output record, mirroring
-    /// [`IncrementalValueOffsetCursor::next_forward`].
-    fn emit_forward(&mut self) -> Result<Option<(i64, Record)>> {
+    /// The next run of at most `room` outputs, consuming input exactly as
+    /// [`IncrementalValueOffsetCursor::next_forward`] does.
+    fn run_forward(&mut self, room: usize) -> Result<Option<(u64, i64, i64)>> {
         if self.span.is_empty() || self.cur > self.span.end() {
             return Ok(None);
         }
         let o = self.cur;
-        self.cache.evict_below(o + 1);
-        while self.cache.len() < self.magnitude {
-            if self.peek_pos()?.is_none() {
-                break;
-            }
-            let (p, r) = self.take_input();
+        while self.ahead > 0 && self.pos_of(self.taken - self.ahead) <= o {
+            self.ahead -= 1;
+        }
+        while self.ahead < self.magnitude {
+            let Some(p) = self.peek_pos()? else { break };
+            self.take();
+            // Records at p <= o can never serve later outputs either
+            // (outputs only move forward): drop them uncached.
             if p > o {
-                self.cache.push(p, r);
+                self.ahead += 1;
+                self.uncharged += 1;
             }
         }
-        self.cur += 1;
-        if self.cache.len() >= self.magnitude {
-            let (_, rec) = self.cache.from_back(0).expect("non-empty");
-            return Ok(Some((o, rec.clone())));
+        self.cur = o + 1;
+        if self.ahead < self.magnitude {
+            // Input exhausted: no further output has enough lookahead.
+            return Ok(None);
         }
-        // Input exhausted: no further output has enough lookahead.
-        Ok(None)
+        // Every output before the oldest lookahead row sees the same rows.
+        let oldest = self.pos_of(self.taken - self.magnitude);
+        let last = self.span.end().min(oldest - 1).min(o.saturating_add(room as i64 - 1));
+        self.cur = last + 1;
+        Ok(Some((self.taken - 1, o, last)))
+    }
+
+    /// Append outputs `first..=last`, each a copy of input row `src`.
+    fn emit_run(&self, out: &mut Option<RecordBatch>, src: u64, first: i64, last: i64) {
+        fn fill<'a>(cols: &mut [Vec<Value>], row: impl Iterator<Item = &'a Value>, n: usize) {
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.extend(std::iter::repeat_n(v, n).cloned());
+            }
+        }
+        let n = (last - first + 1) as usize;
+        let buffered = src
+            .checked_sub(self.batch_start)
+            .map(|i| (self.in_batch.as_ref().expect("row is buffered"), i as usize));
+        let arity = match buffered {
+            Some((b, _)) => b.arity(),
+            None => self.cached(src).1.arity(),
+        };
+        let dst = out.get_or_insert_with(|| RecordBatch::with_capacity(arity, self.batch_size));
+        let (positions, cols) = dst.parts_mut();
+        positions.extend(first..=last);
+        match buffered {
+            Some((b, i)) => fill(cols, b.columns().iter().map(|c| &c[i]), n),
+            None => fill(cols, self.cached(src).1.values().iter(), n),
+        }
     }
 }
 
 impl BatchCursor for ValueOffsetBatchCursor {
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
         let mut out: Option<RecordBatch> = None;
-        while out.as_ref().map_or(0, |b| b.len()) < self.batch_size {
-            let item = if self.backward { self.emit_backward()? } else { self.emit_forward()? };
-            let Some((o, rec)) = item else { break };
-            let dst =
-                out.get_or_insert_with(|| RecordBatch::with_capacity(rec.arity(), self.batch_size));
-            dst.push_record(o, &rec)?;
+        let mut room = self.batch_size;
+        while room > 0 {
+            let run =
+                if self.backward { self.run_backward(room)? } else { self.run_forward(room)? };
+            let Some((src, first, last)) = run else { break };
+            self.emit_run(&mut out, src, first, last);
+            room -= (last - first + 1) as usize;
         }
+        self.cache.charge_stores(std::mem::take(&mut self.uncharged));
         Ok(out)
     }
 

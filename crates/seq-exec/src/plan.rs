@@ -692,6 +692,7 @@ impl PhysNode {
                         *window,
                         *span,
                         *strategy == AggStrategy::CacheAIncremental,
+                        ctx.op_stats(id),
                         batch_size,
                     )?),
                     Window::Cumulative => Box::new(CumulativeAggBatchCursor::new(

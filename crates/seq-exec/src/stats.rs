@@ -104,28 +104,36 @@ impl ExecStats {
         }
     }
 
+    /// Add `n` to one counter as a single folded (per-batch) update, teed
+    /// into the parent scope; an empty batch charges nothing.
+    fn add_folded(&self, n: u64, counter: fn(&ExecStatsInner) -> &AtomicU64) {
+        if n == 0 {
+            return;
+        }
+        for inner in std::iter::once(&*self.inner).chain(self.parent.as_deref()) {
+            counter(inner).fetch_add(n, Ordering::Relaxed);
+            inner.stat_folds.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Charge `n` output records with a single atomic add (batch path).
     pub fn record_outputs(&self, n: u64) {
-        if n > 0 {
-            self.inner.output_records.fetch_add(n, Ordering::Relaxed);
-            self.inner.stat_folds.fetch_add(1, Ordering::Relaxed);
-            if let Some(p) = &self.parent {
-                p.output_records.fetch_add(n, Ordering::Relaxed);
-                p.stat_folds.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.add_folded(n, |s| &s.output_records);
     }
 
     /// Charge `n` predicate applications with a single atomic add.
     pub fn record_predicate_evals(&self, n: u64) {
-        if n > 0 {
-            self.inner.predicate_evals.fetch_add(n, Ordering::Relaxed);
-            self.inner.stat_folds.fetch_add(1, Ordering::Relaxed);
-            if let Some(p) = &self.parent {
-                p.predicate_evals.fetch_add(n, Ordering::Relaxed);
-                p.stat_folds.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.add_folded(n, |s| &s.predicate_evals);
+    }
+
+    /// Charge `n` operator-cache stores with a single atomic add (batch path).
+    pub fn record_cache_stores(&self, n: u64) {
+        self.add_folded(n, |s| &s.cache_stores);
+    }
+
+    /// Charge `n` operator-cache probes with a single atomic add (batch path).
+    pub fn record_cache_probes(&self, n: u64) {
+        self.add_folded(n, |s| &s.cache_probes);
     }
 
     /// Charge one batch passed downstream with its selection carried (not

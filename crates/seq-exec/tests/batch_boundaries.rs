@@ -593,6 +593,7 @@ fn empty_span_cursors_yield_nothing_without_touching_input() {
             Window::trailing(4),
             Span::empty(),
             incremental,
+            ExecStats::new(),
             16,
         )
         .unwrap();

@@ -244,21 +244,14 @@ fn batched_execution_preserves_access_accounting() {
             exec1.predicate_evals, exec2.predicate_evals,
             "plan {name:?}: predicate accounting diverged"
         );
-        // Sliding-window aggregates are exempt from cache-counter equality:
-        // the PR-1 batch kernel keeps its window in a plain column buffer
-        // rather than the record path's instrumented FIFO `OpCache` (same
-        // results, different bookkeeping). Cache-B value offsets share the
-        // `OpCache` across both paths, so their traffic is exact.
-        if !name.starts_with("window-") && name != "agg-over-select" {
-            assert_eq!(
-                exec1.cache_stores, exec2.cache_stores,
-                "plan {name:?}: cache-store accounting diverged"
-            );
-            assert_eq!(
-                exec1.cache_probes, exec2.cache_probes,
-                "plan {name:?}: cache-probe accounting diverged"
-            );
-        }
+        assert_eq!(
+            exec1.cache_stores, exec2.cache_stores,
+            "plan {name:?}: cache-store accounting diverged"
+        );
+        assert_eq!(
+            exec1.cache_probes, exec2.cache_probes,
+            "plan {name:?}: cache-probe accounting diverged"
+        );
         assert_eq!(
             exec1.output_records, exec2.output_records,
             "plan {name:?}: output accounting diverged"

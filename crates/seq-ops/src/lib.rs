@@ -30,6 +30,6 @@ pub use graph::{
     BoundOp, NodeId, QueryGraph, QueryNode, ResolvedGraph, ResolvedKind, ResolvedNode,
     SchemaProvider,
 };
-pub use operator::{AggFunc, SeqOperator, Window};
+pub use operator::{float_result, AggFold, AggFunc, SeqOperator, Window};
 pub use scope::{ScopeShape, ScopeSize};
 pub use semantics::{ReferenceEvaluator, SequenceProvider};

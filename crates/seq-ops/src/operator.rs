@@ -61,61 +61,123 @@ impl AggFunc {
     /// Apply the aggregate to the non-Null values collected from the scope.
     /// Returns `None` (a Null output record) when the iterator is empty.
     pub fn apply<'a>(self, values: impl Iterator<Item = &'a Value>) -> Result<Option<Value>> {
-        let mut count: i64 = 0;
-        let mut sum_f = 0.0f64;
-        let mut sum_i: i64 = 0;
-        let mut all_int = true;
-        let mut best: Option<Value> = None;
+        let mut fold = AggFold::new(self);
         for v in values {
-            count += 1;
-            match self {
-                AggFunc::Count => {}
-                AggFunc::Sum | AggFunc::Avg => {
-                    match v {
-                        Value::Int(i) => {
-                            sum_i = sum_i.wrapping_add(*i);
-                            sum_f += *i as f64;
-                        }
-                        Value::Float(f) => {
-                            all_int = false;
-                            sum_f += f;
-                        }
-                        other => {
-                            return Err(SeqError::Type(format!(
-                                "{self} requires numeric values, found {}",
-                                other.attr_type()
-                            )))
-                        }
-                    };
-                }
-                AggFunc::Min | AggFunc::Max => match &best {
-                    None => best = Some(v.clone()),
-                    Some(b) => {
-                        let ord = v.total_cmp(b)?;
-                        let better = if self == AggFunc::Min { ord.is_lt() } else { ord.is_gt() };
-                        if better {
-                            best = Some(v.clone());
-                        }
-                    }
-                },
-            }
+            fold.push(v)?;
         }
-        if count == 0 {
-            return Ok(None);
-        }
-        Ok(Some(match self {
-            AggFunc::Count => Value::Int(count),
-            AggFunc::Avg => Value::Float(sum_f / count as f64),
-            AggFunc::Sum => {
-                if all_int {
-                    Value::Int(sum_i)
-                } else {
-                    Value::Float(sum_f)
-                }
-            }
-            AggFunc::Min | AggFunc::Max => best.expect("count > 0"),
-        }))
+        Ok(fold.finish())
     }
+}
+
+/// The running state of one left-to-right aggregate fold — the single
+/// definition of what [`AggFunc::apply`] computes, fed value by value or
+/// slice by slice.
+///
+/// Float sums start from `0.0` and add in push order, so two folds that see
+/// the same values in the same order agree bit for bit however the values
+/// were chunked (whole-span aggregates fold batch by batch, a recomputing
+/// window folds the two halves of its ring). Min/Max keep the first of equal
+/// values.
+#[derive(Debug, Clone)]
+pub struct AggFold {
+    func: AggFunc,
+    count: i64,
+    sum_f: f64,
+    sum_i: i64,
+    all_int: bool,
+    best: Option<Value>,
+}
+
+impl AggFold {
+    /// An empty fold.
+    pub fn new(func: AggFunc) -> AggFold {
+        AggFold { func, count: 0, sum_f: 0.0, sum_i: 0, all_int: true, best: None }
+    }
+
+    /// Fold in the next value.
+    pub fn push(&mut self, v: &Value) -> Result<()> {
+        match self.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => match v {
+                Value::Int(i) => {
+                    self.sum_i = self.sum_i.wrapping_add(*i);
+                    self.sum_f += *i as f64;
+                }
+                Value::Float(f) => {
+                    self.all_int = false;
+                    self.sum_f += f;
+                }
+                other => {
+                    return Err(SeqError::Type(format!(
+                        "{} requires numeric values, found {}",
+                        self.func,
+                        other.attr_type()
+                    )))
+                }
+            },
+            AggFunc::Min | AggFunc::Max => match &self.best {
+                None => self.best = Some(v.clone()),
+                Some(b) => {
+                    let ord = v.total_cmp(b)?;
+                    let better = if self.func == AggFunc::Min { ord.is_lt() } else { ord.is_gt() };
+                    if better {
+                        self.best = Some(v.clone());
+                    }
+                }
+            },
+        }
+        self.count += 1;
+        Ok(())
+    }
+
+    /// Fold in a run of float values, in order: for Sum/Avg a plain loop of
+    /// adds with no per-value variant match.
+    pub fn push_f64s(&mut self, xs: &[f64]) -> Result<()> {
+        if !matches!(self.func, AggFunc::Sum | AggFunc::Avg) {
+            return xs.iter().try_for_each(|&x| self.push(&Value::Float(x)));
+        }
+        for &x in xs {
+            self.sum_f += x;
+        }
+        self.all_int &= xs.is_empty();
+        self.count += xs.len() as i64;
+        Ok(())
+    }
+
+    /// Fold in a run of integer values, in order.
+    pub fn push_i64s(&mut self, xs: &[i64]) -> Result<()> {
+        if !matches!(self.func, AggFunc::Sum | AggFunc::Avg) {
+            return xs.iter().try_for_each(|&i| self.push(&Value::Int(i)));
+        }
+        for &i in xs {
+            self.sum_i = self.sum_i.wrapping_add(i);
+            self.sum_f += i as f64;
+        }
+        self.count += xs.len() as i64;
+        Ok(())
+    }
+
+    /// The aggregate of everything folded so far; `None` when nothing was.
+    pub fn finish(&self) -> Option<Value> {
+        if self.count == 0 {
+            return None;
+        }
+        Some(match self.func {
+            AggFunc::Count => Value::Int(self.count),
+            AggFunc::Avg => float_result(self.sum_f / self.count as f64),
+            AggFunc::Sum if self.all_int => Value::Int(self.sum_i),
+            AggFunc::Sum => float_result(self.sum_f),
+            AggFunc::Min | AggFunc::Max => self.best.clone().expect("count > 0"),
+        })
+    }
+}
+
+/// A float Sum/Avg result as a value. Which NaN an arithmetic NaN carries
+/// (sign, payload) is unspecified — the optimizer may swap the operands of
+/// an add — so every evaluation path reports a NaN sum or mean as the one
+/// canonical `f64::NAN`, keeping results bit-identical across paths.
+pub fn float_result(x: f64) -> Value {
+    Value::Float(if x.is_nan() { f64::NAN } else { x })
 }
 
 impl fmt::Display for AggFunc {
@@ -416,6 +478,44 @@ mod tests {
         assert_eq!(AggFunc::Max.apply(vals.iter()).unwrap(), Some(Value::Float(4.0)));
         // Empty scope yields a Null output record.
         assert_eq!(AggFunc::Sum.apply([].iter()).unwrap(), None);
+    }
+
+    #[test]
+    fn chunked_folds_match_apply_bit_for_bit() {
+        // Large-magnitude cancellations make the float sum order-sensitive;
+        // slicing the same sequence into runs must not change its bits.
+        let xs = [1e16, 1.0, -1e16, 1.0, -0.0, 3.5e-320, 0.1, 0.2];
+        let vals: Vec<Value> = xs.iter().map(|&x| Value::Float(x)).collect();
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max, AggFunc::Count] {
+            let want = func.apply(vals.iter()).unwrap().unwrap();
+            for cut in 0..=xs.len() {
+                let mut fold = AggFold::new(func);
+                fold.push_f64s(&xs[..cut]).unwrap();
+                fold.push_f64s(&xs[cut..]).unwrap();
+                let got = fold.finish().unwrap();
+                assert_eq!(
+                    got.as_f64().unwrap().to_bits(),
+                    want.as_f64().unwrap().to_bits(),
+                    "{func} cut at {cut}"
+                );
+            }
+        }
+        let ints = [i64::MAX, 1, -5];
+        let want = AggFunc::Avg.apply(ints.map(Value::Int).iter()).unwrap();
+        let mut fold = AggFold::new(AggFunc::Avg);
+        fold.push_i64s(&ints).unwrap();
+        assert_eq!(fold.finish(), want);
+        // A sum of negative zeros starts from +0.0, as `apply` does.
+        let mut fold = AggFold::new(AggFunc::Sum);
+        fold.push_f64s(&[-0.0, -0.0]).unwrap();
+        assert_eq!(fold.finish().unwrap().as_f64().unwrap().to_bits(), 0.0f64.to_bits());
+        // Whichever NaN the adds propagate, a NaN sum or mean is canonical.
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            let mut fold = AggFold::new(func);
+            fold.push_f64s(&[-f64::NAN, f64::INFINITY, f64::NAN]).unwrap();
+            let got = fold.finish().unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), f64::NAN.to_bits(), "{func}");
+        }
     }
 
     #[test]
