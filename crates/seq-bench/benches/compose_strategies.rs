@@ -1,7 +1,7 @@
-//! Compose join strategies, tuple vs batch: the same positional join run
-//! under Join-Strategy-B (lock-step merge) and Join-Strategy-A (stream one
-//! side, probe the other — both orientations), each on the record-at-a-time
-//! and the vectorized path. Two overlap profiles bracket the trade-off:
+//! Compose join strategies (the Figure 4 contrast): the same positional join
+//! run under Join-Strategy-B (lock-step merge) and Join-Strategy-A (stream
+//! one side, probe the other — both orientations). Two overlap profiles
+//! bracket the trade-off:
 //!
 //! * **dense** — both inputs populate every position, so lock-step streams
 //!   both sides once and Strategy-A pays a point probe per match: the
@@ -10,15 +10,16 @@
 //!   the sparse side and probes only where it can match, while lock-step
 //!   drags the dense side through every position.
 //!
-//! Reports tuple→batch speedups per (overlap, strategy) cell and records
-//! them in `BENCH_compose.json` at the repo root (same shape as
-//! `BENCH_pushdown.json`).
+//! Reports the time per (overlap, strategy) cell and records it in
+//! `BENCH_compose.json` at the repo root (same shape as
+//! `BENCH_pushdown.json`), with the sparse profile's lock-step time over its
+//! best Strategy-A time as the headline.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{execute, execute_batched, ExecContext, JoinStrategy, PhysNode, PhysPlan};
+use seq_exec::{execute, ExecContext, JoinStrategy, PhysNode, PhysPlan};
 use seq_storage::Catalog;
 use seq_workload::Rng;
 
@@ -74,31 +75,26 @@ fn time_once<F: FnMut() -> usize>(f: &mut F) -> Duration {
     start.elapsed()
 }
 
-/// Interleaved min-of-`SAMPLES` for one cell; returns `(tuple, batch, rows)`.
-fn measure(catalog: &Catalog, plan: &PhysPlan) -> (Duration, Duration, usize) {
+/// Interleaved min-of-`SAMPLES` over every cell; returns `(time, rows)` per
+/// cell, in [`cases`] order.
+fn measure(catalog: &Catalog) -> Vec<(Duration, usize)> {
     const SAMPLES: usize = 7;
-    let mut run_tuple = || {
-        let ctx = ExecContext::new(catalog);
-        execute(plan, &ctx).unwrap().len()
-    };
-    let mut run_batch = || {
-        let ctx = ExecContext::new(catalog);
-        execute_batched(plan, &ctx).unwrap().len()
-    };
-    let (mut t_tuple, mut t_batch) = (Duration::MAX, Duration::MAX);
+    let plans: Vec<PhysPlan> =
+        cases().into_iter().map(|(_, l, r, strategy)| compose_plan(l, r, strategy)).collect();
+    let run = |plan: &PhysPlan| execute(plan, &ExecContext::new(catalog)).unwrap().len();
+    let mut best = vec![Duration::MAX; plans.len()];
     for _ in 0..SAMPLES {
-        t_tuple = t_tuple.min(time_once(&mut run_tuple));
-        t_batch = t_batch.min(time_once(&mut run_batch));
+        for (plan, best) in plans.iter().zip(&mut best) {
+            *best = (*best).min(time_once(&mut || run(plan)));
+        }
     }
-    let rows = run_batch();
-    (t_tuple, t_batch, rows)
+    best.into_iter().zip(plans.iter().map(run)).collect()
 }
 
 fn bench(c: &mut Criterion) {
     let catalog = build_catalog();
 
-    // Correctness anchors: every strategy yields the same join result, and
-    // the batched path is bit-identical to the tuple path on every cell.
+    // Correctness anchor: every strategy yields the same join result.
     let strategies = [
         JoinStrategy::LockStep,
         JoinStrategy::StreamLeftProbeRight,
@@ -115,12 +111,6 @@ fn bench(c: &mut Criterion) {
                 reference,
                 "{left}∘{right} under {strategy:?} diverged from lock-step"
             );
-            let ctx = ExecContext::new(&catalog);
-            assert_eq!(
-                execute_batched(&plan, &ctx).unwrap(),
-                reference,
-                "batched {left}∘{right} under {strategy:?} diverged from tuple path"
-            );
         }
     }
 
@@ -128,42 +118,30 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for (label, left, right, strategy) in cases() {
         let plan = compose_plan(left, right, strategy);
-        group.bench_function(format!("{label}/tuple"), |b| {
+        group.bench_function(label, |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
                 execute(&plan, &ctx).unwrap().len()
-            })
-        });
-        group.bench_function(format!("{label}/batch"), |b| {
-            b.iter(|| {
-                let ctx = ExecContext::new(&catalog);
-                execute_batched(&plan, &ctx).unwrap().len()
             })
         });
     }
     group.finish();
 
     let mut fields = String::new();
-    let mut headline = 0.0f64;
+    let mut ms = std::collections::HashMap::new();
     println!("\ncompose_strategies summary:");
-    for (label, left, right, strategy) in cases() {
-        let plan = compose_plan(left, right, strategy);
-        let (tuple, batch, rows) = measure(&catalog, &plan);
-        let speedup = tuple.as_secs_f64() / batch.as_secs_f64();
-        if label == "dense_lockstep" {
-            headline = speedup;
-        }
-        println!("  {label}: tuple {tuple:?} -> batch {batch:?} ({speedup:.2}x, {rows} rows)");
+    for ((label, ..), (time, rows)) in cases().into_iter().zip(measure(&catalog)) {
+        println!("  {label}: {time:?} ({rows} rows)");
+        ms.insert(label, time.as_secs_f64() * 1e3);
         fields.push_str(&format!(
-            "  \"{label}_rows\": {rows},\n  \"{label}_tuple_ms\": {:.3},\n  \"{label}_batch_ms\": {:.3},\n  \"{label}_speedup\": {:.2},\n",
-            tuple.as_secs_f64() * 1e3,
-            batch.as_secs_f64() * 1e3,
-            speedup,
+            "  \"{label}_rows\": {rows},\n  \"{label}_ms\": {:.3},\n",
+            time.as_secs_f64() * 1e3,
         ));
     }
+    let headline = ms["sparse_lockstep"] / ms["sparse_stream_left"].min(ms["sparse_stream_right"]);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"compose_strategies\",\n  \"plan\": \"positional self-join over 1M dense / ~50k sparse records, Strategy-A both orientations vs Strategy-B, tuple vs batch\",\n  \"input_records\": {N},\n  \"sparse_density\": {SPARSE_DENSITY},\n  \"page_capacity\": {},\n  \"batch_size\": {},\n  \"samples_per_path\": 7,\n  \"statistic\": \"min of interleaved samples\",\n{fields}  \"headline\": \"dense_lockstep batch over tuple\",\n  \"headline_speedup\": {headline:.2}\n}}\n",
+        "{{\n  \"benchmark\": \"compose_strategies\",\n  \"plan\": \"positional self-join over 1M dense / ~50k sparse records, Strategy-A both orientations vs Strategy-B\",\n  \"input_records\": {N},\n  \"sparse_density\": {SPARSE_DENSITY},\n  \"page_capacity\": {},\n  \"batch_size\": {},\n  \"samples_per_cell\": 7,\n  \"statistic\": \"min of interleaved samples\",\n{fields}  \"headline\": \"sparse_lockstep over the faster sparse Strategy-A orientation\",\n  \"headline_speedup\": {headline:.2}\n}}\n",
         seq_storage::DEFAULT_PAGE_CAPACITY,
         seq_exec::DEFAULT_BATCH_SIZE,
     );

@@ -11,8 +11,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
 use seq_exec::{
-    execute_batched, execute_parallel_with, AggStrategy, ExecContext, ParallelConfig, PhysNode,
-    PhysPlan,
+    execute, execute_parallel_with, AggStrategy, ExecContext, ParallelConfig, PhysNode, PhysPlan,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -34,8 +33,8 @@ fn build_catalog() -> Catalog {
     catalog
 }
 
-/// select(close > 30) → project(close) → 16-day trailing average — the same
-/// plan `batch_vs_tuple` measures, and fully position-partitionable.
+/// select(close > 30) → project(close) → 16-day trailing average — the
+/// headline plan, and fully position-partitionable.
 fn plan() -> PhysPlan {
     let span = Span::new(1, N);
     let sch = schema(&[("time", AttrType::Int), ("close", AttrType::Float)]);
@@ -89,7 +88,7 @@ fn bench(c: &mut Criterion) {
     // Recorded artifact: interleaved min-of-7 sweep, anchored by a sanity
     // check that every degree returns the sequential batch-path rows.
     let ctx = ExecContext::new(&catalog);
-    let rows = execute_batched(&plan, &ctx).unwrap();
+    let rows = execute(&plan, &ctx).unwrap();
     for workers in WORKER_SWEEP {
         let ctx = ExecContext::new(&catalog);
         let got =

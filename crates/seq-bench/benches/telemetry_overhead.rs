@@ -1,6 +1,6 @@
-//! Always-on telemetry overhead: the headline batch plan (the same
-//! select → project → window-avg over a million records `batch_vs_tuple`
-//! times) run with the session metrics registry detached vs attached.
+//! Always-on telemetry overhead: the headline batch plan (select → project
+//! → window-avg over a million records) run with the session metrics
+//! registry detached vs attached.
 //! Telemetry charges O(1) work per query — two clock reads, four counter
 //! snapshots, a dozen relaxed atomic adds, one trace-ring push — so the
 //! measured overhead should be indistinguishable from noise and far under
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_bench::validate::check_document;
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{execute_batched, AggStrategy, ExecContext, PhysNode, PhysPlan, SessionMetrics};
+use seq_exec::{execute, AggStrategy, ExecContext, PhysNode, PhysPlan, SessionMetrics};
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
 use seq_workload::Rng;
@@ -36,8 +36,8 @@ fn build_catalog() -> Catalog {
     catalog
 }
 
-/// select(close > 30) → project(close) → 16-day trailing average — the same
-/// headline plan `batch_vs_tuple` records.
+/// select(close > 30) → project(close) → 16-day trailing average — the
+/// headline plan.
 fn plan() -> PhysPlan {
     let span = Span::new(1, N);
     let sch = schema(&[("time", AttrType::Int), ("close", AttrType::Float)]);
@@ -77,14 +77,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut ctx = ExecContext::new(&catalog);
             ctx.telemetry = None;
-            execute_batched(&plan, &ctx).unwrap().len()
+            execute(&plan, &ctx).unwrap().len()
         })
     });
     group.bench_function("telemetry_on", |b| {
         b.iter(|| {
             let mut ctx = ExecContext::new(&catalog);
             ctx.share_telemetry(&metrics);
-            execute_batched(&plan, &ctx).unwrap().len()
+            execute(&plan, &ctx).unwrap().len()
         })
     });
     group.finish();
@@ -94,22 +94,22 @@ fn bench(c: &mut Criterion) {
     // noise hits both alike, and each reports its best observed time.
     let mut ctx = ExecContext::new(&catalog);
     ctx.telemetry = None;
-    let rows_off = execute_batched(&plan, &ctx).unwrap();
+    let rows_off = execute(&plan, &ctx).unwrap();
     let mut ctx = ExecContext::new(&catalog);
     ctx.share_telemetry(&metrics);
-    let rows_on = execute_batched(&plan, &ctx).unwrap();
+    let rows_on = execute(&plan, &ctx).unwrap();
     assert_eq!(rows_off, rows_on, "telemetry must not change results");
 
     const SAMPLES: usize = 7;
     let mut run_off = || {
         let mut ctx = ExecContext::new(&catalog);
         ctx.telemetry = None;
-        execute_batched(&plan, &ctx).unwrap().len()
+        execute(&plan, &ctx).unwrap().len()
     };
     let mut run_on = || {
         let mut ctx = ExecContext::new(&catalog);
         ctx.share_telemetry(&metrics);
-        execute_batched(&plan, &ctx).unwrap().len()
+        execute(&plan, &ctx).unwrap().len()
     };
     let (mut off, mut on) = (Duration::MAX, Duration::MAX);
     for _ in 0..SAMPLES {

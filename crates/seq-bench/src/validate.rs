@@ -1,6 +1,6 @@
 //! Schema validation for the harness's hand-rolled JSON exports.
 //!
-//! Three document kinds, dispatched by [`check_document`] on their
+//! Four document kinds, dispatched by [`check_document`] on their
 //! distinguishing top-level keys:
 //!
 //! - **profiles** — bare `QueryProfile` exports or EXPLAIN ANALYZE reports
@@ -15,12 +15,7 @@
 //!   latency rows, plan-cache counters with a consistent hit rate, the
 //!   cached-vs-uncached latency comparison, the load-shed accounting, and
 //!   (when present) the hottest plan templates with their latency digests
-//!   ([`check_serve`]);
-//! - **selection benchmarks** — the `selection_pipeline` artifact
-//!   (`BENCH_selection.json`, `selection_version: 1`): tuple vs
-//!   selection-carrying batch timings per cell, the bytes-decoded drop from late
-//!   materialization, and the differential-equivalence summary
-//!   ([`check_selection`]).
+//!   ([`check_serve`]).
 //!
 //! The `profile_check` binary is a thin CLI over [`check_document`]; the
 //! checks live here so integration tests can validate in-process exports
@@ -38,76 +33,9 @@ pub fn check_document(text: &str) -> Result<String, String> {
         check_metrics(&doc)
     } else if doc.get("serve_version").is_some() {
         check_serve(&doc)
-    } else if doc.get("selection_version").is_some() {
-        check_selection(&doc)
     } else {
         check_profile(&doc)
     }
-}
-
-/// Validate a `selection_pipeline` benchmark artifact (`BENCH_selection.json`,
-/// `selection_version: 1`): per-cell timings for the tuple and
-/// selection-carrying batch executions of the same filtered scan, the speedup
-/// derived from them, the bytes-decoded comparison showing late
-/// materialization paying off, and the differential summary asserting both
-/// paths produced bit-identical rows.
-pub fn check_selection(doc: &Json) -> Result<String, String> {
-    if doc.get("selection_version").and_then(Json::as_f64) != Some(1.0) {
-        return Err("missing or unexpected selection_version".into());
-    }
-    for key in ["rows", "batch_size"] {
-        if doc.get(key).and_then(Json::as_f64).is_none() {
-            return Err(format!("missing numeric {key:?}"));
-        }
-    }
-    let cells = doc.get("cells").and_then(Json::as_array).ok_or("missing cells array")?;
-    if cells.is_empty() {
-        return Err("empty cells array".into());
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        if cell.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("cell {i} missing name"));
-        }
-        for key in [
-            "selectivity",
-            "tuple_ms",
-            "carry_ms",
-            "speedup_vs_tuple",
-            "rows_out",
-            "bytes_decoded_tuple",
-            "bytes_decoded_carry",
-            "columns_pruned",
-            "selections_carried",
-            "slots_compacted",
-        ] {
-            match cell.get(key).and_then(Json::as_f64) {
-                Some(n) if n >= 0.0 => {}
-                _ => return Err(format!("cell {i} missing non-negative {key:?}")),
-            }
-        }
-        // The speedup is derived from the two timings it sits between; a
-        // stale or hand-edited number must not slip through.
-        let tuple_ms = cell.get("tuple_ms").and_then(Json::as_f64).unwrap_or(0.0);
-        let carry_ms = cell.get("carry_ms").and_then(Json::as_f64).unwrap_or(0.0);
-        let speedup = cell.get("speedup_vs_tuple").and_then(Json::as_f64).unwrap_or(0.0);
-        if carry_ms > 0.0 && (speedup - tuple_ms / carry_ms).abs() > 1e-6 * speedup.max(1.0) {
-            return Err(format!(
-                "cell {i}: speedup_vs_tuple {speedup} inconsistent with tuple_ms/carry_ms"
-            ));
-        }
-    }
-    let eq = doc.get("equivalence").ok_or("missing equivalence summary")?;
-    match eq.get("plans").and_then(Json::as_f64) {
-        Some(n) if n > 0.0 => {}
-        _ => return Err("equivalence missing positive plan count".into()),
-    }
-    if !matches!(eq.get("rows_identical"), Some(Json::Bool(true))) {
-        return Err("equivalence.rows_identical must be true".into());
-    }
-    if !matches!(eq.get("counters_exact"), Some(Json::Bool(true))) {
-        return Err("equivalence.counters_exact must be true".into());
-    }
-    Ok(format!("selection: {} cells, equivalence over plans verified", cells.len()))
 }
 
 /// Validate a `serve_throughput` benchmark artifact (`serve_version: 1`):
@@ -236,7 +164,7 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
             return Err(format!("operator {i} missing label"));
         }
         match op.get("mode").and_then(Json::as_str) {
-            Some("batch" | "batch+sel" | "tuple" | "fused") => {}
+            Some("batch" | "batch+sel" | "fused" | "probe") => {}
             Some(m) => return Err(format!("operator {i} has unknown mode {m:?}")),
             None => return Err(format!("operator {i} missing mode")),
         }
@@ -290,7 +218,7 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
                 }
             }
             match est.get("mode").and_then(Json::as_str) {
-                Some("batch" | "batch+sel" | "tuple" | "fused") => {}
+                Some("batch" | "batch+sel" | "fused" | "probe") => {}
                 _ => return Err(format!("estimate {i} missing or unknown mode")),
             }
             if !matches!(est.get("divergent"), Some(Json::Bool(_))) {
@@ -375,7 +303,7 @@ pub fn check_metrics(doc: &Json) -> Result<String, String> {
     }
     let paths = doc.get("paths").ok_or("missing paths")?;
     let mut path_total = 0.0;
-    for key in ["tuple", "batch", "parallel", "probe"] {
+    for key in ["batch", "parallel", "probe"] {
         match paths.get(key).and_then(Json::as_f64) {
             Some(n) => path_total += n,
             None => return Err(format!("paths missing numeric {key:?}")),
@@ -604,32 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_checker_enforces_consistency() {
-        let doc = |speedup: &str, identical: &str| {
-            format!(
-                r#"{{"benchmark": "selection_pipeline", "selection_version": 1,
-                    "rows": 100000, "batch_size": 4096,
-                    "cells": [
-                        {{"name": "plain_filter", "selectivity": 0.05,
-                          "tuple_ms": 10.0, "carry_ms": 5.0,
-                          "speedup_vs_tuple": {speedup}, "rows_out": 5000,
-                          "bytes_decoded_tuple": 800000, "bytes_decoded_carry": 200000,
-                          "columns_pruned": 120, "selections_carried": 25,
-                          "slots_compacted": 0}}
-                    ],
-                    "equivalence": {{"plans": 12, "rows_identical": {identical},
-                                     "counters_exact": true}}}}"#
-            )
-        };
-        let good = doc("2.0", "true");
-        assert!(check_document(&good).is_ok(), "{:?}", check_document(&good));
-        let bad_speedup = doc("3.5", "true");
-        assert!(check_document(&bad_speedup).unwrap_err().contains("speedup_vs_tuple"));
-        let bad_rows = doc("2.0", "false");
-        assert!(check_document(&bad_rows).unwrap_err().contains("rows_identical"));
-    }
-
-    #[test]
     fn metrics_checker_rejects_inconsistencies() {
         let doc = |paths: &str, p50: &str| {
             format!(
@@ -658,11 +560,11 @@ mod tests {
                     "trace": {{"recorded": 1, "dropped": 0, "capacity": 4096}}}}"#
             )
         };
-        let good = doc(r#"{"tuple": 1, "batch": 0, "parallel": 0, "probe": 0}"#, "1.0");
+        let good = doc(r#"{"batch": 1, "parallel": 0, "probe": 0}"#, "1.0");
         assert!(check_document(&good).is_ok(), "{:?}", check_document(&good));
-        let bad_paths = doc(r#"{"tuple": 0, "batch": 0, "parallel": 0, "probe": 0}"#, "1.0");
+        let bad_paths = doc(r#"{"batch": 0, "parallel": 0, "probe": 0}"#, "1.0");
         assert!(check_document(&bad_paths).unwrap_err().contains("per-path"));
-        let bad_pct = doc(r#"{"tuple": 1, "batch": 0, "parallel": 0, "probe": 0}"#, "null");
+        let bad_pct = doc(r#"{"batch": 1, "parallel": 0, "probe": 0}"#, "null");
         assert!(check_document(&bad_pct).unwrap_err().contains("null with"));
     }
 }

@@ -2,24 +2,25 @@
 //!
 //! Strategies:
 //!
-//! - **Cache-Strategy-A** ([`WindowAggCursor`]): stream the input once,
-//!   holding the effective scope in a window sized by the data it covers, so
-//!   "the Sum operator at every position needs to access the input sequence
-//!   only at that position" (§3.5). The window is a [`SlidingAccumulator`]:
-//!   a typed ring of the cached values beside their positions. Float Sum/Avg
-//!   are recomputed from the ring on every emit, left to right, exactly as
-//!   the paper describes (and bit-identical to [`AggFunc::apply`]); Count,
-//!   Min/Max and integer Sum are exact in any order, so they read O(1)
-//!   running state instead.
+//! - **Cache-Strategy-A** ([`crate::batch::WindowAggBatchCursor`]): stream
+//!   the input once, holding the effective scope in a window sized by the
+//!   data it covers, so "the Sum operator at every position needs to access
+//!   the input sequence only at that position" (§3.5). The window is a
+//!   [`SlidingAccumulator`]: a typed ring of the cached values beside their
+//!   positions. Float Sum/Avg are recomputed from the ring on every emit,
+//!   left to right, exactly as the paper describes (and bit-identical to
+//!   [`AggFunc::apply`]); Count, Min/Max and integer Sum are exact in any
+//!   order, so they read O(1) running state instead.
 //! - **Incremental**: a standard refinement of Cache-A that also keeps float
 //!   Sum/Avg as running sums (add on arrival, subtract on eviction), so every
 //!   slide costs O(1) amortized at the price of last-ulp drift.
-//! - **Naive** ([`NaiveAggCursor`] / [`AggProbe`]): for every output
-//!   position, probe the input at each window position — w probes per
-//!   output, the repeated-retrieval cost caching eliminates.
+//! - **Naive** ([`AggProbe`]): for every output position, probe the input
+//!   at each window position — w probes per output, the repeated-retrieval
+//!   cost caching eliminates. Streamed, it is a walk over those probes
+//!   ([`crate::batch::ProbeWalkBatchCursor`]).
 //!
-//! Cumulative and whole-span windows get dedicated cursors
-//! ([`CumulativeAggCursor`], [`WholeSpanAggCursor`]).
+//! Cumulative and whole-span windows get dedicated kernels
+//! ([`CumulativeAggBatchCursor`], [`WholeSpanAggBatchCursor`]).
 
 use std::collections::VecDeque;
 
@@ -27,7 +28,7 @@ use seq_core::{Record, RecordBatch, Result, SeqError, Span, Value};
 use seq_ops::{float_result, AggFold, AggFunc, Window};
 
 use crate::batch::BatchCursor;
-use crate::cursor::{Cursor, PointAccess};
+use crate::probe::PointAccess;
 use crate::stats::ExecStats;
 
 /// The window's value payload, beside its positions: typed while every
@@ -344,304 +345,10 @@ pub(crate) fn window_state(func: AggFunc, incremental: bool) -> SlidingAccumulat
     }
 }
 
-/// Cache-Strategy-A over a sliding window `[i+lo, i+hi]`.
-///
-/// Every input record entering the window is charged as one cache store;
-/// under Cache-A (not the incremental refinement) every emitted value is
-/// one read of the cached window, charged as one cache probe.
-pub struct WindowAggCursor {
-    input: Box<dyn Cursor>,
-    attr_index: usize,
-    lo: i64,
-    hi: i64,
-    acc: SlidingAccumulator,
-    reads_window: bool,
-    stats: ExecStats,
-    pending: Option<(i64, Record)>,
-    input_done: bool,
-    cur: i64,
-    span: Span,
-}
-
-impl WindowAggCursor {
-    /// Cache-Strategy-A over a sliding window; `incremental` switches float
-    /// Sum/Avg from the per-emit recompute to O(1) running sums.
-    pub fn new(
-        input: Box<dyn Cursor>,
-        func: AggFunc,
-        attr_index: usize,
-        window: Window,
-        span: Span,
-        incremental: bool,
-        stats: ExecStats,
-    ) -> Result<WindowAggCursor> {
-        let Window::Sliding { lo, hi } = window else {
-            return Err(SeqError::Unsupported(
-                "WindowAggCursor handles sliding windows; use the cumulative/whole-span cursors"
-                    .into(),
-            ));
-        };
-        if !span.is_empty() && !span.is_bounded() {
-            return Err(SeqError::Unsupported(
-                "stream evaluation of an aggregate needs a bounded output span".into(),
-            ));
-        }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
-        Ok(WindowAggCursor {
-            input,
-            attr_index,
-            lo,
-            hi,
-            acc: window_state(func, incremental),
-            reads_window: !incremental,
-            stats,
-            pending: None,
-            input_done: false,
-            cur,
-            span,
-        })
-    }
-
-    fn pull_input(&mut self) -> Result<Option<(i64, Record)>> {
-        if let Some(item) = self.pending.take() {
-            return Ok(Some(item));
-        }
-        if self.input_done {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(item) => Ok(Some(item)),
-            None => {
-                self.input_done = true;
-                Ok(None)
-            }
-        }
-    }
-}
-
-impl Cursor for WindowAggCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        loop {
-            if self.span.is_empty() || self.cur > self.span.end() {
-                return Ok(None);
-            }
-            let o = self.cur;
-            // Fold every input record visible at o (pos <= o + hi).
-            loop {
-                match self.pull_input()? {
-                    Some((p, r)) if p <= o.saturating_add(self.hi) => {
-                        self.acc.push(p, r.value(self.attr_index)?)?;
-                        self.stats.record_cache_store();
-                    }
-                    Some(item) => {
-                        self.pending = Some(item);
-                        break;
-                    }
-                    None => break,
-                }
-            }
-            // Slide the window: drop records below o + lo.
-            self.acc.evict_below(o.saturating_add(self.lo));
-            self.cur += 1;
-
-            if let Some(v) = self.acc.current() {
-                if self.reads_window {
-                    self.stats.record_cache_probe();
-                }
-                return Ok(Some((o, Record::new(vec![v]))));
-            }
-            // Empty window: skip ahead to the first position whose window can
-            // contain the pending input record, instead of walking the gap.
-            match (&self.pending, self.input_done) {
-                (Some((q, _)), _) => {
-                    self.cur = self.cur.max(q - self.hi);
-                }
-                (None, true) => return Ok(None),
-                (None, false) => {
-                    // Force a pull on the next iteration.
-                }
-            }
-        }
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        if lower > self.cur {
-            self.cur = lower;
-            // An input record at p only reaches windows up to o = p - lo, so
-            // records below cur + lo can no longer contribute. Delegate the
-            // skip to the input instead of draining (and counting) each one.
-            let bound = self.cur.saturating_add(self.lo);
-            let pending_stale = match &self.pending {
-                Some((p, _)) => *p < bound,
-                None => true,
-            };
-            if pending_stale && !self.input_done {
-                self.pending = None;
-                match self.input.next_from(bound)? {
-                    Some(item) => self.pending = Some(item),
-                    None => self.input_done = true,
-                }
-            }
-        }
-        self.next()
-    }
-}
-
 /// Cumulative aggregate: the running value over all inputs up to `i`.
 /// Incremental by construction (only additions), which is the
-/// Cache-Strategy-B analogue for cumulative windows.
-pub struct CumulativeAggCursor {
-    input: Box<dyn Cursor>,
-    attr_index: usize,
-    acc: SlidingAccumulator,
-    pending: Option<(i64, Record)>,
-    input_done: bool,
-    cur: i64,
-    span: Span,
-}
-
-impl CumulativeAggCursor {
-    /// Running aggregate from the input's start.
-    pub fn new(
-        input: Box<dyn Cursor>,
-        func: AggFunc,
-        attr_index: usize,
-        span: Span,
-    ) -> Result<CumulativeAggCursor> {
-        if !span.is_empty() && !span.is_bounded() {
-            return Err(SeqError::Unsupported(
-                "stream evaluation of a cumulative aggregate needs a bounded output span".into(),
-            ));
-        }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
-        Ok(CumulativeAggCursor {
-            input,
-            attr_index,
-            acc: SlidingAccumulator::new(func),
-            pending: None,
-            input_done: false,
-            cur,
-            span,
-        })
-    }
-}
-
-impl Cursor for CumulativeAggCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        loop {
-            if self.span.is_empty() || self.cur > self.span.end() {
-                return Ok(None);
-            }
-            let o = self.cur;
-            loop {
-                let item = match self.pending.take() {
-                    Some(item) => Some(item),
-                    None if self.input_done => None,
-                    None => {
-                        let nxt = self.input.next()?;
-                        if nxt.is_none() {
-                            self.input_done = true;
-                        }
-                        nxt
-                    }
-                };
-                match item {
-                    Some((p, r)) if p <= o => self.acc.push(p, r.value(self.attr_index)?)?,
-                    Some(item) => {
-                        self.pending = Some(item);
-                        break;
-                    }
-                    None => break,
-                }
-            }
-            self.cur += 1;
-            if let Some(v) = self.acc.current() {
-                return Ok(Some((o, Record::new(vec![v]))));
-            }
-            // Nothing accumulated yet: jump to the first input position.
-            match (&self.pending, self.input_done) {
-                (Some((q, _)), _) => self.cur = self.cur.max(*q),
-                (None, true) => return Ok(None),
-                (None, false) => {}
-            }
-        }
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        self.cur = self.cur.max(lower);
-        self.next()
-    }
-}
-
-/// Whole-span aggregate: one value, emitted at every position of the output
-/// span. The entire input is drained on the first pull.
-pub struct WholeSpanAggCursor {
-    input: Option<Box<dyn Cursor>>,
-    func: AggFunc,
-    attr_index: usize,
-    value: Option<Value>,
-    cur: i64,
-    span: Span,
-}
-
-impl WholeSpanAggCursor {
-    /// One aggregate over the whole input, replicated across the span.
-    pub fn new(
-        input: Box<dyn Cursor>,
-        func: AggFunc,
-        attr_index: usize,
-        span: Span,
-    ) -> Result<WholeSpanAggCursor> {
-        if !span.is_empty() && !span.is_bounded() {
-            return Err(SeqError::Unsupported(
-                "stream evaluation of a whole-span aggregate needs a bounded output span".into(),
-            ));
-        }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
-        Ok(WholeSpanAggCursor {
-            // Drop the input of an empty-span aggregate outright: the cursor
-            // must yield nothing without touching it.
-            input: (!span.is_empty()).then_some(input),
-            func,
-            attr_index,
-            value: None,
-            cur,
-            span,
-        })
-    }
-
-    fn ensure_value(&mut self) -> Result<()> {
-        if let Some(mut input) = self.input.take() {
-            let mut fold = AggFold::new(self.func);
-            while let Some((_, r)) = input.next()? {
-                fold.push(r.value(self.attr_index)?)?;
-            }
-            self.value = fold.finish();
-        }
-        Ok(())
-    }
-}
-
-impl Cursor for WholeSpanAggCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        self.ensure_value()?;
-        let Some(v) = &self.value else { return Ok(None) };
-        if self.span.is_empty() || self.cur > self.span.end() {
-            return Ok(None);
-        }
-        let o = self.cur;
-        self.cur += 1;
-        Ok(Some((o, Record::new(vec![v.clone()]))))
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        self.cur = self.cur.max(lower);
-        self.next()
-    }
-}
-
-/// Vectorized cumulative aggregate: [`CumulativeAggCursor`] batch-at-a-time.
-/// The [`SlidingAccumulator`] running state carries across batch boundaries;
+/// Cache-Strategy-B analogue for cumulative windows. The
+/// [`SlidingAccumulator`] running state carries across batch boundaries;
 /// input values are folded straight out of the buffered batch's column.
 pub struct CumulativeAggBatchCursor {
     input: Box<dyn BatchCursor>,
@@ -669,7 +376,7 @@ impl CumulativeAggBatchCursor {
                 "stream evaluation of a cumulative aggregate needs a bounded output span".into(),
             ));
         }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
+        let (span, cur) = crate::batch::span_cursor_start(span);
         Ok(CumulativeAggBatchCursor {
             input,
             attr_index,
@@ -711,7 +418,7 @@ impl CumulativeAggBatchCursor {
         }
     }
 
-    /// One output value, mirroring [`CumulativeAggCursor::next`].
+    /// The next output value.
     fn emit(&mut self) -> Result<Option<(i64, Value)>> {
         loop {
             if self.span.is_empty() || self.cur > self.span.end() {
@@ -761,17 +468,17 @@ impl BatchCursor for CumulativeAggBatchCursor {
 
     fn next_batch_from(&mut self, lower: i64) -> Result<Option<RecordBatch>> {
         // Jump the output position; skipped input still folds into the
-        // running state, exactly as the record path's `next_from` does.
+        // running state, so every later output stays a full prefix.
         self.cur = self.cur.max(lower);
         self.next_batch()
     }
 }
 
-/// Vectorized whole-span aggregate: [`WholeSpanAggCursor`] batch-at-a-time.
-/// The input is drained once on the first pull, each batch's column folded
-/// straight into an [`AggFold`] (the record path's fold order, so float
-/// results stay bit-identical), and the single value is replicated across the
-/// span in batches.
+/// Whole-span aggregate: one value, emitted at every position of the output
+/// span. The input is drained once on the first pull, each batch's column
+/// folded straight into an [`AggFold`] in positional order (the order
+/// [`AggFunc::apply`] folds, so float results stay bit-identical), and the
+/// single value is replicated across the span in batches.
 pub struct WholeSpanAggBatchCursor {
     input: Option<Box<dyn BatchCursor>>,
     func: AggFunc,
@@ -796,7 +503,7 @@ impl WholeSpanAggBatchCursor {
                 "stream evaluation of a whole-span aggregate needs a bounded output span".into(),
             ));
         }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
+        let (span, cur) = crate::batch::span_cursor_start(span);
         Ok(WholeSpanAggBatchCursor {
             // Drop the input of an empty-span aggregate outright: the cursor
             // must yield nothing without touching it.
@@ -899,61 +606,10 @@ impl PointAccess for AggProbe {
     }
 }
 
-/// The naive algorithm as a stream: per-output-position probing.
-pub struct NaiveAggCursor {
-    probe: AggProbe,
-    cur: i64,
-    span: Span,
-}
-
-impl NaiveAggCursor {
-    /// Naive per-output-position window probing as a stream.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        input: Box<dyn PointAccess>,
-        func: AggFunc,
-        attr_index: usize,
-        window: Window,
-        input_span: Span,
-        span: Span,
-        stats: ExecStats,
-    ) -> Result<NaiveAggCursor> {
-        if !span.is_empty() && !span.is_bounded() {
-            return Err(SeqError::Unsupported(
-                "naive evaluation of an aggregate needs a bounded output span".into(),
-            ));
-        }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
-        Ok(NaiveAggCursor {
-            probe: AggProbe::new(input, func, attr_index, window, input_span, span, stats),
-            cur,
-            span,
-        })
-    }
-}
-
-impl Cursor for NaiveAggCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        while !self.span.is_empty() && self.cur <= self.span.end() {
-            let o = self.cur;
-            self.cur += 1;
-            if let Some(rec) = self.probe.get(o)? {
-                return Ok(Some((o, rec)));
-            }
-        }
-        Ok(None)
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        self.cur = self.cur.max(lower);
-        self.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::{BaseProbe, BaseStreamCursor};
+    use crate::probe::BaseProbe;
     use seq_core::{record, schema, AttrType, BaseSequence};
     use seq_storage::Catalog;
 
@@ -967,14 +623,6 @@ mod tests {
         .unwrap();
         c.register("S", &base);
         c
-    }
-
-    fn collect(mut cur: impl Cursor) -> Vec<(i64, Value)> {
-        let mut out = Vec::new();
-        while let Some((p, r)) = cur.next().unwrap() {
-            out.push((p, r.value(0).unwrap().clone()));
-        }
-        out
     }
 
     #[test]
@@ -1122,22 +770,56 @@ mod tests {
         assert!(acc.push(1, &Value::str("x")).is_err());
     }
 
+    fn collect_batches(mut cur: impl BatchCursor) -> Vec<(i64, Value)> {
+        let mut out = Vec::new();
+        while let Some(b) = cur.next_batch().unwrap() {
+            assert!(!b.is_empty());
+            for row in b.rows() {
+                out.push((row.position(), row.value(0).unwrap().clone()));
+            }
+        }
+        out
+    }
+
+    fn batch_input(c: &Catalog, span: Span, batch_size: usize) -> Box<dyn BatchCursor> {
+        let store = c.get("S").unwrap();
+        Box::new(crate::batch::BaseBatchCursor::new(
+            &store,
+            span,
+            batch_size,
+            seq_storage::ColumnSet::All,
+        ))
+    }
+
+    /// A sliding-window aggregate over `S`'s `input` span, drained whole.
+    fn window_rows(
+        c: &Catalog,
+        input: Span,
+        func: AggFunc,
+        window: Window,
+        span: Span,
+        incremental: bool,
+        batch_size: usize,
+    ) -> Vec<(i64, Value)> {
+        collect_batches(
+            crate::batch::WindowAggBatchCursor::new(
+                batch_input(c, input, batch_size),
+                func,
+                1,
+                window,
+                span,
+                incremental,
+                ExecStats::new(),
+                batch_size,
+            )
+            .unwrap(),
+        )
+    }
+
     #[test]
     fn window_sum_matches_hand_computation() {
         // Figure 5.A shape: moving sum over a trailing window of 3.
         let c = catalog(&[(1, 1.0), (2, 2.0), (4, 4.0)]);
-        let store = c.get("S").unwrap();
-        let cur = WindowAggCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::new(1, 4))),
-            AggFunc::Sum,
-            1,
-            Window::trailing(3),
-            Span::new(1, 6),
-            false,
-            ExecStats::new(),
-        )
-        .unwrap();
-        let out = collect(cur);
         let expect = vec![
             (1, Value::Float(1.0)),
             (2, Value::Float(3.0)),
@@ -1146,7 +828,18 @@ mod tests {
             (5, Value::Float(4.0)),
             (6, Value::Float(4.0)),
         ];
-        assert_eq!(out, expect);
+        for bs in [1, 4, 64] {
+            let got = window_rows(
+                &c,
+                Span::new(1, 4),
+                AggFunc::Sum,
+                Window::trailing(3),
+                Span::new(1, 6),
+                false,
+                bs,
+            );
+            assert_eq!(got, expect, "batch_size {bs}");
+        }
     }
 
     #[test]
@@ -1154,22 +847,13 @@ mod tests {
         let data: Vec<(i64, f64)> =
             (1..=60).filter(|p| p % 3 != 0).map(|p| (p, (p as f64) * 0.25)).collect();
         let c = catalog(&data);
-        let store = c.get("S").unwrap();
         for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
             let mk = |incremental: bool| {
-                WindowAggCursor::new(
-                    Box::new(BaseStreamCursor::new(&store, Span::new(1, 60))),
-                    func,
-                    1,
-                    Window::Sliding { lo: -4, hi: 0 },
-                    Span::new(1, 70),
-                    incremental,
-                    ExecStats::new(),
-                )
-                .unwrap()
+                let window = Window::Sliding { lo: -4, hi: 0 };
+                window_rows(&c, Span::new(1, 60), func, window, Span::new(1, 70), incremental, 16)
             };
-            let plain = collect(mk(false));
-            let inc = collect(mk(true));
+            let plain = mk(false);
+            let inc = mk(true);
             assert_eq!(plain.len(), inc.len(), "{func}");
             for ((p1, v1), (p2, v2)) in plain.iter().zip(inc.iter()) {
                 assert_eq!(p1, p2, "{func}");
@@ -1183,18 +867,8 @@ mod tests {
     #[test]
     fn leading_window_lookahead() {
         let c = catalog(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
-        let store = c.get("S").unwrap();
-        let cur = WindowAggCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::new(1, 3))),
-            AggFunc::Sum,
-            1,
-            Window::Sliding { lo: 0, hi: 1 },
-            Span::new(0, 3),
-            false,
-            ExecStats::new(),
-        )
-        .unwrap();
-        let out = collect(cur);
+        let window = Window::Sliding { lo: 0, hi: 1 };
+        let out = window_rows(&c, Span::new(1, 3), AggFunc::Sum, window, Span::new(0, 3), false, 2);
         let expect = vec![
             (0, Value::Float(1.0)),
             (1, Value::Float(3.0)),
@@ -1207,15 +881,6 @@ mod tests {
     #[test]
     fn cumulative_running_sum() {
         let c = catalog(&[(2, 1.0), (4, 2.0), (6, 4.0)]);
-        let store = c.get("S").unwrap();
-        let cur = CumulativeAggCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::new(2, 6))),
-            AggFunc::Sum,
-            1,
-            Span::new(1, 8),
-        )
-        .unwrap();
-        let out = collect(cur);
         let expect = vec![
             (2, Value::Float(1.0)),
             (3, Value::Float(1.0)),
@@ -1225,25 +890,56 @@ mod tests {
             (7, Value::Float(7.0)),
             (8, Value::Float(7.0)),
         ];
-        assert_eq!(out, expect);
+        for bs in [1, 2, 64] {
+            let cur = CumulativeAggBatchCursor::new(
+                batch_input(&c, Span::new(2, 6), bs),
+                AggFunc::Sum,
+                1,
+                Span::new(1, 8),
+                bs,
+            )
+            .unwrap();
+            assert_eq!(collect_batches(cur), expect, "batch_size {bs}");
+        }
+        // A mid-stream skip still folds the skipped input.
+        let mut cur = CumulativeAggBatchCursor::new(
+            batch_input(&c, Span::new(2, 6), 2),
+            AggFunc::Sum,
+            1,
+            Span::new(1, 8),
+            2,
+        )
+        .unwrap();
+        let b = cur.next_batch_from(5).unwrap().unwrap();
+        assert_eq!(b.first_pos(), Some(5));
+        assert_eq!(b.rows().next().unwrap().value(0).unwrap(), &Value::Float(3.0));
     }
 
     #[test]
     fn whole_span_constant_output() {
         let c = catalog(&[(1, 1.0), (2, 9.0), (3, 4.0)]);
-        let store = c.get("S").unwrap();
-        let cur = WholeSpanAggCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::new(1, 3))),
+        let expect = vec![(1, Value::Float(9.0)), (2, Value::Float(9.0)), (3, Value::Float(9.0))];
+        for bs in [1, 2, 64] {
+            let cur = WholeSpanAggBatchCursor::new(
+                batch_input(&c, Span::new(1, 3), bs),
+                AggFunc::Max,
+                1,
+                Span::new(1, 3),
+                bs,
+            )
+            .unwrap();
+            assert_eq!(collect_batches(cur), expect, "batch_size {bs}");
+        }
+        let mut cur = WholeSpanAggBatchCursor::new(
+            batch_input(&c, Span::new(1, 3), 4),
             AggFunc::Max,
             1,
             Span::new(1, 3),
+            4,
         )
         .unwrap();
-        let out = collect(cur);
-        assert_eq!(
-            out,
-            vec![(1, Value::Float(9.0)), (2, Value::Float(9.0)), (3, Value::Float(9.0))]
-        );
+        let b = cur.next_batch_from(2).unwrap().unwrap();
+        assert_eq!(b.positions(), &[2, 3]);
     }
 
     #[test]
@@ -1255,28 +951,25 @@ mod tests {
         let span = Span::new(1, 45);
         let input_span = Span::new(1, 39);
 
-        let cache_a = WindowAggCursor::new(
-            Box::new(BaseStreamCursor::new(&store, input_span)),
-            AggFunc::Sum,
-            1,
-            Window::trailing(6),
-            span,
-            false,
-            ExecStats::new(),
-        )
-        .unwrap();
+        let cache_a =
+            window_rows(&c, input_span, AggFunc::Sum, Window::trailing(6), span, false, 8);
         let naive_stats = ExecStats::new();
-        let naive = NaiveAggCursor::new(
-            Box::new(BaseProbe::new(store.clone(), input_span)),
-            AggFunc::Sum,
-            1,
-            Window::trailing(6),
-            input_span,
+        let naive = crate::batch::ProbeWalkBatchCursor::new(
+            Box::new(AggProbe::new(
+                Box::new(BaseProbe::new(store, input_span)),
+                AggFunc::Sum,
+                1,
+                Window::trailing(6),
+                input_span,
+                span,
+                naive_stats.clone(),
+            )),
             span,
-            naive_stats.clone(),
+            8,
+            "naive evaluation of an aggregate",
         )
         .unwrap();
-        assert_eq!(collect(cache_a), collect(naive));
+        assert_eq!(cache_a, collect_batches(naive));
         // Naive probes ~6 positions per output; Cache-A touches each input
         // record once.
         assert!(naive_stats.snapshot().naive_walk_steps > 6 * 30);
@@ -1304,117 +997,19 @@ mod tests {
 
     #[test]
     fn sparse_input_skips_empty_stretches() {
-        // Two clusters far apart: the cursor must not walk the whole gap.
+        // Two clusters far apart: the kernel must not walk the whole gap.
         let c = catalog(&[(1, 1.0), (1_000_000, 5.0)]);
-        let store = c.get("S").unwrap();
-        let cur = WindowAggCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::new(1, 1_000_000))),
+        let out = window_rows(
+            &c,
+            Span::new(1, 1_000_000),
             AggFunc::Sum,
-            1,
             Window::trailing(2),
             Span::new(1, 1_000_001),
             false,
-            ExecStats::new(),
-        )
-        .unwrap();
-        let out = collect(cur);
+            1024,
+        );
         // Outputs: positions 1,2 (window sees record at 1), then 1e6, 1e6+1.
         assert_eq!(out.len(), 4);
         assert_eq!(out[2].0, 1_000_000);
-    }
-
-    fn collect_batches(mut cur: impl BatchCursor) -> Vec<(i64, Value)> {
-        let mut out = Vec::new();
-        while let Some(b) = cur.next_batch().unwrap() {
-            assert!(!b.is_empty());
-            for row in b.rows() {
-                out.push((row.position(), row.value(0).unwrap().clone()));
-            }
-        }
-        out
-    }
-
-    fn batch_input(c: &Catalog, span: Span, batch_size: usize) -> Box<dyn BatchCursor> {
-        let store = c.get("S").unwrap();
-        Box::new(crate::batch::BaseBatchCursor::new(
-            &store,
-            span,
-            batch_size,
-            seq_storage::ColumnSet::All,
-        ))
-    }
-
-    #[test]
-    fn batched_cumulative_matches_record_path() {
-        let c = catalog(&[(2, 1.0), (4, 2.0), (6, 4.0)]);
-        let store = c.get("S").unwrap();
-        let expect = collect(
-            CumulativeAggCursor::new(
-                Box::new(BaseStreamCursor::new(&store, Span::new(2, 6))),
-                AggFunc::Sum,
-                1,
-                Span::new(1, 8),
-            )
-            .unwrap(),
-        );
-        for bs in [1, 2, 64] {
-            let cur = CumulativeAggBatchCursor::new(
-                batch_input(&c, Span::new(2, 6), bs),
-                AggFunc::Sum,
-                1,
-                Span::new(1, 8),
-                bs,
-            )
-            .unwrap();
-            assert_eq!(collect_batches(cur), expect, "batch_size {bs}");
-        }
-        // Mid-stream skip mirrors the record path's next_from.
-        let mut cur = CumulativeAggBatchCursor::new(
-            batch_input(&c, Span::new(2, 6), 2),
-            AggFunc::Sum,
-            1,
-            Span::new(1, 8),
-            2,
-        )
-        .unwrap();
-        let b = cur.next_batch_from(5).unwrap().unwrap();
-        assert_eq!(b.first_pos(), Some(5));
-        assert_eq!(b.rows().next().unwrap().value(0).unwrap(), &Value::Float(3.0));
-    }
-
-    #[test]
-    fn batched_whole_span_matches_record_path() {
-        let c = catalog(&[(1, 1.0), (2, 9.0), (3, 4.0)]);
-        let store = c.get("S").unwrap();
-        let expect = collect(
-            WholeSpanAggCursor::new(
-                Box::new(BaseStreamCursor::new(&store, Span::new(1, 3))),
-                AggFunc::Max,
-                1,
-                Span::new(1, 3),
-            )
-            .unwrap(),
-        );
-        for bs in [1, 2, 64] {
-            let cur = WholeSpanAggBatchCursor::new(
-                batch_input(&c, Span::new(1, 3), bs),
-                AggFunc::Max,
-                1,
-                Span::new(1, 3),
-                bs,
-            )
-            .unwrap();
-            assert_eq!(collect_batches(cur), expect, "batch_size {bs}");
-        }
-        let mut cur = WholeSpanAggBatchCursor::new(
-            batch_input(&c, Span::new(1, 3), 4),
-            AggFunc::Max,
-            1,
-            Span::new(1, 3),
-            4,
-        )
-        .unwrap();
-        let b = cur.next_batch_from(2).unwrap().unwrap();
-        assert_eq!(b.positions(), &[2, 3]);
     }
 }

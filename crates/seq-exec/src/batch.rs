@@ -1,30 +1,38 @@
-//! Vectorized (batch-at-a-time) stream evaluation.
+//! Stream access (§3.3): batch-at-a-time evaluation.
 //!
-//! The record-at-a-time [`Cursor`] path pays a virtual call, an enum match,
-//! and an atomic counter update per record. This module adds a parallel
-//! [`BatchCursor`] path that moves [`RecordBatch`]es of ~1024 rows at a time
-//! through the unit-scope stream operators — base scan, σ, π, positional
-//! offset, and sliding-window aggregates — folding statistics counters into
-//! one atomic add per batch.
-//!
-//! Both paths produce bit-identical results; the paper's access-path
-//! accounting (pages touched, records streamed, predicates applied, §3.3,
-//! §4.1.3) is preserved exactly, only the *update granularity* of the
-//! counters changes. Non-unit-scope operators have native batch cursors in
+//! A [`BatchCursor`] moves [`RecordBatch`]es ([`DEFAULT_BATCH_SIZE`] rows by
+//! default) through the stream operators, folding statistics counters into
+//! one atomic add per batch; the paper's access-path accounting (pages
+//! touched, records streamed, predicates applied, §3.3, §4.1.3) is charged
+//! exactly, only at batch granularity. The unit-scope kernels — base scan, σ, π, positional
+//! offset, sliding-window aggregates — live here; the non-unit-scope ones in
 //! their own modules (lock-step and stream-probe joins in [`crate::compose`],
 //! Cache-Strategy-B value offsets in [`crate::offset`], cumulative and
-//! whole-span aggregates in [`crate::aggregate`]), so whole plans lower
-//! vectorized end-to-end; the [`RecordToBatchCursor`] adapter remains for
-//! the kernel-less nodes (a `NaiveProbe` strategy choice, `Constant`).
+//! whole-span aggregates in [`crate::aggregate`]). A node without a kernel
+//! (a `NaiveProbe` strategy choice, `Constant`) streams as a walk over its
+//! probed access ([`ProbeWalkBatchCursor`]).
 
-use seq_core::{Record, RecordBatch, Result, Span, Value, NEG_INF, POS_INF};
+use seq_core::{RecordBatch, Result, Span, Value, NEG_INF, POS_INF};
 use seq_ops::{AggFunc, Expr};
 
 use crate::aggregate::SlidingAccumulator;
-use crate::cursor::Cursor;
+use crate::probe::PointAccess;
 use crate::stats::ExecStats;
 
 pub use seq_core::DEFAULT_BATCH_SIZE;
+
+/// Canonicalize a (possibly empty) output span for a position-driven cursor:
+/// the span to store plus the initial output position. The empty span maps
+/// to its canonical `[1, 0]` form, so `cur > span.end()` holds before any
+/// input is pulled — an empty-span cursor must yield nothing without ever
+/// touching its input.
+pub(crate) fn span_cursor_start(span: Span) -> (Span, i64) {
+    if span.is_empty() {
+        (Span::empty(), 1)
+    } else {
+        (span, span.start())
+    }
+}
 
 /// Batched stream access to a (base or derived) sequence.
 ///
@@ -445,12 +453,12 @@ impl BatchCursor for PosOffsetBatchCursor {
 
 /// Cache-Strategy-A sliding-window aggregate over a batched stream.
 ///
-/// Replicates [`crate::aggregate::WindowAggCursor`] exactly — one output per
-/// span position whose window `[o+lo, o+hi]` holds at least one input
-/// record, empty stretches skipped in one jump — over the same
-/// [`SlidingAccumulator`] window state, but consumes and produces whole
-/// batches: input values are read straight off the buffered column, and the
-/// cache stores and probes the record path charges one at a time are charged
+/// One output per span position whose window `[o+lo, o+hi]` holds at least
+/// one input record, empty stretches skipped in one jump, over a
+/// [`SlidingAccumulator`] window state. Input values are read straight off
+/// the buffered column. Every input record entering the window is one cache
+/// store and, under Cache-A (not the incremental refinement), every emitted
+/// value is one read of the cached window, one cache probe; both are charged
 /// once per output batch.
 pub struct WindowAggBatchCursor {
     input: Box<dyn BatchCursor>,
@@ -496,7 +504,7 @@ impl WindowAggBatchCursor {
                 "stream evaluation of an aggregate needs a bounded output span".into(),
             ));
         }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
+        let (span, cur) = span_cursor_start(span);
         Ok(WindowAggBatchCursor {
             input,
             attr_index,
@@ -657,45 +665,92 @@ impl BatchCursor for WindowAggBatchCursor {
     }
 }
 
-/// Adapter: expose a record-at-a-time [`Cursor`] as a [`BatchCursor`].
-///
-/// Used at block boundaries: nodes without a batch kernel (the naive
-/// probe-walk strategies, `Constant`) keep their record-at-a-time
-/// implementations, and this adapter re-batches their output so operators
-/// above them still run vectorized.
-pub struct RecordToBatchCursor {
-    input: Box<dyn Cursor>,
+/// Stream access to a node without a batch kernel (a `NaiveProbe`
+/// aggregate or value offset, a `Constant`), as a walk over its probed
+/// access: a sequence is a function of its position, so streaming it means
+/// probing every position of its bounded output span in order. Each batch
+/// holds up to `batch_size` non-empty positions; a skip moves the walk
+/// forward without probing the positions it jumps.
+pub struct ProbeWalkBatchCursor {
+    probe: Box<dyn PointAccess>,
+    cur: i64,
+    span: Span,
     batch_size: usize,
 }
 
-impl RecordToBatchCursor {
-    /// Re-batch `input`, `batch_size` rows at a time.
-    pub fn new(input: Box<dyn Cursor>, batch_size: usize) -> RecordToBatchCursor {
-        RecordToBatchCursor { input, batch_size: batch_size.max(1) }
-    }
-
-    fn fill(&mut self, first: Option<(i64, Record)>) -> Result<Option<RecordBatch>> {
-        let Some((p0, r0)) = first else { return Ok(None) };
-        let mut batch = RecordBatch::with_capacity(r0.arity(), self.batch_size);
-        batch.push_record(p0, &r0)?;
-        while batch.len() < self.batch_size {
-            match self.input.next()? {
-                Some((p, r)) => batch.push_record(p, &r)?,
-                None => break,
-            }
+impl ProbeWalkBatchCursor {
+    /// Walk `probe` over `span`, `batch_size` rows at a time. `what` names
+    /// the evaluation in the error an unbounded span gets.
+    pub fn new(
+        probe: Box<dyn PointAccess>,
+        span: Span,
+        batch_size: usize,
+        what: &str,
+    ) -> Result<ProbeWalkBatchCursor> {
+        if !span.is_empty() && !span.is_bounded() {
+            return Err(seq_core::SeqError::Unsupported(format!(
+                "{what} needs a bounded output span"
+            )));
         }
-        Ok(Some(batch))
+        let (span, cur) = span_cursor_start(span);
+        Ok(ProbeWalkBatchCursor { probe, cur, span, batch_size: batch_size.max(1) })
     }
 }
 
-impl BatchCursor for RecordToBatchCursor {
+impl BatchCursor for ProbeWalkBatchCursor {
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        let first = self.input.next()?;
-        self.fill(first)
+        let mut out: Option<RecordBatch> = None;
+        while !self.span.is_empty()
+            && self.cur <= self.span.end()
+            && out.as_ref().map_or(0, |b| b.len()) < self.batch_size
+        {
+            let o = self.cur;
+            self.cur += 1;
+            if let Some(rec) = self.probe.get(o)? {
+                let dst = out.get_or_insert_with(|| {
+                    RecordBatch::with_capacity(rec.arity(), self.batch_size)
+                });
+                dst.push_record(o, &rec)?;
+            }
+        }
+        Ok(out)
     }
 
     fn next_batch_from(&mut self, lower: i64) -> Result<Option<RecordBatch>> {
-        let first = self.input.next_from(lower)?;
-        self.fill(first)
+        self.cur = self.cur.max(lower);
+        self.next_batch()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::probe::ConstProbe;
+    use seq_core::record;
+
+    fn walk(span: Span, batch_size: usize) -> Result<ProbeWalkBatchCursor> {
+        let probe = Box::new(ConstProbe::new(record![7.0], span));
+        ProbeWalkBatchCursor::new(probe, span, batch_size, "a constant walk")
+    }
+
+    #[test]
+    fn probe_walk_enumerates_the_span_in_batches() {
+        let mut cur = walk(Span::new(2, 6), 2).unwrap();
+        let mut sizes = Vec::new();
+        let mut got = Vec::new();
+        while let Some(b) = cur.next_batch().unwrap() {
+            sizes.push(b.len());
+            got.extend_from_slice(b.positions());
+        }
+        assert_eq!(got, vec![2, 3, 4, 5, 6]);
+        assert_eq!(sizes, vec![2, 2, 1]);
+        // A skip moves the walk forward; a skip backward is a no-op.
+        let mut cur = walk(Span::new(2, 6), 2).unwrap();
+        assert_eq!(cur.next_batch_from(5).unwrap().unwrap().positions(), &[5, 6]);
+        assert!(cur.next_batch_from(1).unwrap().is_none());
+        // Empty spans yield nothing; unbounded ones are refused.
+        assert!(walk(Span::empty(), 4).unwrap().next_batch().unwrap().is_none());
+        let err = walk(Span::all(), 4).err().expect("unbounded span");
+        assert!(err.to_string().contains("a constant walk needs a bounded output span"));
     }
 }

@@ -2,22 +2,20 @@
 //!
 //! §3.3 identifies the strategies:
 //!
-//! - **Join-Strategy-A** ([`StreamProbeJoin`]): stream one input and probe
-//!   the other at each non-Null position. Two variants, depending on which
-//!   side streams.
-//! - **Join-Strategy-B** ([`LockStepJoin`]): stream both inputs in lock
-//!   step, joining at common positions (the paper's Example 1.1 evaluation
-//!   is this strategy plus a cached Previous).
+//! - **Join-Strategy-A** ([`StreamProbeJoinBatch`]): stream one input and
+//!   probe the other at each non-Null position. Two variants, depending on
+//!   which side streams.
+//! - **Join-Strategy-B** ([`LockStepJoinBatch`]): stream both inputs in
+//!   lock step, joining at common positions (the paper's Example 1.1
+//!   evaluation is this strategy plus a cached Previous).
 //!
 //! Which wins depends on the densities, their correlation, the per-record
 //! access costs, and the selectivity of the operators below (§3.3) — the
 //! cost model in `seq-opt` prices all three and the Figure 4 experiment
 //! sweeps the crossover.
 //!
-//! Both strategies also exist vectorized ([`LockStepJoinBatch`],
-//! [`StreamProbeJoinBatch`]): same access protocol, same counted quantities,
-//! but whole [`RecordBatch`]es move per step and the executor counters fold
-//! once per batch instead of once per record.
+//! Both stream whole [`RecordBatch`]es per step and fold the executor
+//! counters once per batch; [`ComposeProbe`] is the probed-mode compose.
 
 use std::cmp::Ordering;
 
@@ -25,7 +23,7 @@ use seq_core::{Record, RecordBatch, Result, Value};
 use seq_ops::Expr;
 
 use crate::batch::BatchCursor;
-use crate::cursor::{Cursor, PointAccess};
+use crate::probe::PointAccess;
 use crate::stats::ExecStats;
 
 /// Which input of the compose streams (the other is probed).
@@ -35,161 +33,6 @@ pub enum StreamSide {
     Left,
     /// The right input streams; the left is probed.
     Right,
-}
-
-/// Join-Strategy-A: stream `outer`, probe `inner` at each outer position.
-pub struct StreamProbeJoin {
-    outer: Box<dyn Cursor>,
-    inner: Box<dyn PointAccess>,
-    outer_side: StreamSide,
-    predicate: Option<Expr>,
-    stats: ExecStats,
-}
-
-impl StreamProbeJoin {
-    /// Join-Strategy-A: stream `outer`, probe `inner` per outer record.
-    pub fn new(
-        outer: Box<dyn Cursor>,
-        inner: Box<dyn PointAccess>,
-        outer_side: StreamSide,
-        predicate: Option<Expr>,
-        stats: ExecStats,
-    ) -> StreamProbeJoin {
-        StreamProbeJoin { outer, inner, outer_side, predicate, stats }
-    }
-
-    fn join(&self, outer_rec: &Record, inner_rec: &Record) -> Record {
-        // Output schema order is always left ∘ right.
-        match self.outer_side {
-            StreamSide::Left => outer_rec.compose(inner_rec),
-            StreamSide::Right => inner_rec.compose(outer_rec),
-        }
-    }
-
-    fn emit(&mut self, pos: i64, outer_rec: Record) -> Result<Option<(i64, Record)>> {
-        let Some(inner_rec) = self.inner.get(pos)? else { return Ok(None) };
-        let joined = self.join(&outer_rec, &inner_rec);
-        if let Some(p) = &self.predicate {
-            self.stats.record_predicate_eval();
-            if !p.eval_predicate(&joined)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some((pos, joined)))
-    }
-}
-
-impl Cursor for StreamProbeJoin {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        while let Some((pos, outer_rec)) = self.outer.next()? {
-            if let Some(out) = self.emit(pos, outer_rec)? {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        let mut item = self.outer.next_from(lower)?;
-        while let Some((pos, outer_rec)) = item {
-            if let Some(out) = self.emit(pos, outer_rec)? {
-                return Ok(Some(out));
-            }
-            item = self.outer.next()?;
-        }
-        Ok(None)
-    }
-}
-
-/// Join-Strategy-B: stream both inputs in lock step. Each side's skip hint
-/// (`next_from`) lets the merge jump over stretches where the other side has
-/// nothing — crucial when one input is a dense derived sequence (Previous,
-/// aggregates) whose records should never be materialized in the gaps.
-pub struct LockStepJoin {
-    left: Box<dyn Cursor>,
-    right: Box<dyn Cursor>,
-    litem: Option<(i64, Record)>,
-    ritem: Option<(i64, Record)>,
-    started: bool,
-    predicate: Option<Expr>,
-    stats: ExecStats,
-}
-
-impl LockStepJoin {
-    /// Join-Strategy-B: stream both inputs in lock step.
-    pub fn new(
-        left: Box<dyn Cursor>,
-        right: Box<dyn Cursor>,
-        predicate: Option<Expr>,
-        stats: ExecStats,
-    ) -> LockStepJoin {
-        LockStepJoin { left, right, litem: None, ritem: None, started: false, predicate, stats }
-    }
-}
-
-impl Cursor for LockStepJoin {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        if !self.started {
-            self.started = true;
-            self.litem = self.left.next()?;
-            if let Some((lp, _)) = &self.litem {
-                // Let the right side skip directly to the left's position.
-                self.ritem = self.right.next_from(*lp)?;
-            }
-        }
-        loop {
-            let (Some((lp, _)), Some((rp, _))) = (&self.litem, &self.ritem) else {
-                return Ok(None);
-            };
-            let (lp, rp) = (*lp, *rp);
-            if lp < rp {
-                self.litem = self.left.next_from(rp)?;
-            } else if rp < lp {
-                self.ritem = self.right.next_from(lp)?;
-            } else {
-                let (_, lrec) = self.litem.take().expect("present");
-                let (_, rrec) = self.ritem.take().expect("present");
-                let joined = lrec.compose(&rrec);
-                self.litem = self.left.next()?;
-                self.ritem = self.right.next()?;
-                let pass = match &self.predicate {
-                    Some(p) => {
-                        self.stats.record_predicate_eval();
-                        p.eval_predicate(&joined)?
-                    }
-                    None => true,
-                };
-                if pass {
-                    return Ok(Some((lp, joined)));
-                }
-            }
-        }
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        if !self.started {
-            self.started = true;
-            self.litem = self.left.next_from(lower)?;
-            if let Some((lp, _)) = &self.litem {
-                self.ritem = self.right.next_from((*lp).max(lower))?;
-            }
-            return self.next_started();
-        }
-        if self.litem.as_ref().map(|(p, _)| *p < lower).unwrap_or(false) {
-            self.litem = self.left.next_from(lower)?;
-        }
-        if self.ritem.as_ref().map(|(p, _)| *p < lower).unwrap_or(false) {
-            self.ritem = self.right.next_from(lower)?;
-        }
-        self.next_started()
-    }
-}
-
-impl LockStepJoin {
-    fn next_started(&mut self) -> Result<Option<(i64, Record)>> {
-        debug_assert!(self.started);
-        self.next()
-    }
 }
 
 /// Probed access to a compose: probe both inputs at the position.
@@ -227,19 +70,17 @@ impl PointAccess for ComposeProbe {
     }
 }
 
-/// Vectorized Join-Strategy-B: merge two position-sorted batch streams in
-/// lock step with run-based position matching.
+/// Join-Strategy-B: merge two position-sorted batch streams in lock step
+/// with run-based position matching.
 ///
-/// Mirrors [`LockStepJoin`]'s access protocol batch-at-a-time: the left is
-/// pulled first and the right opens with the left's first position as its
+/// The left is pulled first and the right opens with the left's first position as its
 /// skip hint; whenever one side's buffered batch runs dry mid-merge, it is
 /// refilled via `next_batch_from(<other side's frontier>)` so whole stretches
 /// with no possible matches are never materialized. Within a pair of buffered
 /// batches the merge gallops with `partition_point` instead of stepping
 /// record by record, and matched runs are composed columnar via
-/// [`RecordBatch::extend_joined`]. Predicate evaluations are counted exactly
-/// as the record path does — once per aligned pair, including failures — but
-/// folded once per matched run.
+/// [`RecordBatch::extend_joined`]. Predicate evaluations are counted once per
+/// aligned pair, including failures, and folded once per matched run.
 pub struct LockStepJoinBatch {
     left: Box<dyn BatchCursor>,
     right: Box<dyn BatchCursor>,
@@ -360,8 +201,7 @@ impl LockStepJoinBatch {
 
     /// Make both frontiers available, refilling an exhausted side with the
     /// other side's frontier as the skip hint. Returns `false` once either
-    /// input ends (mirroring the record path, the surviving side is not
-    /// pulled further).
+    /// input ends (the surviving side is not pulled further).
     fn ensure_frontiers(&mut self) -> Result<bool> {
         if self.lbuf.is_none() && self.ldone {
             return Ok(false);
@@ -489,15 +329,14 @@ impl BatchCursor for LockStepJoinBatch {
     }
 }
 
-/// Vectorized Join-Strategy-A: stream the outer in batches, probe the inner
-/// at every outer position.
+/// Join-Strategy-A: stream the outer in batches, probe the inner at every
+/// outer position.
 ///
 /// One `inner.get(pos)` probe is issued per streamed outer row — missing
-/// positions included — so the §4.1 probe counts are exactly those of
-/// [`StreamProbeJoin`]. Matches are composed in the fixed left ∘ right schema
-/// order regardless of which side streams, and predicate evaluations (counted
-/// only for found pairs, as on the record path) are folded once per outer
-/// batch.
+/// positions included — which is what §4.1 prices. Matches are composed in
+/// the fixed left ∘ right schema order regardless of which side streams,
+/// and predicate evaluations (counted only for found pairs) are folded once
+/// per outer batch.
 pub struct StreamProbeJoinBatch {
     outer: Box<dyn BatchCursor>,
     inner: Box<dyn PointAccess>,
@@ -586,7 +425,7 @@ impl BatchCursor for StreamProbeJoinBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::{BaseProbe, BaseStreamCursor};
+    use crate::probe::BaseProbe;
     use seq_core::{record, schema, AttrType, BaseSequence, Value};
     use seq_storage::Catalog;
     use std::sync::Arc;
@@ -620,124 +459,10 @@ mod tests {
         c
     }
 
-    fn stream(c: &Catalog, name: &str) -> Box<dyn Cursor> {
-        let store = c.get(name).unwrap();
-        let span = seq_core::Sequence::meta(store.as_ref()).span;
-        Box::new(BaseStreamCursor::new(&store, span))
-    }
-
     fn probe(c: &Catalog, name: &str) -> Box<dyn PointAccess> {
         let store: Arc<seq_storage::StoredSequence> = c.get(name).unwrap();
         let span = seq_core::Sequence::meta(store.as_ref()).span;
         Box::new(BaseProbe::new(store, span))
-    }
-
-    fn collect(mut cur: impl Cursor) -> Vec<(i64, usize)> {
-        let mut out = Vec::new();
-        while let Some((p, r)) = cur.next().unwrap() {
-            out.push((p, r.arity()));
-        }
-        out
-    }
-
-    #[test]
-    fn lockstep_joins_common_positions() {
-        let c = catalog();
-        let j = LockStepJoin::new(stream(&c, "A"), stream(&c, "B"), None, ExecStats::new());
-        assert_eq!(collect(j), vec![(3, 4), (5, 4)]);
-    }
-
-    #[test]
-    fn all_strategies_agree() {
-        let c = catalog();
-        let lockstep = LockStepJoin::new(stream(&c, "A"), stream(&c, "B"), None, ExecStats::new());
-        let sp = StreamProbeJoin::new(
-            stream(&c, "A"),
-            probe(&c, "B"),
-            StreamSide::Left,
-            None,
-            ExecStats::new(),
-        );
-        let ps = StreamProbeJoin::new(
-            stream(&c, "B"),
-            probe(&c, "A"),
-            StreamSide::Right,
-            None,
-            ExecStats::new(),
-        );
-        let a = collect(lockstep);
-        assert_eq!(a, collect(sp));
-        assert_eq!(a, collect(ps));
-    }
-
-    #[test]
-    fn schema_order_is_left_then_right_for_both_variants() {
-        let c = catalog();
-        let mut sp = StreamProbeJoin::new(
-            stream(&c, "A"),
-            probe(&c, "B"),
-            StreamSide::Left,
-            None,
-            ExecStats::new(),
-        );
-        let (_, r1) = sp.next().unwrap().unwrap();
-        let mut ps = StreamProbeJoin::new(
-            stream(&c, "B"),
-            probe(&c, "A"),
-            StreamSide::Right,
-            None,
-            ExecStats::new(),
-        );
-        let (_, r2) = ps.next().unwrap().unwrap();
-        // Both at position 3: A's value 30.0 first, B's 3.0 third.
-        assert_eq!(r1.value(1).unwrap(), &Value::Float(30.0));
-        assert_eq!(r1.value(3).unwrap(), &Value::Float(3.0));
-        assert_eq!(r2.value(1).unwrap(), &Value::Float(30.0));
-        assert_eq!(r2.value(3).unwrap(), &Value::Float(3.0));
-    }
-
-    #[test]
-    fn join_predicate_filters_and_counts() {
-        let c = catalog();
-        let sch = schema(&[("time", AttrType::Int), ("v", AttrType::Float)]);
-        let composed = sch.compose(&sch);
-        let pred = Expr::attr("v").gt(Expr::attr("v_r")).bind(&composed).unwrap();
-        let stats = ExecStats::new();
-        let j = LockStepJoin::new(stream(&c, "A"), stream(&c, "B"), Some(pred), stats.clone());
-        // Position 3: 30 > 3 ✓. Position 5: 50 > 500 ✗.
-        assert_eq!(collect(j), vec![(3, 4)]);
-        assert_eq!(stats.snapshot().predicate_evals, 2);
-    }
-
-    #[test]
-    fn next_from_skips_join_output() {
-        let c = catalog();
-        let mut j = LockStepJoin::new(stream(&c, "A"), stream(&c, "B"), None, ExecStats::new());
-        let item = j.next_from(4).unwrap().unwrap();
-        assert_eq!(item.0, 5);
-        assert!(j.next().unwrap().is_none());
-    }
-
-    #[test]
-    fn compose_probe_point_lookup() {
-        let c = catalog();
-        let mut p = ComposeProbe::new(probe(&c, "A"), probe(&c, "B"), None, ExecStats::new());
-        assert!(p.get(3).unwrap().is_some());
-        assert!(p.get(1).unwrap().is_none()); // A only
-        assert!(p.get(8).unwrap().is_none()); // B only
-        assert!(p.get(100).unwrap().is_none());
-    }
-
-    #[test]
-    fn lockstep_probes_nothing_on_disjoint_inputs() {
-        let mut c = Catalog::new();
-        let sch = schema(&[("x", AttrType::Int)]);
-        let a = BaseSequence::from_entries(sch.clone(), vec![(1, record![1i64])]).unwrap();
-        let b = BaseSequence::from_entries(sch, vec![(100, record![100i64])]).unwrap();
-        c.register("A", &a);
-        c.register("B", &b);
-        let j = LockStepJoin::new(stream(&c, "A"), stream(&c, "B"), None, ExecStats::new());
-        assert!(collect(j).is_empty());
     }
 
     fn batch_stream(c: &Catalog, name: &str, batch_size: usize) -> Box<dyn BatchCursor> {
@@ -760,14 +485,18 @@ mod tests {
         out
     }
 
+    /// The probed compose evaluated at every position of both inputs.
+    fn probed(c: &Catalog) -> Vec<(i64, Record)> {
+        let mut p = ComposeProbe::new(probe(c, "A"), probe(c, "B"), None, ExecStats::new());
+        (0..=10).filter_map(|pos| p.get(pos).unwrap().map(|r| (pos, r))).collect()
+    }
+
     #[test]
-    fn lockstep_batch_matches_record_path_for_all_batch_sizes() {
+    fn all_strategies_agree_with_the_probe_path_for_all_batch_sizes() {
         let c = catalog();
-        let mut expect = Vec::new();
-        let mut rec = LockStepJoin::new(stream(&c, "A"), stream(&c, "B"), None, ExecStats::new());
-        while let Some(item) = rec.next().unwrap() {
-            expect.push(item);
-        }
+        let expect = probed(&c);
+        let at: Vec<(i64, usize)> = expect.iter().map(|(p, r)| (*p, r.arity())).collect();
+        assert_eq!(at, vec![(3, 4), (5, 4)]);
         for bs in [1, 2, 3, 64] {
             let j = LockStepJoinBatch::new(
                 batch_stream(&c, "A", bs),
@@ -776,8 +505,56 @@ mod tests {
                 ExecStats::new(),
                 bs,
             );
-            assert_eq!(collect_batches(j), expect, "batch_size {bs}");
+            assert_eq!(collect_batches(j), expect, "lock step, batch_size {bs}");
+            for (outer, inner, side) in
+                [("A", "B", StreamSide::Left), ("B", "A", StreamSide::Right)]
+            {
+                let j = StreamProbeJoinBatch::new(
+                    batch_stream(&c, outer, bs),
+                    probe(&c, inner),
+                    side,
+                    None,
+                    ExecStats::new(),
+                );
+                assert_eq!(collect_batches(j), expect, "outer {outer}, batch_size {bs}");
+            }
         }
+    }
+
+    #[test]
+    fn schema_order_is_left_then_right_for_both_variants() {
+        let c = catalog();
+        let mut sp = StreamProbeJoinBatch::new(
+            batch_stream(&c, "A", 4),
+            probe(&c, "B"),
+            StreamSide::Left,
+            None,
+            ExecStats::new(),
+        );
+        let (_, r1) = sp.next_batch().unwrap().unwrap().record(0);
+        let mut ps = StreamProbeJoinBatch::new(
+            batch_stream(&c, "B", 4),
+            probe(&c, "A"),
+            StreamSide::Right,
+            None,
+            ExecStats::new(),
+        );
+        let (_, r2) = ps.next_batch().unwrap().unwrap().record(0);
+        // Both at position 3: A's value 30.0 first, B's 3.0 third.
+        assert_eq!(r1.value(1).unwrap(), &Value::Float(30.0));
+        assert_eq!(r1.value(3).unwrap(), &Value::Float(3.0));
+        assert_eq!(r2.value(1).unwrap(), &Value::Float(30.0));
+        assert_eq!(r2.value(3).unwrap(), &Value::Float(3.0));
+    }
+
+    #[test]
+    fn compose_probe_point_lookup() {
+        let c = catalog();
+        let mut p = ComposeProbe::new(probe(&c, "A"), probe(&c, "B"), None, ExecStats::new());
+        assert!(p.get(3).unwrap().is_some());
+        assert!(p.get(1).unwrap().is_none()); // A only
+        assert!(p.get(8).unwrap().is_none()); // B only
+        assert!(p.get(100).unwrap().is_none());
     }
 
     #[test]
@@ -827,32 +604,6 @@ mod tests {
         let next = j2.next_batch_from(5).unwrap().unwrap();
         assert_eq!(next.first_pos(), Some(5));
         assert!(j2.next_batch().unwrap().is_none());
-    }
-
-    #[test]
-    fn stream_probe_batch_matches_record_path_both_orientations() {
-        let c = catalog();
-        for (outer, inner, side) in [("A", "B", StreamSide::Left), ("B", "A", StreamSide::Right)] {
-            let mut expect = Vec::new();
-            let mut rec = StreamProbeJoin::new(
-                stream(&c, outer),
-                probe(&c, inner),
-                side,
-                None,
-                ExecStats::new(),
-            );
-            while let Some(item) = rec.next().unwrap() {
-                expect.push(item);
-            }
-            let j = StreamProbeJoinBatch::new(
-                batch_stream(&c, outer, 3),
-                probe(&c, inner),
-                side,
-                None,
-                ExecStats::new(),
-            );
-            assert_eq!(collect_batches(j), expect, "outer {outer}");
-        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! "The Start operator at the root of the plan induces a stream access on
 //! its input sequence (i.e. it repeatedly asks for the next non-Null
-//! record)." (§4.1.4) — [`execute`] is that operator. Probed evaluation of
-//! specific positions ([`probe_positions`]) covers the other query form the
-//! template supports ("records at (a) specific positions").
+//! record)." (§4.1.4) — [`execute`] is that operator, asking for the next
+//! batch of non-Null records. Probed evaluation of specific positions
+//! ([`probe_positions`]) covers the other query form the template supports
+//! ("records at (a) specific positions").
 
 use seq_core::{Record, RecordBatch, Result, SeqError, Span};
 
@@ -28,51 +29,13 @@ pub(crate) fn materialized_range(plan: &PhysPlan) -> Result<Option<Span>> {
 }
 
 /// Stream-evaluate the plan, materializing every non-Null output within the
-/// plan's position range, in positional order.
+/// plan's position range, in positional order, [`seq_core::DEFAULT_BATCH_SIZE`]
+/// rows at a time.
 pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Vec<(i64, Record)>> {
-    instrument(
-        ctx,
-        QueryPath::Tuple,
-        |rows: &Vec<(i64, Record)>| rows.len() as u64,
-        || execute_inner(plan, ctx),
-    )
-}
-
-fn execute_inner(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Vec<(i64, Record)>> {
-    let Some(range) = materialized_range(plan)? else { return Ok(Vec::new()) };
-    if let Some(p) = &ctx.profile {
-        p.set_op_modes(plan.root.exec_mode_labels(false));
-    }
-    let mut cursor = plan.root.open_stream(ctx)?;
-    let mut out = Vec::new();
-    let mut item = cursor.next_from(range.start())?;
-    while let Some((pos, rec)) = item {
-        if pos > range.end() {
-            // The driver discards this row; keep the profiled root's
-            // rows_out equal to the records actually output.
-            if let Some(p) = &ctx.profile {
-                p.uncount_root_rows(1);
-            }
-            break;
-        }
-        ctx.stats.record_output();
-        out.push((pos, rec));
-        item = cursor.next()?;
-    }
-    Ok(out)
-}
-
-/// Stream-evaluate the plan on the vectorized path, materializing every
-/// non-Null output within the plan's position range, in positional order.
-///
-/// Produces exactly the records [`execute`] produces; unit-scope operators
-/// run batch-at-a-time (one folded counter update per batch), and operators
-/// without a batch kernel fall back to record cursors behind an adapter.
-pub fn execute_batched(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Vec<(i64, Record)>> {
     execute_batched_with(plan, ctx, seq_core::DEFAULT_BATCH_SIZE)
 }
 
-/// [`execute_batched`] with an explicit batch size (tests and benchmarks).
+/// [`execute`] with an explicit batch size (tests and benchmarks).
 pub fn execute_batched_with(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,
@@ -85,7 +48,7 @@ pub fn execute_batched_with(
         || {
             let Some(range) = materialized_range(plan)? else { return Ok(Vec::new()) };
             if let Some(p) = &ctx.profile {
-                p.set_op_modes(plan.root.exec_mode_labels(true));
+                p.set_op_modes(plan.root.exec_mode_labels());
             }
             let mut out = Vec::new();
             drain_batches(&plan.root, ctx, range, batch_size, |b| b.append_records_into(&mut out))?;
@@ -105,6 +68,10 @@ pub(crate) fn drain_batches(
     batch_size: usize,
     mut sink: impl FnMut(RecordBatch),
 ) -> Result<()> {
+    // A root without a kernel is a probe walk, which pays its probes for
+    // every position it walks: pulled a row at a time, it stops one row past
+    // the range instead of a batch past it.
+    let batch_size = if root.is_batch_capable() { batch_size } else { 1 };
     let mut cursor = root.open_batch(ctx, batch_size)?;
     let mut item = cursor.next_batch_from(range.start())?;
     while let Some(mut batch) = item {
@@ -130,8 +97,8 @@ pub(crate) fn drain_batches(
 }
 
 /// Morsel-driven parallel evaluation with `workers` threads and default
-/// batch/morsel sizing; bit-identical to [`execute_batched`] (and therefore
-/// to [`execute`]). See [`crate::parallel`].
+/// batch/morsel sizing; bit-identical to [`execute`]. See
+/// [`crate::parallel`].
 pub fn execute_parallel(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,

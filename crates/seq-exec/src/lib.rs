@@ -1,10 +1,18 @@
 //! # seq-exec — physical evaluation of sequence queries
 //!
-//! The execution layer of the stack (§3.3–§3.5, §4.1.4 of the paper):
+//! The execution layer of the stack (§3.3–§3.5, §4.1.4 of the paper). The
+//! paper gives a sequence two access modes (§3.3), and each has one
+//! implementation here:
 //!
-//! - [`cursor`] — the two access modes of §3.3 as traits
-//!   ([`cursor::Cursor`] for stream access, [`cursor::PointAccess`] for
-//!   probed access) plus the unit-scope cursors;
+//! - [`batch`] — **stream** access: [`batch::BatchCursor`] kernels over
+//!   columnar [`seq_core::RecordBatch`]es for every operator (unit-scope
+//!   kernels here; joins, value offsets, and cumulative/whole-span
+//!   aggregates in their own modules). A node without a kernel (a
+//!   `NaiveProbe` strategy choice, `Constant`) streams as a walk over its
+//!   probed access;
+//! - [`probe`] — **probed** access: [`probe::PointAccess`] handles for the
+//!   unit-scope operators (the other operators' probes sit beside their
+//!   kernels);
 //! - [`cache`] — the FIFO operator caches of §3.4 (cache-finite evaluation);
 //! - [`offset`] — value offsets: naive walks vs. Cache-Strategy-B
 //!   (Figure 5.B);
@@ -14,11 +22,6 @@
 //!   variants) and Join-Strategy-B (lock-step) (Figure 4, §3.3);
 //! - [`plan`] / [`exec`] — physical plans carrying per-operator strategies
 //!   and spans, and the Start operator that drives them (Figure 6);
-//! - [`batch`] — the vectorized batch-at-a-time path: every physical
-//!   operator (unit-scope kernels here; joins, value offsets, and
-//!   cumulative/whole-span aggregates in their own modules) over columnar
-//!   [`seq_core::RecordBatch`]es, with an adapter from the record-at-a-time
-//!   cursors for the nodes that have no batch kernel;
 //! - [`parallel`] — morsel-driven parallel execution of position-
 //!   partitionable plans with an order-preserving bounded merge;
 //! - [`profile`] — seq-trace: opt-in per-operator/per-worker instrumentation
@@ -32,29 +35,28 @@ pub mod aggregate;
 pub mod batch;
 pub mod cache;
 pub mod compose;
-pub mod cursor;
 pub mod exec;
 pub mod incremental;
 pub mod offset;
 pub mod parallel;
 pub mod plan;
+pub mod probe;
 pub mod profile;
 pub mod stats;
 pub mod telemetry;
 
 pub use aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
-pub use batch::{BatchCursor, FusedBaseBatchCursor, RecordToBatchCursor, DEFAULT_BATCH_SIZE};
+pub use batch::{BatchCursor, FusedBaseBatchCursor, ProbeWalkBatchCursor, DEFAULT_BATCH_SIZE};
 pub use cache::OpCache;
 pub use compose::{LockStepJoinBatch, StreamProbeJoinBatch, StreamSide};
-pub use cursor::{Cursor, PointAccess};
 pub use exec::{
-    execute, execute_batched, execute_batched_with, execute_parallel, materialize_into,
-    probe_positions,
+    execute, execute_batched_with, execute_parallel, materialize_into, probe_positions,
 };
 pub use incremental::{replay, Emission, TriggerEngine};
 pub use offset::ValueOffsetBatchCursor;
 pub use parallel::{execute_parallel_with, plan_morsels, ParallelConfig};
 pub use plan::{AggStrategy, ExecContext, JoinStrategy, PhysNode, PhysPlan, ValueOffsetStrategy};
+pub use probe::PointAccess;
 pub use profile::{OpReport, QueryProfile, WorkerProfile};
 pub use stats::{ExecSnapshot, ExecStats};
 pub use telemetry::{

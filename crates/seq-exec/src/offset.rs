@@ -4,23 +4,23 @@
 //! position `i` may require looking back (or ahead) an arbitrary number of
 //! positions. Two strategies are implemented:
 //!
-//! - **Naive** ([`NaiveValueOffsetCursor`], and [`ValueOffsetProbe`] for
-//!   probed access): for each output position, probe the input backward
-//!   position by position until the |offset|-th non-Null record is found.
-//!   Over a derived input this re-derives records repeatedly — the cost §3.5
-//!   calls out.
-//! - **Incremental, Cache-Strategy-B** ([`IncrementalValueOffsetCursor`]):
-//!   stream the input once, holding only the |offset| most recent records in
-//!   a FIFO [`OpCache`]. "The record at a particular position ... is either
-//!   the cached record at the previous position, or the record from the
-//!   input at the previous position if it is non-Null." The incremental
-//!   algorithm is not usable in conjunction with probed access (§4.1.2).
+//! - **Naive** ([`ValueOffsetProbe`]): for each output position, probe the
+//!   input backward position by position until the |offset|-th non-Null
+//!   record is found. Over a derived input this re-derives records
+//!   repeatedly — the cost §3.5 calls out. Streamed, it is a walk over those
+//!   probes ([`crate::batch::ProbeWalkBatchCursor`]).
+//! - **Incremental, Cache-Strategy-B** ([`ValueOffsetBatchCursor`]): stream
+//!   the input once, holding only the |offset| most recent records in a FIFO
+//!   [`OpCache`]. "The record at a particular position ... is either the
+//!   cached record at the previous position, or the record from the input
+//!   at the previous position if it is non-Null." The incremental algorithm
+//!   is not usable in conjunction with probed access (§4.1.2).
 
 use seq_core::{Record, RecordBatch, Result, Span, Value};
 
 use crate::batch::BatchCursor;
 use crate::cache::OpCache;
-use crate::cursor::{Cursor, PointAccess};
+use crate::probe::PointAccess;
 use crate::stats::ExecStats;
 
 /// Cache-Strategy-B: single input scan, |offset|-record FIFO cache.
@@ -28,167 +28,14 @@ use crate::stats::ExecStats;
 /// Output semantics: at output position `o`, the record at the |offset|-th
 /// most recent non-empty input position strictly before `o` (for negative
 /// offsets; symmetric lookahead for positive ones).
-pub struct IncrementalValueOffsetCursor {
-    input: Box<dyn Cursor>,
-    /// |offset| for backward, offset for forward.
-    magnitude: usize,
-    backward: bool,
-    cache: OpCache,
-    /// Next input record not yet folded into the cache.
-    pending: Option<(i64, Record)>,
-    input_done: bool,
-    /// Next candidate output position.
-    cur: i64,
-    span: Span,
-    started: bool,
-}
-
-impl IncrementalValueOffsetCursor {
-    /// Cache-Strategy-B evaluation of a value offset over a bounded span.
-    pub fn new(
-        input: Box<dyn Cursor>,
-        offset: i64,
-        span: Span,
-        stats: ExecStats,
-    ) -> Result<IncrementalValueOffsetCursor> {
-        assert!(offset != 0, "value offset of zero is the identity");
-        if !span.is_empty() && !span.is_bounded() {
-            return Err(seq_core::SeqError::Unsupported(
-                "stream evaluation of a value offset needs a bounded output span".into(),
-            ));
-        }
-        let magnitude = offset.unsigned_abs() as usize;
-        let (span, cur) = crate::cursor::span_cursor_start(span);
-        Ok(IncrementalValueOffsetCursor {
-            input,
-            magnitude,
-            backward: offset < 0,
-            cache: OpCache::new(magnitude, stats),
-            pending: None,
-            input_done: false,
-            cur,
-            span,
-            started: false,
-        })
-    }
-
-    fn pull_input(&mut self) -> Result<Option<(i64, Record)>> {
-        if let Some(item) = self.pending.take() {
-            return Ok(Some(item));
-        }
-        if self.input_done {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(item) => Ok(Some(item)),
-            None => {
-                self.input_done = true;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Fold into the cache every input record at a position strictly below
-    /// `before` (backward mode), leaving the first later record pending.
-    fn advance_input_below(&mut self, before: i64) -> Result<()> {
-        loop {
-            match self.pull_input()? {
-                Some((p, r)) if p < before => self.cache.push(p, r),
-                Some(item) => {
-                    self.pending = Some(item);
-                    return Ok(());
-                }
-                None => return Ok(()),
-            }
-        }
-    }
-
-    fn next_backward(&mut self) -> Result<Option<(i64, Record)>> {
-        loop {
-            if self.span.is_empty() || self.cur > self.span.end() {
-                return Ok(None);
-            }
-            let o = self.cur;
-            self.advance_input_below(o)?;
-            self.cur += 1;
-            if self.cache.len() >= self.magnitude {
-                // The |offset|-th most recent input before o.
-                let (_, rec) = self.cache.from_back(self.magnitude - 1).expect("len checked");
-                return Ok(Some((o, rec.clone())));
-            }
-            // Not enough history yet. Skip directly to just after the
-            // magnitude-th input record instead of walking every position.
-            if self.input_done && self.pending.is_none() {
-                return Ok(None);
-            }
-            if let Some((p, r)) = self.pull_input()? {
-                self.cache.push(p, r);
-                // Earliest output position that can see this record is p+1.
-                self.cur = self.cur.max(p + 1);
-            }
-        }
-    }
-
-    fn next_forward(&mut self) -> Result<Option<(i64, Record)>> {
-        if self.span.is_empty() || self.cur > self.span.end() {
-            return Ok(None);
-        }
-        let o = self.cur;
-        // Lookahead mode: cache holds records strictly after o. Evict
-        // records at positions <= o, then fill to `magnitude`.
-        self.cache.evict_below(o + 1);
-        while self.cache.len() < self.magnitude {
-            match self.pull_input()? {
-                Some((p, r)) => {
-                    if p > o {
-                        self.cache.push(p, r);
-                    }
-                    // Records at p <= o can never serve later outputs
-                    // either (outputs only move forward): drop them.
-                }
-                None => break,
-            }
-        }
-        self.cur += 1;
-        if self.cache.len() >= self.magnitude {
-            let (_, rec) = self.cache.from_back(0).expect("non-empty");
-            // from_back(0) is the newest = the magnitude-th after o,
-            // because the cache holds exactly `magnitude` records > o.
-            return Ok(Some((o, rec.clone())));
-        }
-        // Input exhausted: no further output has enough lookahead.
-        Ok(None)
-    }
-}
-
-impl Cursor for IncrementalValueOffsetCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        self.started = true;
-        if self.backward {
-            self.next_backward()
-        } else {
-            self.next_forward()
-        }
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        // Jump the output position; the input is folded forward lazily.
-        self.cur = self.cur.max(lower);
-        self.next()
-    }
-}
-
-/// Vectorized Cache-Strategy-B: [`IncrementalValueOffsetCursor`] batch-at-a-
-/// time, emitting runs.
 ///
 /// All output positions between two consecutive input positions share one
 /// source row, so the kernel emits each such run column-wise in one step,
 /// reading the source row by index straight off the buffered input batch. A
 /// source may lie up to |offset| rows back, in an earlier batch, so the last
-/// |offset| rows of every retiring input batch enter the [`OpCache`]. Rows
-/// are consumed exactly when the record path consumes them, and the cache
-/// stores it charges one per stored record are charged once per output
-/// batch, with the same total.
+/// |offset| rows of every retiring input batch enter the [`OpCache`]. Input
+/// rows are consumed lazily, only as far as the next output needs them;
+/// every consumed row is one cache store, charged once per output batch.
 pub struct ValueOffsetBatchCursor {
     input: Box<dyn BatchCursor>,
     magnitude: u64,
@@ -202,7 +49,7 @@ pub struct ValueOffsetBatchCursor {
     /// Index of `in_batch`'s first row (`taken` when none is buffered).
     batch_start: u64,
     /// Forward only: how many of the newest consumed rows lie after the
-    /// current output position (the record path's cached lookahead).
+    /// current output position (the cached lookahead).
     ahead: u64,
     /// Cache stores made since the last charge.
     uncharged: u64,
@@ -230,7 +77,7 @@ impl ValueOffsetBatchCursor {
             ));
         }
         let magnitude = offset.unsigned_abs();
-        let (span, cur) = crate::cursor::span_cursor_start(span);
+        let (span, cur) = crate::batch::span_cursor_start(span);
         Ok(ValueOffsetBatchCursor {
             input,
             magnitude,
@@ -313,9 +160,8 @@ impl ValueOffsetBatchCursor {
     }
 
     /// The next run `(source row, first, last)` of at most `room` outputs,
-    /// consuming input exactly as
-    /// [`IncrementalValueOffsetCursor::next_backward`] does by the time it
-    /// produces output `last`.
+    /// consuming the input rows strictly below `first` (and, while the
+    /// history is short, the one row that ends the gap).
     fn run_backward(&mut self, room: usize) -> Result<Option<(u64, i64, i64)>> {
         loop {
             if self.span.is_empty() || self.cur > self.span.end() {
@@ -353,8 +199,8 @@ impl ValueOffsetBatchCursor {
         }
     }
 
-    /// The next run of at most `room` outputs, consuming input exactly as
-    /// [`IncrementalValueOffsetCursor::next_forward`] does.
+    /// The next run of at most `room` outputs, consuming input only until
+    /// |offset| rows lie ahead of its first position.
     fn run_forward(&mut self, room: usize) -> Result<Option<(u64, i64, i64)>> {
         if self.span.is_empty() || self.cur > self.span.end() {
             return Ok(None);
@@ -427,58 +273,9 @@ impl BatchCursor for ValueOffsetBatchCursor {
 
     fn next_batch_from(&mut self, lower: i64) -> Result<Option<RecordBatch>> {
         // Jump the output position; the skipped input is still folded into
-        // the cache lazily, exactly as the record path's `next_from` does.
+        // the cache lazily.
         self.cur = self.cur.max(lower);
         self.next_batch()
-    }
-}
-
-/// The naive strategy as a stream: for each output position, walk the input
-/// backward/forward through probed access until |offset| records are found.
-pub struct NaiveValueOffsetCursor {
-    probe: ValueOffsetProbe,
-    cur: i64,
-    span: Span,
-}
-
-impl NaiveValueOffsetCursor {
-    /// The naive per-output walking strategy as a stream.
-    pub fn new(
-        input: Box<dyn PointAccess>,
-        offset: i64,
-        input_span: Span,
-        span: Span,
-        stats: ExecStats,
-    ) -> Result<NaiveValueOffsetCursor> {
-        if !span.is_empty() && !span.is_bounded() {
-            return Err(seq_core::SeqError::Unsupported(
-                "naive evaluation of a value offset needs a bounded output span".into(),
-            ));
-        }
-        let (span, cur) = crate::cursor::span_cursor_start(span);
-        Ok(NaiveValueOffsetCursor {
-            probe: ValueOffsetProbe::new(input, offset, input_span, span, stats),
-            cur,
-            span,
-        })
-    }
-}
-
-impl Cursor for NaiveValueOffsetCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        while !self.span.is_empty() && self.cur <= self.span.end() {
-            let o = self.cur;
-            self.cur += 1;
-            if let Some(rec) = self.probe.get(o)? {
-                return Ok(Some((o, rec)));
-            }
-        }
-        Ok(None)
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        self.cur = self.cur.max(lower);
-        self.next()
     }
 }
 
@@ -558,7 +355,8 @@ impl PointAccess for ValueOffsetProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::{BaseProbe, BaseStreamCursor};
+    use crate::batch::ProbeWalkBatchCursor;
+    use crate::probe::BaseProbe;
     use seq_core::{record, schema, AttrType, BaseSequence, Value};
     use seq_storage::Catalog;
 
@@ -574,77 +372,84 @@ mod tests {
         c
     }
 
-    fn collect(mut cur: impl Cursor) -> Vec<(i64, i64)> {
+    fn collect_batches(mut cur: impl BatchCursor) -> Vec<(i64, i64)> {
         let mut out = Vec::new();
-        while let Some((p, r)) = cur.next().unwrap() {
-            out.push((p, r.value(0).unwrap().as_i64().unwrap()));
+        while let Some(b) = cur.next_batch().unwrap() {
+            assert!(!b.is_empty());
+            for row in b.rows() {
+                out.push((row.position(), row.value(0).unwrap().as_i64().unwrap()));
+            }
         }
         out
     }
 
-    #[test]
-    fn incremental_previous_matches_semantics() {
-        let c = catalog(&[1, 3, 7]);
+    fn batch_input(c: &Catalog, span: Span, batch_size: usize) -> Box<dyn BatchCursor> {
         let store = c.get("S").unwrap();
-        let input = Box::new(BaseStreamCursor::new(&store, Span::new(1, 7)));
-        let cur = IncrementalValueOffsetCursor::new(input, -1, Span::new(1, 10), ExecStats::new())
-            .unwrap();
-        let out = collect(cur);
-        // Previous: defined from position 2 on; value is most recent input
-        // strictly before the position.
-        let expect: Vec<(i64, i64)> =
-            vec![(2, 1), (3, 1), (4, 3), (5, 3), (6, 3), (7, 3), (8, 7), (9, 7), (10, 7)];
-        assert_eq!(out, expect);
+        Box::new(crate::batch::BaseBatchCursor::new(
+            &store,
+            span,
+            batch_size,
+            seq_storage::ColumnSet::All,
+        ))
     }
 
-    #[test]
-    fn incremental_offset_minus_two() {
-        let c = catalog(&[1, 3, 7]);
-        let store = c.get("S").unwrap();
-        let input = Box::new(BaseStreamCursor::new(&store, Span::new(1, 7)));
-        let cur = IncrementalValueOffsetCursor::new(input, -2, Span::new(1, 9), ExecStats::new())
-            .unwrap();
-        let out = collect(cur);
-        let expect: Vec<(i64, i64)> = vec![(4, 1), (5, 1), (6, 1), (7, 1), (8, 3), (9, 3)];
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn incremental_next_forward() {
-        let c = catalog(&[1, 3, 7]);
-        let store = c.get("S").unwrap();
-        let input = Box::new(BaseStreamCursor::new(&store, Span::new(1, 7)));
+    /// Cache-B over `S`'s `input` span, drained whole.
+    fn cache_b(
+        c: &Catalog,
+        input: Span,
+        offset: i64,
+        span: Span,
+        stats: &ExecStats,
+        bs: usize,
+    ) -> Vec<(i64, i64)> {
         let cur =
-            IncrementalValueOffsetCursor::new(input, 1, Span::new(0, 7), ExecStats::new()).unwrap();
-        let out = collect(cur);
-        // Next: record strictly after the position.
-        let expect: Vec<(i64, i64)> = vec![(0, 1), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)];
-        assert_eq!(out, expect);
+            ValueOffsetBatchCursor::new(batch_input(c, input, bs), offset, span, stats.clone(), bs)
+                .unwrap();
+        collect_batches(cur)
+    }
+
+    /// The naive walk over `S`'s `input` span, streamed as a probe walk.
+    fn naive(
+        c: &Catalog,
+        input: Span,
+        offset: i64,
+        span: Span,
+        stats: &ExecStats,
+    ) -> Vec<(i64, i64)> {
+        let probe = ValueOffsetProbe::new(
+            Box::new(BaseProbe::new(c.get("S").unwrap(), input)),
+            offset,
+            input,
+            span,
+            stats.clone(),
+        );
+        let what = "naive evaluation of a value offset";
+        collect_batches(ProbeWalkBatchCursor::new(Box::new(probe), span, 7, what).unwrap())
     }
 
     #[test]
-    fn naive_matches_incremental() {
-        let c = catalog(&[2, 5, 6, 11]);
-        let store = c.get("S").unwrap();
-        let span = Span::new(1, 15);
-        let input_span = Span::new(2, 11);
-
-        let inc = IncrementalValueOffsetCursor::new(
-            Box::new(BaseStreamCursor::new(&store, input_span)),
-            -1,
-            span,
-            ExecStats::new(),
-        )
-        .unwrap();
-        let naive = NaiveValueOffsetCursor::new(
-            Box::new(BaseProbe::new(store.clone(), input_span)),
-            -1,
-            input_span,
-            span,
-            ExecStats::new(),
-        )
-        .unwrap();
-        assert_eq!(collect(inc), collect(naive));
+    fn offsets_match_hand_computation_for_all_batch_sizes() {
+        let c = catalog(&[1, 3, 7]);
+        let cases = [
+            // Previous: defined from position 2 on; value is the most recent
+            // input strictly before the position.
+            (
+                -1,
+                Span::new(1, 10),
+                vec![(2, 1), (3, 1), (4, 3), (5, 3), (6, 3), (7, 3), (8, 7), (9, 7), (10, 7)],
+            ),
+            (-2, Span::new(1, 9), vec![(4, 1), (5, 1), (6, 1), (7, 1), (8, 3), (9, 3)]),
+            // Next: the record strictly after the position.
+            (1, Span::new(0, 7), vec![(0, 1), (1, 3), (2, 3), (3, 7), (4, 7), (5, 7), (6, 7)]),
+        ];
+        for (offset, span, expect) in cases {
+            for bs in [1, 2, 64] {
+                let got = cache_b(&c, Span::new(1, 7), offset, span, &ExecStats::new(), bs);
+                assert_eq!(got, expect, "offset {offset} batch_size {bs}");
+            }
+            let walked = naive(&c, Span::new(1, 7), offset, span, &ExecStats::new());
+            assert_eq!(walked, expect, "naive offset {offset}");
+        }
     }
 
     #[test]
@@ -653,34 +458,19 @@ mod tests {
         // repeatedly; the incremental cache does not walk at all.
         let positions: Vec<i64> = (1..=50).map(|i| i * 2).collect(); // sparse
         let c = catalog(&positions);
-        let store = c.get("S").unwrap();
         let span = Span::new(1, 100);
         let input_span = Span::new(2, 100);
 
         let naive_stats = ExecStats::new();
-        let naive = NaiveValueOffsetCursor::new(
-            Box::new(BaseProbe::new(store.clone(), input_span)),
-            -1,
-            input_span,
-            span,
-            naive_stats.clone(),
-        )
-        .unwrap();
-        let n_out = collect(naive).len();
+        let walked = naive(&c, input_span, -1, span, &naive_stats);
+        let n_out = walked.len();
         assert!(n_out > 0);
         let walk = naive_stats.snapshot().naive_walk_steps;
         // Each output at an even distance walks >= 1 step; many walk 2.
         assert!(walk as usize > n_out, "walk={walk} outputs={n_out}");
 
         let inc_stats = ExecStats::new();
-        let inc = IncrementalValueOffsetCursor::new(
-            Box::new(BaseStreamCursor::new(&store, input_span)),
-            -1,
-            span,
-            inc_stats.clone(),
-        )
-        .unwrap();
-        assert_eq!(collect(inc).len(), n_out);
+        assert_eq!(cache_b(&c, input_span, -1, span, &inc_stats, 16), walked);
         assert_eq!(inc_stats.snapshot().naive_walk_steps, 0);
         // Cache-B stores each consumed input record exactly once (the final
         // record at position 100 never precedes an output position, so it is
@@ -706,102 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn next_from_skips_cheaply() {
-        let c = catalog(&(1..=100).collect::<Vec<i64>>());
-        let store = c.get("S").unwrap();
-        let mut cur = IncrementalValueOffsetCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::new(1, 100))),
-            -1,
-            Span::new(1, 200),
-            ExecStats::new(),
-        )
-        .unwrap();
-        let (p, r) = cur.next_from(150).unwrap().unwrap();
-        assert_eq!(p, 150);
-        assert_eq!(r.value(0).unwrap(), &Value::Int(100));
-    }
-
-    #[test]
     fn empty_input_yields_nothing() {
         let c = catalog(&[]);
-        let store = c.get("S").unwrap();
-        let cur = IncrementalValueOffsetCursor::new(
-            Box::new(BaseStreamCursor::new(&store, Span::empty())),
-            -1,
-            Span::new(1, 10),
-            ExecStats::new(),
-        )
-        .unwrap();
-        assert!(collect(cur).is_empty());
-    }
-
-    fn collect_batches(mut cur: impl BatchCursor) -> Vec<(i64, i64)> {
-        let mut out = Vec::new();
-        while let Some(b) = cur.next_batch().unwrap() {
-            assert!(!b.is_empty());
-            for row in b.rows() {
-                out.push((row.position(), row.value(0).unwrap().as_i64().unwrap()));
-            }
-        }
-        out
-    }
-
-    fn batch_input(c: &Catalog, span: Span, batch_size: usize) -> Box<dyn BatchCursor> {
-        let store = c.get("S").unwrap();
-        Box::new(crate::batch::BaseBatchCursor::new(
-            &store,
-            span,
-            batch_size,
-            seq_storage::ColumnSet::All,
-        ))
-    }
-
-    #[test]
-    fn batched_offsets_match_record_path_for_all_batch_sizes() {
-        let c = catalog(&[1, 3, 7]);
-        for (offset, span) in [(-1, Span::new(1, 10)), (-2, Span::new(1, 9)), (1, Span::new(0, 7))]
-        {
-            let store = c.get("S").unwrap();
-            let expect = collect(
-                IncrementalValueOffsetCursor::new(
-                    Box::new(BaseStreamCursor::new(&store, Span::new(1, 7))),
-                    offset,
-                    span,
-                    ExecStats::new(),
-                )
-                .unwrap(),
-            );
-            for bs in [1, 2, 64] {
-                let cur = ValueOffsetBatchCursor::new(
-                    batch_input(&c, Span::new(1, 7), bs),
-                    offset,
-                    span,
-                    ExecStats::new(),
-                    bs,
-                )
-                .unwrap();
-                assert_eq!(collect_batches(cur), expect, "offset {offset} batch_size {bs}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_offset_cache_counters_match_record_path() {
-        let positions: Vec<i64> = (1..=50).map(|i| i * 2).collect();
-        let c = catalog(&positions);
-        let stats = ExecStats::new();
-        let cur = ValueOffsetBatchCursor::new(
-            batch_input(&c, Span::new(2, 100), 16),
-            -1,
-            Span::new(1, 100),
-            stats.clone(),
-            16,
-        )
-        .unwrap();
-        assert!(!collect_batches(cur).is_empty());
-        // Same cache traffic as IncrementalValueOffsetCursor on this input.
-        assert_eq!(stats.snapshot().cache_stores, 49);
-        assert_eq!(stats.snapshot().naive_walk_steps, 0);
+        assert!(cache_b(&c, Span::empty(), -1, Span::new(1, 10), &ExecStats::new(), 4).is_empty());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! independent [`BatchCursor`] pipeline over its sub-span, and hands the
 //! result to an order-preserving bounded merge. Because unit-scope stream
 //! operators are position-wise independent, the merged output is
-//! bit-identical to the sequential batch path — and therefore to the
-//! record-at-a-time path.
+//! bit-identical to the sequential batch path.
 //!
 //! The pool is plain `std::thread::scope` + `Mutex`/`Condvar`; no runtime
 //! dependency. [`crate::stats::ExecStats`] and the storage counters are
@@ -264,7 +263,7 @@ fn run_parallel(
     workers: usize,
 ) -> Result<Vec<(i64, Record)>> {
     if let Some(p) = &ctx.profile {
-        p.set_op_modes(plan.root.exec_mode_labels(true));
+        p.set_op_modes(plan.root.exec_mode_labels());
     }
     let workers = workers.min(morsels.len());
     let queue = MergeQueue::new(morsels.len(), workers * 2 + 2);

@@ -15,26 +15,14 @@ use std::fmt;
 use seq_core::{Record, Result, Span};
 use seq_ops::{AggFunc, Expr, Window};
 
-use crate::aggregate::{
-    AggProbe, CumulativeAggBatchCursor, CumulativeAggCursor, NaiveAggCursor,
-    WholeSpanAggBatchCursor, WholeSpanAggCursor, WindowAggCursor,
-};
+use crate::aggregate::{AggProbe, CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
 use crate::batch::{
     BaseBatchCursor, BatchCursor, CompactBatchCursor, FusedBaseBatchCursor, PosOffsetBatchCursor,
-    ProjectBatchCursor, RecordToBatchCursor, SelectBatchCursor, WindowAggBatchCursor,
+    ProbeWalkBatchCursor, ProjectBatchCursor, SelectBatchCursor, WindowAggBatchCursor,
 };
-use crate::compose::{
-    ComposeProbe, LockStepJoin, LockStepJoinBatch, StreamProbeJoin, StreamProbeJoinBatch,
-    StreamSide,
-};
-use crate::cursor::{
-    BaseProbe, BaseStreamCursor, ConstCursor, ConstProbe, Cursor, FusedBaseStreamCursor,
-    PointAccess, PosOffsetCursor, PosOffsetProbe, ProjectCursor, ProjectProbe, SelectCursor,
-    SelectProbe,
-};
-use crate::offset::{
-    IncrementalValueOffsetCursor, NaiveValueOffsetCursor, ValueOffsetBatchCursor, ValueOffsetProbe,
-};
+use crate::compose::{ComposeProbe, LockStepJoinBatch, StreamProbeJoinBatch, StreamSide};
+use crate::offset::{ValueOffsetBatchCursor, ValueOffsetProbe};
+use crate::probe::{BaseProbe, ConstProbe, PointAccess, PosOffsetProbe, ProjectProbe, SelectProbe};
 use crate::profile::QueryProfile;
 use crate::stats::ExecStats;
 use seq_storage::ColumnSet;
@@ -71,7 +59,7 @@ pub enum ValueOffsetStrategy {
 }
 
 /// A physical plan node. `span` is the node's output span after top-down
-/// restriction (§3.2); stream cursors emit only within it.
+/// restriction (§3.2); batch cursors emit only within it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysNode {
     /// Scan or probe a stored base sequence.
@@ -238,135 +226,13 @@ impl PhysNode {
         }
     }
 
-    /// Open the node in stream mode.
-    pub fn open_stream(&self, ctx: &ExecContext<'_>) -> Result<Box<dyn Cursor>> {
-        self.open_stream_at(ctx, 0)
-    }
-
-    /// [`PhysNode::open_stream`] with this node's pre-order id supplied, so a
-    /// profiling context can attribute work to plan nodes.
-    fn open_stream_at(&self, ctx: &ExecContext<'_>, id: usize) -> Result<Box<dyn Cursor>> {
-        let cursor: Box<dyn Cursor> = match self {
-            PhysNode::Base { name, span } => {
-                let store = ctx.base_store(name, id)?;
-                let clamped = span.intersect(&seq_core::Sequence::meta(store.as_ref()).span);
-                Box::new(BaseStreamCursor::new(&store, clamped))
-            }
-            PhysNode::FusedScan { name, predicate, terms, span } => {
-                let store = ctx.base_store(name, id)?;
-                let clamped = span.intersect(&seq_core::Sequence::meta(store.as_ref()).span);
-                Box::new(FusedBaseStreamCursor::new(
-                    &store,
-                    clamped,
-                    seq_storage::ScanFilter::new(terms.clone()),
-                    predicate.clone(),
-                    ctx.op_stats(id),
-                ))
-            }
-            PhysNode::Constant { record, span } => {
-                Box::new(ConstCursor::new(record.clone(), *span)?)
-            }
-            PhysNode::Select { input, predicate, .. } => Box::new(SelectCursor::new(
-                input.open_stream_at(ctx, id + 1)?,
-                predicate.clone(),
-                ctx.op_stats(id),
-            )),
-            PhysNode::Project { input, indices, .. } => {
-                Box::new(ProjectCursor::new(input.open_stream_at(ctx, id + 1)?, indices.clone()))
-            }
-            PhysNode::PosOffset { input, offset, span } => {
-                Box::new(PosOffsetCursor::new(input.open_stream_at(ctx, id + 1)?, *offset, *span))
-            }
-            PhysNode::ValueOffset { input, offset, strategy, span } => match strategy {
-                ValueOffsetStrategy::IncrementalCacheB => {
-                    Box::new(IncrementalValueOffsetCursor::new(
-                        input.open_stream_at(ctx, id + 1)?,
-                        *offset,
-                        *span,
-                        ctx.op_stats(id),
-                    )?)
-                }
-                ValueOffsetStrategy::NaiveProbe => Box::new(NaiveValueOffsetCursor::new(
-                    input.open_probe_at(ctx, id + 1)?,
-                    *offset,
-                    input.span(),
-                    *span,
-                    ctx.op_stats(id),
-                )?),
-            },
-            PhysNode::Aggregate { input, func, attr_index, window, strategy, span } => {
-                match (strategy, window) {
-                    (AggStrategy::NaiveProbe, _) => Box::new(NaiveAggCursor::new(
-                        input.open_probe_at(ctx, id + 1)?,
-                        *func,
-                        *attr_index,
-                        *window,
-                        input.span(),
-                        *span,
-                        ctx.op_stats(id),
-                    )?),
-                    (_, Window::Sliding { .. }) => Box::new(WindowAggCursor::new(
-                        input.open_stream_at(ctx, id + 1)?,
-                        *func,
-                        *attr_index,
-                        *window,
-                        *span,
-                        *strategy == AggStrategy::CacheAIncremental,
-                        ctx.op_stats(id),
-                    )?),
-                    (_, Window::Cumulative) => Box::new(CumulativeAggCursor::new(
-                        input.open_stream_at(ctx, id + 1)?,
-                        *func,
-                        *attr_index,
-                        *span,
-                    )?),
-                    (_, Window::WholeSpan) => Box::new(WholeSpanAggCursor::new(
-                        input.open_stream_at(ctx, id + 1)?,
-                        *func,
-                        *attr_index,
-                        *span,
-                    )?),
-                }
-            }
-            PhysNode::Compose { left, right, predicate, strategy, .. } => {
-                let right_id = id + 1 + left.subtree_size();
-                match strategy {
-                    JoinStrategy::LockStep => Box::new(LockStepJoin::new(
-                        left.open_stream_at(ctx, id + 1)?,
-                        right.open_stream_at(ctx, right_id)?,
-                        predicate.clone(),
-                        ctx.op_stats(id),
-                    )),
-                    JoinStrategy::StreamLeftProbeRight => Box::new(StreamProbeJoin::new(
-                        left.open_stream_at(ctx, id + 1)?,
-                        right.open_probe_at(ctx, right_id)?,
-                        StreamSide::Left,
-                        predicate.clone(),
-                        ctx.op_stats(id),
-                    )),
-                    JoinStrategy::StreamRightProbeLeft => Box::new(StreamProbeJoin::new(
-                        right.open_stream_at(ctx, right_id)?,
-                        left.open_probe_at(ctx, id + 1)?,
-                        StreamSide::Right,
-                        predicate.clone(),
-                        ctx.op_stats(id),
-                    )),
-                }
-            }
-        };
-        Ok(match &ctx.profile {
-            Some(p) => p.wrap_stream(id, cursor),
-            None => cursor,
-        })
-    }
-
-    /// True when this node has a native vectorized kernel. That now covers
-    /// every stream-strategy operator — the unit-scope operators, all
-    /// aggregate windows, Cache-B value offsets, and both compose join
-    /// strategies (a Strategy-A compose streams its outer side in batches
-    /// and probes the inner per row, which is a record-path subtree by
-    /// definition). Only the naive probe-walk strategies and Constant lower
-    /// through the record-at-a-time cursor behind an adapter.
+    /// True when this node has a native vectorized kernel. That covers every
+    /// stream-strategy operator — the unit-scope operators, all aggregate
+    /// windows, Cache-B value offsets, and both compose join strategies (a
+    /// Strategy-A compose streams its outer side in batches and probes the
+    /// inner per row, a probed subtree by definition). Only the naive
+    /// strategies and Constant stream as a walk over their own probes
+    /// ([`ProbeWalkBatchCursor`]).
     pub fn is_batch_capable(&self) -> bool {
         match self {
             PhysNode::Base { .. }
@@ -384,18 +250,18 @@ impl PhysNode {
     }
 
     /// Per-operator execution-mode labels in pre-order (`"batch"`,
-    /// `"batch+sel"`, `"tuple"`, or `"fused"`), mirroring exactly how
-    /// [`PhysNode::open_batch`] lowers the tree. `vectorized` says whether
-    /// the root opens on the batch path at all. A non-batch-capable node
-    /// drops its whole subtree to the record path behind an adapter; a
+    /// `"batch+sel"`, `"fused"` or `"probe"`), mirroring exactly how
+    /// [`PhysNode::open_batch`] lowers the tree. A node without a batch
+    /// kernel is probe-walked and opens its whole subtree in probed mode; a
     /// Strategy-A compose keeps its streamed side vectorized while the
-    /// probed side is a record-path subtree; a fused scan is its own mode
-    /// on either path (the σ ran inside the storage scan); a native-batch
-    /// Select is `"batch+sel"` — it hands survivors on as a selection
-    /// vector, densified only at a consumer that indexes rows physically.
-    pub fn exec_mode_labels(&self, vectorized: bool) -> Vec<&'static str> {
+    /// probed side is a probed subtree; a fused scan is its own mode in
+    /// either access mode (the σ runs inside the storage scan or over its
+    /// probes); a native-batch Select is `"batch+sel"` — it hands survivors
+    /// on as a selection vector, densified only at a consumer that indexes
+    /// rows physically.
+    pub fn exec_mode_labels(&self) -> Vec<&'static str> {
         let mut out = Vec::with_capacity(self.subtree_size());
-        self.push_mode_labels(vectorized, &mut out);
+        self.push_mode_labels(true, &mut out);
         out
     }
 
@@ -405,7 +271,7 @@ impl PhysNode {
             PhysNode::FusedScan { .. } => "fused",
             PhysNode::Select { .. } if native => "batch+sel",
             _ if native => "batch",
-            _ => "tuple",
+            _ => "probe",
         };
         out.push(label);
         match self {
@@ -533,14 +399,11 @@ impl PhysNode {
         }
     }
 
-    /// Open the node in vectorized stream mode, producing batches of
-    /// `batch_size` rows. Contiguous runs of batch-capable operators get
-    /// native batch kernels; at the first non-batch-capable node the plan
-    /// falls back to [`PhysNode::open_stream`] behind a
-    /// [`RecordToBatchCursor`] adapter (a block boundary), so any plan
-    /// lowers. Results are identical to the record-at-a-time path. The root
-    /// materializes every column: the batch drivers hand whole rows to the
-    /// caller.
+    /// Open the node in stream mode, producing batches of `batch_size`
+    /// rows. Batch-capable operators get their native kernels; a node
+    /// without one streams as a [`ProbeWalkBatchCursor`] over its own
+    /// probed access, so any plan lowers. The root materializes every
+    /// column: the batch drivers hand whole rows to the caller.
     pub fn open_batch(
         &self,
         ctx: &ExecContext<'_>,
@@ -589,7 +452,7 @@ impl PhysNode {
     /// True when this node's batch cursor can yield selection-carrying
     /// batches: a native-batch Select originates them, the
     /// selection-transparent unit-scope operators pass them through, and
-    /// everything else (scans, aggregates, joins, adapter fallbacks) emits
+    /// everything else (scans, aggregates, joins, probe walks) emits
     /// dense batches. The lowering inserts a [`CompactBatchCursor`] boundary
     /// exactly where this is true and the consumer indexes rows physically.
     fn may_carry_selection(&self) -> bool {
@@ -626,9 +489,8 @@ impl PhysNode {
     /// [`PhysNode::open_batch`] with this node's pre-order id supplied (so a
     /// profiling context can attribute work to plan nodes) and `req`, the
     /// set of this node's *output* columns some consumer above reads. A node
-    /// without a native batch kernel runs its stream cursor behind a
-    /// [`RecordToBatchCursor`] adapter (which always materializes full rows,
-    /// so `req` stops there). A native kernel translates `req` into its
+    /// without a native batch kernel is probe-walked (probes return full
+    /// rows, so `req` stops there). A native kernel translates `req` into its
     /// child's requirement via [`PhysNode::child_column_req`], and consumers
     /// that index rows physically open their children through
     /// [`PhysNode::open_batch_dense`].
@@ -640,12 +502,15 @@ impl PhysNode {
         req: &ColumnSet,
     ) -> Result<Box<dyn BatchCursor>> {
         if !self.is_batch_capable() {
-            // The stream cursor underneath is already instrumented for this
-            // node id, so the adapter itself must not be wrapped again.
-            return Ok(Box::new(RecordToBatchCursor::new(
-                self.open_stream_at(ctx, id)?,
-                batch_size,
-            )));
+            let what = match self {
+                PhysNode::Constant { .. } => "stream evaluation of a constant sequence",
+                PhysNode::ValueOffset { .. } => "naive evaluation of a value offset",
+                _ => "naive evaluation of an aggregate",
+            };
+            // The probe handle is already instrumented for this node id, so
+            // the walk itself must not be wrapped again.
+            let probe = self.open_probe_at(ctx, id)?;
+            return Ok(Box::new(ProbeWalkBatchCursor::new(probe, self.span(), batch_size, what)?));
         }
         let child_req = self.child_column_req(req);
         let cursor: Box<dyn BatchCursor> = match self {
@@ -713,7 +578,7 @@ impl PhysNode {
             }
             PhysNode::ValueOffset { input, offset, span, .. } => {
                 // Only IncrementalCacheB is batch-capable; the guard above
-                // routed NaiveProbe through the adapter.
+                // probe-walks NaiveProbe.
                 Box::new(ValueOffsetBatchCursor::new(
                     input.open_batch_dense(ctx, batch_size, id + 1, &child_req, id)?,
                     *offset,
@@ -749,7 +614,7 @@ impl PhysNode {
                 }
             }
             PhysNode::Constant { .. } => {
-                unreachable!("non-batch-capable nodes handled by the adapter fallback")
+                unreachable!("non-batch-capable nodes are probe-walked above")
             }
         };
         Ok(match &ctx.profile {
@@ -995,10 +860,10 @@ mod tests {
         let c = catalog();
         let ctx = ExecContext::new(&c);
         let node = PhysNode::Base { name: "S".into(), span: Span::new(5, 8) };
-        let mut cur = node.open_stream(&ctx).unwrap();
+        let mut cur = node.open_batch(&ctx, 3).unwrap();
         let mut got = Vec::new();
-        while let Some((p, _)) = cur.next().unwrap() {
-            got.push(p);
+        while let Some(b) = cur.next_batch().unwrap() {
+            got.extend_from_slice(b.positions());
         }
         assert_eq!(got, vec![5, 6, 7, 8]);
     }
@@ -1022,7 +887,7 @@ mod tests {
         let c = catalog();
         let ctx = ExecContext::new(&c);
         let node = PhysNode::Base { name: "NOPE".into(), span: Span::all() };
-        assert!(node.open_stream(&ctx).is_err());
+        assert!(node.open_batch(&ctx, 4).is_err());
         assert!(node.open_probe(&ctx).is_err());
     }
 }

@@ -15,7 +15,7 @@
 //! With a profile attached, every plan node's cursor is wrapped in a thin
 //! instrumenting shim that accumulates, into per-node shared atomics:
 //!
-//! - rows and batches produced, and `next`/`next_batch`/`get` calls;
+//! - rows and batches produced, and `next_batch`/`get` calls;
 //! - monotonic wall time spent inside the operator subtree (inclusive —
 //!   subtract the children's time for self time);
 //! - executor counters (cache probes/stores, predicate applications) via a
@@ -36,8 +36,8 @@ use seq_core::{Record, RecordBatch, Result, Span};
 use seq_storage::{AccessStats, StatsSnapshot};
 
 use crate::batch::BatchCursor;
-use crate::cursor::{Cursor, PointAccess};
 use crate::plan::{PhysNode, PhysPlan};
+use crate::probe::PointAccess;
 use crate::stats::{ExecSnapshot, ExecStats};
 
 /// Per-operator instrumentation slot. Nodes are indexed by their pre-order
@@ -80,11 +80,11 @@ impl OpProfile {
     }
 
     /// A point-in-time copy of this operator's measurements. The execution
-    /// mode defaults to "tuple" here; [`QueryProfile::op_reports`] fills in
+    /// mode defaults to "probe" here; [`QueryProfile::op_reports`] fills in
     /// the mode recorded by the execute entry point.
     pub fn report(&self) -> OpReport {
         OpReport {
-            mode: "tuple",
+            mode: "probe",
             label: self.label.clone(),
             span: self.span,
             depth: self.depth,
@@ -106,8 +106,10 @@ pub struct OpReport {
     /// One-line operator description.
     pub label: String,
     /// Execution mode the operator lowered onto: "batch" (native vectorized
-    /// kernel), "tuple" (record-at-a-time, possibly behind an adapter), or
-    /// "fused" (predicate fused into the scan).
+    /// kernel), "batch+sel" (a batch filter handing on a selection vector),
+    /// "fused" (predicate fused into the scan), or "probe" (probed access:
+    /// a Strategy-A inner subtree, or a node without a kernel walked over
+    /// its own probes).
     pub mode: &'static str,
     /// The node's restricted output span.
     pub span: Span,
@@ -119,7 +121,7 @@ pub struct OpReport {
     pub rows_out: u64,
     /// Batches the operator produced (vectorized path only).
     pub batches_out: u64,
-    /// `next`/`next_batch`/`get` calls into the operator.
+    /// `next_batch`/`get` calls into the operator.
     pub calls: u64,
     /// Wall time inside the operator subtree (inclusive of children; summed
     /// across workers on the parallel path).
@@ -156,8 +158,9 @@ pub struct WorkerProfile {
 /// [`QueryProfile::to_json`].
 pub struct QueryProfile {
     ops: Vec<OpProfile>,
-    /// Per-operator execution mode ("batch" / "tuple" / "fused"), in
-    /// pre-order; set by the execute entry points (empty until one runs).
+    /// Per-operator execution mode ("batch" / "batch+sel" / "fused" /
+    /// "probe"), in pre-order; set by the execute entry points (empty until
+    /// one runs).
     modes: Mutex<Vec<&'static str>>,
     workers: Mutex<Vec<WorkerProfile>>,
     morsels_planned: AtomicU64,
@@ -184,24 +187,25 @@ impl QueryProfile {
         })
     }
 
-    /// Record each operator's execution mode ("batch" / "tuple" / "fused"),
-    /// in pre-order — see [`PhysNode::exec_mode_labels`]. Called by the
-    /// execute entry points; a length mismatch (a profile reused across
-    /// plans) is ignored rather than mis-attributed.
+    /// Record each operator's execution mode, in pre-order — see
+    /// [`PhysNode::exec_mode_labels`]. Called by the execute entry points; a
+    /// length mismatch (a profile reused across plans) is ignored rather
+    /// than mis-attributed.
     pub fn set_op_modes(&self, modes: Vec<&'static str>) {
         if modes.len() == self.ops.len() {
             *self.modes.lock().expect("profile poisoned") = modes;
         }
     }
 
-    /// Per-operator execution modes in pre-order; "tuple" until an execute
-    /// entry point records the lowered modes.
+    /// Per-operator execution modes in pre-order; "probe" (the mode of
+    /// [`crate::probe_positions`], which records none) until a stream entry
+    /// point records the lowered modes.
     pub fn op_modes(&self) -> Vec<&'static str> {
         let modes = self.modes.lock().expect("profile poisoned");
         if modes.len() == self.ops.len() {
             modes.clone()
         } else {
-            vec!["tuple"; self.ops.len()]
+            vec!["probe"; self.ops.len()]
         }
     }
 
@@ -299,15 +303,6 @@ impl QueryProfile {
     /// The scoped storage counters for node `id` (base nodes only).
     pub(crate) fn storage_stats(&self, id: usize) -> Option<Arc<AccessStats>> {
         self.ops[id].storage.clone()
-    }
-
-    /// Wrap a stream cursor in the instrumenting shim for node `id`.
-    pub(crate) fn wrap_stream(
-        self: &Arc<Self>,
-        id: usize,
-        inner: Box<dyn Cursor>,
-    ) -> Box<dyn Cursor> {
-        Box::new(ProfiledCursor { inner, profile: Arc::clone(self), id })
     }
 
     /// Wrap a batch cursor in the instrumenting shim for node `id`.
@@ -512,30 +507,6 @@ fn collect_ops(
 }
 
 // ---- instrumenting shims ------------------------------------------------
-
-struct ProfiledCursor {
-    inner: Box<dyn Cursor>,
-    profile: Arc<QueryProfile>,
-    id: usize,
-}
-
-impl Cursor for ProfiledCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        let start = Instant::now();
-        let r = self.inner.next();
-        let produced = matches!(&r, Ok(Some(_)));
-        self.profile.ops[self.id].add_row(start.elapsed().as_nanos() as u64, produced);
-        r
-    }
-
-    fn next_from(&mut self, lower: i64) -> Result<Option<(i64, Record)>> {
-        let start = Instant::now();
-        let r = self.inner.next_from(lower);
-        let produced = matches!(&r, Ok(Some(_)));
-        self.profile.ops[self.id].add_row(start.elapsed().as_nanos() as u64, produced);
-        r
-    }
-}
 
 struct ProfiledBatchCursor {
     inner: Box<dyn BatchCursor>,
@@ -754,7 +725,7 @@ mod tests {
         let plan = select_plan();
         let mut ctx = ExecContext::new(&c);
         let profile = ctx.enable_profiling(&plan);
-        crate::exec::execute_batched(&plan, &ctx).unwrap();
+        crate::exec::execute(&plan, &ctx).unwrap();
         let json = profile.to_json();
         assert!(json.contains("\"profile_version\": 1"));
         assert!(json.contains("\"operators\": ["));

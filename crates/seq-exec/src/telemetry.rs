@@ -9,7 +9,7 @@
 //!   cache traffic) and log-bucketed latency **histograms**
 //!   ([`LatencyHistogram`], p50/p90/p99/max) for the query lifecycle phases
 //!   parse → optimize → execute plus per-morsel worker latency. Everything
-//!   is relaxed atomics; tuple, batch, and parallel paths fold into the same
+//!   is relaxed atomics; batch, parallel and probe paths fold into the same
 //!   slots, and per-worker recordings tee into the shared buckets exactly
 //!   (bucket adds commute), mirroring how PR 3's pre-order ids fold morsel
 //!   cursor trees into one profile;
@@ -243,11 +243,8 @@ impl Phase {
 /// Which execute entry point served a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPath {
-    /// Record-at-a-time cursors ([`crate::execute`]).
-    Tuple,
-    /// Vectorized batch cursors ([`crate::execute_batched`]), including
-    /// mixed-mode assignments and parallel runs that degenerated to one
-    /// morsel.
+    /// Sequential batch cursors ([`crate::execute`]), including parallel
+    /// runs that degenerated to one morsel.
     Batch,
     /// Morsel-driven parallel workers ([`crate::execute_parallel_with`]).
     Parallel,
@@ -259,7 +256,6 @@ impl QueryPath {
     /// Stable label used in trace spans and the metrics export.
     pub fn label(self) -> &'static str {
         match self {
-            QueryPath::Tuple => "tuple",
             QueryPath::Batch => "batch",
             QueryPath::Parallel => "parallel",
             QueryPath::Probe => "probe",
@@ -268,10 +264,9 @@ impl QueryPath {
 
     fn index(self) -> usize {
         match self {
-            QueryPath::Tuple => 0,
-            QueryPath::Batch => 1,
-            QueryPath::Parallel => 2,
-            QueryPath::Probe => 3,
+            QueryPath::Batch => 0,
+            QueryPath::Parallel => 1,
+            QueryPath::Probe => 2,
         }
     }
 }
@@ -366,7 +361,7 @@ pub struct SessionMetrics {
     epoch: Instant,
     queries: AtomicU64,
     queries_failed: AtomicU64,
-    path_counts: [AtomicU64; 4],
+    path_counts: [AtomicU64; 3],
     rows_out: AtomicU64,
     page_reads: AtomicU64,
     page_hits: AtomicU64,
@@ -760,9 +755,8 @@ impl SessionMetrics {
             let _ = write!(out, "{}\n    \"{key}\": {value}", if i > 0 { "," } else { "" });
         }
         out.push_str("\n  },\n  \"paths\": {");
-        for (i, path) in [QueryPath::Tuple, QueryPath::Batch, QueryPath::Parallel, QueryPath::Probe]
-            .into_iter()
-            .enumerate()
+        for (i, path) in
+            [QueryPath::Batch, QueryPath::Parallel, QueryPath::Probe].into_iter().enumerate()
         {
             let _ = write!(
                 out,
@@ -853,8 +847,8 @@ pub struct MetricsSnapshot {
     /// Queries that returned an error.
     pub queries_failed: u64,
     /// Per-path query counts, indexed like [`QueryPath::index`]
-    /// (tuple, batch, parallel, probe).
-    pub path_counts: [u64; 4],
+    /// (batch, parallel, probe).
+    pub path_counts: [u64; 3],
     /// Rows produced at plan roots.
     pub rows_out: u64,
     /// Storage counter folds (deltas summed per query).
@@ -1120,7 +1114,7 @@ mod tests {
     fn metrics_json_is_balanced_and_reset_stamps_marker() {
         let m = SessionMetrics::new();
         m.record_query(
-            QueryPath::Tuple,
+            QueryPath::Batch,
             0,
             Duration::from_micros(10),
             7,
@@ -1132,7 +1126,7 @@ mod tests {
         assert_eq!(snap.rows_out, 7);
         assert_eq!(snap.predicate_evals, 3);
         assert_eq!(snap.page_reads, 2);
-        assert_eq!(snap.path_counts, [1, 0, 0, 0]);
+        assert_eq!(snap.path_counts, [1, 0, 0]);
         let json = m.to_json(None);
         assert!(json.contains("\"metrics_version\": 1"));
         assert!(json.contains("\"buffer_pool\": null"));
@@ -1150,7 +1144,7 @@ mod tests {
     #[test]
     fn failed_queries_tally_without_folding_counters() {
         let m = SessionMetrics::new();
-        m.record_query_error(QueryPath::Tuple, 0, Duration::from_micros(5));
+        m.record_query_error(QueryPath::Probe, 0, Duration::from_micros(5));
         let snap = m.snapshot();
         assert_eq!(snap.queries, 1);
         assert_eq!(snap.queries_failed, 1);

@@ -7,7 +7,8 @@
 //!    with randomized interleavings of `next_batch` / `next_batch_from`
 //!    where the lower bound falls before, inside, and past the current
 //!    batch, and every returned batch must be the exact consecutive run of
-//!    the record-path reference output;
+//!    the probe-path reference output (the plan probed at every position of
+//!    its span);
 //! 2. **positional arithmetic at the span sentinels**: positional offsets
 //!    over inputs adjacent to `i64::MIN` / `i64::MAX` must drop
 //!    unrepresentable outputs instead of saturating onto the infinity
@@ -16,13 +17,11 @@
 //!    span must yield nothing without ever touching its input.
 
 use seq_core::{record, schema, AttrType, BaseSequence, Record, RecordBatch, Result, Span, Value};
-use seq_exec::aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor, WholeSpanAggCursor};
-use seq_exec::batch::{PosOffsetBatchCursor, WindowAggBatchCursor};
-use seq_exec::cursor::PosOffsetCursor;
-use seq_exec::offset::{IncrementalValueOffsetCursor, ValueOffsetBatchCursor};
+use seq_exec::aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
+use seq_exec::batch::{PosOffsetBatchCursor, ProbeWalkBatchCursor, WindowAggBatchCursor};
+use seq_exec::offset::ValueOffsetBatchCursor;
 use seq_exec::{
-    AggStrategy, BatchCursor, Cursor, ExecContext, ExecStats, JoinStrategy, PhysNode,
-    ValueOffsetStrategy,
+    AggStrategy, BatchCursor, ExecContext, ExecStats, JoinStrategy, PhysNode, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -66,7 +65,7 @@ fn fused(name: &str, predicate: Expr) -> PhysNode {
     PhysNode::FusedScan { name: name.into(), predicate, terms, span: Span::new(1, 500) }
 }
 
-/// Plans covering every batch kernel plus the adapter fallbacks.
+/// Plans covering every batch kernel plus the probe-walked nodes.
 fn plans() -> Vec<(&'static str, PhysNode)> {
     let span = Span::new(1, 500);
     let select =
@@ -137,6 +136,8 @@ fn plans() -> Vec<(&'static str, PhysNode)> {
                 span,
             },
         ),
+        ("window-avg-naive", agg(base("S"), AggStrategy::NaiveProbe, Window::trailing(9))),
+        ("constant", PhysNode::Constant { record: record![7i64, 0.5], span }),
         (
             "value-offset-naive-fallback",
             PhysNode::ValueOffset {
@@ -216,9 +217,8 @@ fn plans() -> Vec<(&'static str, PhysNode)> {
             ),
         ),
         (
-            // Compose + value offset + cumulative aggregate with no block
-            // boundary anywhere: the full-native stack the lowering is
-            // expected to keep adapter-free.
+            // Compose + value offset + cumulative aggregate: a batch
+            // kernel at every node, no probe walk anywhere.
             "stacked-full-native",
             agg(
                 Box::new(PhysNode::ValueOffset {
@@ -250,16 +250,24 @@ impl BatchCursor for DefaultFromOnly {
     }
 }
 
-/// The record-path output of `node`, fully drained — the reference model.
-fn reference_output(node: &PhysNode) -> Vec<(i64, Record)> {
-    let cat = catalog(42);
-    let ctx = ExecContext::new(&cat);
-    let mut cursor = node.open_stream(&ctx).unwrap();
-    let mut out = Vec::new();
-    while let Some(row) = cursor.next().unwrap() {
-        out.push(row);
-    }
-    out
+/// The probe-path output of every plan in [`plans`]: each position of the
+/// plan's span probed in order — the reference model. Probing a stacked
+/// plan re-derives its inputs per position, so the outputs are computed
+/// once and shared by both audits.
+fn references() -> &'static [Vec<(i64, Record)>] {
+    static REFERENCES: std::sync::OnceLock<Vec<Vec<(i64, Record)>>> = std::sync::OnceLock::new();
+    REFERENCES.get_or_init(|| {
+        let cat = catalog(42);
+        let ctx = ExecContext::new(&cat);
+        plans()
+            .iter()
+            .map(|(_, node)| {
+                let mut probe = node.open_probe(&ctx).unwrap();
+                let positions = node.span().positions();
+                positions.filter_map(|p| probe.get(p).unwrap().map(|r| (p, r))).collect()
+            })
+            .collect()
+    })
 }
 
 /// Pick a lower bound that lands before, at, inside, or past the current
@@ -284,11 +292,10 @@ fn choose_lower(rng: &mut Rng, reference: &[(i64, Record)], idx: usize) -> i64 {
     }
 }
 
-/// Row equality with last-ulp slack on floats: a skip makes an incremental
-/// sliding accumulator rebuild its window sum from scratch, which is
-/// bit-different (but numerically equivalent) to having slid into the same
-/// window one position at a time. Positions and every non-float attribute
-/// must still match exactly.
+/// Row equality with last-ulp slack on floats: an incremental sliding
+/// accumulator's running sum is bit-different (but numerically equivalent)
+/// to the probe's left-to-right sum over the same window. Positions and
+/// every non-float attribute must still match exactly.
 fn assert_rows_match(got: &[(i64, Record)], want: &[(i64, Record)], label: &str) {
     assert_eq!(got.len(), want.len(), "{label}: row count");
     for ((gp, gr), (wp, wr)) in got.iter().zip(want) {
@@ -357,8 +364,7 @@ fn audit_against_model(
 
 #[test]
 fn next_batch_from_matches_reference_model() {
-    for (name, node) in plans() {
-        let reference = reference_output(&node);
+    for ((name, node), reference) in plans().into_iter().zip(references()) {
         for batch_size in [1usize, 3, 7, 64] {
             for op_seed in [11u64, 97] {
                 let cat = catalog(42);
@@ -366,7 +372,7 @@ fn next_batch_from_matches_reference_model() {
                 let cursor = node.open_batch(&ctx, batch_size).unwrap();
                 let mut rng = Rng::seed_from_u64(op_seed ^ batch_size as u64);
                 let label = format!("{name} (bs={batch_size}, seed={op_seed})");
-                audit_against_model(&label, cursor, &reference, &mut rng, 120);
+                audit_against_model(&label, cursor, reference, &mut rng, 120);
             }
         }
     }
@@ -376,15 +382,14 @@ fn next_batch_from_matches_reference_model() {
 fn default_next_batch_from_matches_reference_model() {
     // Same audit, but through a wrapper that strips every override so the
     // trait's default `next_batch_from` does the skipping.
-    for (name, node) in plans() {
-        let reference = reference_output(&node);
+    for ((name, node), reference) in plans().into_iter().zip(references()) {
         for batch_size in [1usize, 7, 64] {
             let cat = catalog(42);
             let ctx = ExecContext::new(&cat);
             let cursor = Box::new(DefaultFromOnly(node.open_batch(&ctx, batch_size).unwrap()));
             let mut rng = Rng::seed_from_u64(0xdef0 ^ batch_size as u64);
             let label = format!("default-from {name} (bs={batch_size})");
-            audit_against_model(&label, cursor, &reference, &mut rng, 120);
+            audit_against_model(&label, cursor, reference, &mut rng, 120);
         }
     }
 }
@@ -422,20 +427,6 @@ impl BatchCursor for VecBatchCursor {
     }
 }
 
-/// Record-at-a-time stream over the same fixed rows.
-struct VecCursor {
-    rows: Vec<(i64, Record)>,
-    idx: usize,
-}
-
-impl Cursor for VecCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        let row = self.rows.get(self.idx).cloned();
-        self.idx += 1;
-        Ok(row)
-    }
-}
-
 fn extreme_rows(positions: &[i64]) -> Vec<(i64, Record)> {
     positions.iter().enumerate().map(|(i, &p)| (p, record![i as i64])).collect()
 }
@@ -446,14 +437,6 @@ fn drain_batches(mut c: Box<dyn BatchCursor>) -> Vec<(i64, Record)> {
         let rows = b.to_records();
         assert!(!rows.is_empty(), "cursors must not return empty batches");
         out.extend(rows);
-    }
-    out
-}
-
-fn drain_records(mut c: Box<dyn Cursor>) -> Vec<(i64, Record)> {
-    let mut out = Vec::new();
-    while let Some(row) = c.next().unwrap() {
-        out.push(row);
     }
     out
 }
@@ -482,12 +465,6 @@ fn pos_offset_drops_outputs_past_pos_inf() {
         ));
         assert_eq!(drain_batches(batched), expected, "batched (bs={batch_size})");
     }
-    let record_path = Box::new(PosOffsetCursor::new(
-        Box::new(VecCursor { rows: rows.clone(), idx: 0 }),
-        -5,
-        Span::all(),
-    ));
-    assert_eq!(drain_records(record_path), expected, "record path");
 }
 
 #[test]
@@ -513,12 +490,6 @@ fn pos_offset_skips_outputs_below_neg_inf() {
         ));
         assert_eq!(drain_batches(batched), expected, "batched (bs={batch_size})");
     }
-    let record_path = Box::new(PosOffsetCursor::new(
-        Box::new(VecCursor { rows: rows.clone(), idx: 0 }),
-        5,
-        Span::all(),
-    ));
-    assert_eq!(drain_records(record_path), expected, "record path");
 }
 
 #[test]
@@ -575,16 +546,23 @@ impl BatchCursor for PanicBatchCursor {
     }
 }
 
-struct PanicCursor;
+/// A probed input that fails the test if an empty-span walk ever probes it.
+struct PanicProbe;
 
-impl Cursor for PanicCursor {
-    fn next(&mut self) -> Result<Option<(i64, Record)>> {
-        panic!("empty-span cursor touched its input");
+impl seq_exec::PointAccess for PanicProbe {
+    fn get(&mut self, _pos: i64) -> Result<Option<Record>> {
+        panic!("empty-span walk probed its input");
     }
 }
 
 #[test]
 fn empty_span_cursors_yield_nothing_without_touching_input() {
+    let mut walk =
+        ProbeWalkBatchCursor::new(Box::new(PanicProbe), Span::empty(), 16, "an empty walk")
+            .unwrap();
+    assert!(walk.next_batch().unwrap().is_none());
+    assert!(walk.next_batch_from(i64::MIN).unwrap().is_none());
+
     for incremental in [false, true] {
         let mut agg = WindowAggBatchCursor::new(
             Box::new(PanicBatchCursor),
@@ -606,24 +584,8 @@ fn empty_span_cursors_yield_nothing_without_touching_input() {
     assert!(shift.next_batch().unwrap().is_none());
     assert!(shift.next_batch_from(0).unwrap().is_none());
 
-    let mut voff = IncrementalValueOffsetCursor::new(
-        Box::new(PanicCursor),
-        -2,
-        Span::empty(),
-        ExecStats::new(),
-    )
-    .unwrap();
-    assert!(voff.next().unwrap().is_none());
-    assert!(voff.next_from(7).unwrap().is_none());
-
-    let mut whole =
-        WholeSpanAggCursor::new(Box::new(PanicCursor), AggFunc::Sum, 0, Span::empty()).unwrap();
-    assert!(whole.next().unwrap().is_none());
-    assert!(whole.next_from(0).unwrap().is_none());
-
-    // The batched counterparts carry the same empty-span contract. (The
-    // batch joins hold no span of their own — their children are the
-    // span-restricted side — so they have no equivalent obligation.)
+    // The batch joins hold no span of their own — their children are the
+    // span-restricted side — so they have no equivalent obligation.
     let mut voff_b = ValueOffsetBatchCursor::new(
         Box::new(PanicBatchCursor),
         -2,

@@ -1,13 +1,15 @@
-//! The vectorized path must be bit-identical to the record-at-a-time path —
-//! same records, same order, same access accounting (pages touched, records
-//! streamed, predicates applied) — across every batch-capable operator, the
-//! adapter fallbacks, and a sweep of batch sizes that exercises page and
-//! batch boundary interactions.
+//! The batch path must return the records the probe path returns — same
+//! records, same order — at every batch size, with the same access
+//! accounting (pages touched, records streamed, predicates applied) whatever
+//! the batch size, across every batch kernel, the probe-walked nodes, and a
+//! sweep of batch sizes that exercises page and batch boundary
+//! interactions. Batch size 1 charges storage at the finest granularity, so
+//! it is the accounting baseline the larger sizes are held to.
 
-use seq_core::{record, schema, AttrType, BaseSequence, Span};
+use seq_core::{record, schema, AttrType, BaseSequence, Record, Span, Value};
 use seq_exec::{
-    execute, execute_batched_with, AggStrategy, ExecContext, JoinStrategy, PhysNode, PhysPlan,
-    ValueOffsetStrategy,
+    execute_batched_with, probe_positions, AggStrategy, ExecContext, JoinStrategy, PhysNode,
+    PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -45,7 +47,7 @@ fn pred(threshold: f64) -> Expr {
     Expr::attr("close").gt(Expr::lit(threshold)).bind(&sch).unwrap()
 }
 
-/// Plans covering every batch kernel plus both fallback classes.
+/// Plans covering every batch kernel plus the probe-walked nodes.
 fn plans() -> Vec<(&'static str, PhysNode)> {
     let span = Span::new(1, 500);
     let select =
@@ -115,6 +117,8 @@ fn plans() -> Vec<(&'static str, PhysNode)> {
                 span,
             },
         ),
+        ("window-avg-naive", agg(base("S"), AggStrategy::NaiveProbe, Window::trailing(9))),
+        ("constant", PhysNode::Constant { record: record![3i64, 0.25], span }),
         (
             "compose-lockstep-sparse",
             select(
@@ -166,31 +170,70 @@ fn plans() -> Vec<(&'static str, PhysNode)> {
     ]
 }
 
+/// The probe path over the plan's whole range: every position probed.
+fn probed_rows(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Vec<(i64, Record)> {
+    let positions: Vec<i64> = plan.range.positions().collect();
+    let rows = probe_positions(plan, ctx, &positions).unwrap();
+    rows.into_iter().filter_map(|(p, r)| r.map(|r| (p, r))).collect()
+}
+
+/// True when the plan keeps a float window as a running sum: its rows match
+/// the probe path's left-to-right recompute only to the last ulp.
+fn has_running_sums(node: &PhysNode) -> bool {
+    matches!(node, PhysNode::Aggregate { strategy: AggStrategy::CacheAIncremental, .. })
+        || node.children().into_iter().any(has_running_sums)
+}
+
+fn assert_close(got: &[(i64, Record)], want: &[(i64, Record)], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: row count");
+    for ((gp, gr), (wp, wr)) in got.iter().zip(want) {
+        assert_eq!(gp, wp, "{label}: position");
+        for (gv, wv) in gr.values().iter().zip(wr.values()) {
+            match (gv, wv) {
+                (Value::Float(g), Value::Float(w)) => {
+                    assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{label}: {g} vs {w} at {gp}")
+                }
+                _ => assert_eq!(gv, wv, "{label}: value at {gp}"),
+            }
+        }
+    }
+}
+
 #[test]
-fn batched_execution_is_bit_identical_to_record_execution() {
+fn batch_sizes_agree_bit_for_bit_and_match_the_probe_path() {
     for (name, node) in plans() {
+        let plan = PhysPlan::new(node.clone(), Span::new(1, 500));
+        let c0 = catalog(42);
+        let probed = probed_rows(&plan, &ExecContext::new(&c0));
+        let mut first: Option<Vec<(i64, Record)>> = None;
         for batch_size in [1usize, 3, 16, 64, 1024] {
-            let plan = PhysPlan::new(node.clone(), Span::new(1, 500));
-
-            let c1 = catalog(42);
-            let ctx1 = ExecContext::new(&c1);
-            let record_path = execute(&plan, &ctx1).unwrap();
-
-            let c2 = catalog(42);
-            let ctx2 = ExecContext::new(&c2);
-            let batch_path = execute_batched_with(&plan, &ctx2, batch_size).unwrap();
-
-            assert_eq!(
-                record_path, batch_path,
-                "plan {name:?} diverged at batch_size {batch_size}"
-            );
+            let c = catalog(42);
+            let ctx = ExecContext::new(&c);
+            let batch_path = execute_batched_with(&plan, &ctx, batch_size).unwrap();
+            match &first {
+                None => {
+                    if has_running_sums(&node) {
+                        assert_close(&batch_path, &probed, name);
+                    } else {
+                        assert_eq!(
+                            batch_path, probed,
+                            "plan {name:?} diverged from the probe path"
+                        );
+                    }
+                    first = Some(batch_path);
+                }
+                Some(first) => assert_eq!(
+                    first, &batch_path,
+                    "plan {name:?} diverged at batch_size {batch_size}"
+                ),
+            }
         }
     }
 }
 
 #[test]
 fn batched_execution_preserves_access_accounting() {
-    // The batch path changes counter update granularity, not what is
+    // The batch size changes counter update granularity, not what is
     // charged: predicate and output counts are exact, and storage traffic
     // may differ only by the bounded read-ahead of one batch (an operator
     // that terminates at its span end — e.g. a positional offset — notices
@@ -198,8 +241,8 @@ fn batched_execution_preserves_access_accounting() {
     let batch_size: u64 = 64;
     let page_capacity: u64 = 16;
     // A lock-step merge over poorly correlated inputs is the one place where
-    // batch read-ahead is not bounded by a single batch: the record path
-    // skips stretch-by-stretch via per-record `next_from` hints, while a
+    // batch read-ahead is not bounded by a single batch: at batch size 1 the
+    // merge skips stretch-by-stretch via per-row skip hints, while a larger
     // batch merge must materialize whole position-contiguous batches and
     // discard the non-matching rows inside them (the classic vectorization
     // read-amplification trade-off). Operator-level counters (predicates,
@@ -210,7 +253,7 @@ fn batched_execution_preserves_access_accounting() {
 
         let c1 = catalog(7);
         let ctx1 = ExecContext::new(&c1);
-        execute(&plan, &ctx1).unwrap();
+        execute_batched_with(&plan, &ctx1, 1).unwrap();
         let access1 = c1.stats().snapshot();
         let exec1 = ctx1.stats.snapshot();
 
@@ -226,7 +269,7 @@ fn batched_execution_preserves_access_accounting() {
             assert!(
                 page_diff <= page_slack,
                 "plan {name:?}: page accesses diverged beyond read-ahead \
-                 ({} record vs {} batched)",
+                 ({} at batch size 1 vs {} batched)",
                 access1.page_accesses(),
                 access2.page_accesses()
             );
@@ -234,7 +277,7 @@ fn batched_execution_preserves_access_accounting() {
             assert!(
                 stream_diff <= batch_size,
                 "plan {name:?}: stream records diverged beyond one batch \
-                 ({} record vs {} batched)",
+                 ({} at batch size 1 vs {} batched)",
                 access1.stream_records,
                 access2.stream_records
             );
@@ -265,14 +308,12 @@ fn batched_stats_fold_per_batch_not_per_record() {
     let node = PhysNode::Select { input: base("D"), predicate: pred(10.0), span };
     let plan = PhysPlan::new(node, span);
 
-    // Record path: zero folds, every record charged individually.
+    // Batch size 1: one fold per row.
     let c1 = catalog(3);
     let ctx1 = ExecContext::new(&c1);
-    let out = execute(&plan, &ctx1).unwrap();
-    assert_eq!(ctx1.stats.snapshot().stat_folds, 0);
-    assert_eq!(c1.stats().snapshot().stat_folds, 0);
+    let out = execute_batched_with(&plan, &ctx1, 1).unwrap();
 
-    // Batch path: the same totals arrive in O(records / batch_size) folds.
+    // The same totals arrive in O(records / batch_size) folds.
     let batch_size = 64;
     let c2 = catalog(3);
     let ctx2 = ExecContext::new(&c2);
@@ -297,7 +338,7 @@ fn batched_stats_fold_per_batch_not_per_record() {
         exec.stat_folds,
         streamed
     );
-    // And the folded counters still total exactly the per-record charges.
+    // And the folded counters still total exactly the per-row charges.
     assert_eq!(exec.predicate_evals, ctx1.stats.snapshot().predicate_evals);
     assert_eq!(access.stream_records, c1.stats().snapshot().stream_records);
 }
@@ -317,9 +358,9 @@ fn window_agg_next_from_skips_input_instead_of_draining() {
         span,
     };
     let ctx = ExecContext::new(&c);
-    let mut cur = node.open_stream(&ctx).unwrap();
-    let item = cur.next_from(450).unwrap().unwrap();
-    assert!(item.0 >= 450);
+    let mut cur = node.open_batch(&ctx, 4).unwrap();
+    let batch = cur.next_batch_from(450).unwrap().unwrap();
+    assert!(batch.first_pos().unwrap() >= 450);
     let streamed = c.stats().snapshot().stream_records;
     // Only the window's worth of input around position 450 may be pulled;
     // the ~360 records below 445 must be skipped, not streamed.
@@ -328,8 +369,8 @@ fn window_agg_next_from_skips_input_instead_of_draining() {
 
 #[test]
 fn pos_offset_next_from_survives_long_out_of_span_runs() {
-    // A positional offset whose span excludes a long input prefix: next_from
-    // must iterate, not recurse, over the out-of-span run.
+    // A positional offset whose span excludes a long input prefix: the skip
+    // must jump over the out-of-span run.
     let sch = schema(&[("x", AttrType::Int)]);
     let seq = BaseSequence::from_entries(sch, (1i64..=200_000).map(|p| (p, record![p])).collect())
         .unwrap();
@@ -341,10 +382,34 @@ fn pos_offset_next_from_survives_long_out_of_span_runs() {
         span: Span::new(199_000, 210_000),
     };
     let ctx = ExecContext::new(&c);
-    let mut cur = node.open_stream(&ctx).unwrap();
-    // Requesting from below the span forces the cursor past ~199k
-    // out-of-span records in one call; the old recursive implementation
-    // overflowed the stack here.
-    let item = cur.next_from(1).unwrap().unwrap();
-    assert_eq!(item.0, 199_000);
+    let mut cur = node.open_batch(&ctx, 64).unwrap();
+    // Requesting from below the span must skip the ~199k out-of-span input
+    // records, not stream or recurse through them.
+    let batch = cur.next_batch_from(1).unwrap().unwrap();
+    assert_eq!(batch.first_pos(), Some(199_000));
+    assert!(c.stats().snapshot().stream_records <= 2 * 64, "the skip streamed the prefix");
+}
+
+#[test]
+fn a_probe_walk_root_stops_one_row_past_the_range() {
+    // The naive window walks every position it passes, nine probes each
+    // here; the driver pulls a kernel-less root a row at a time, so over a
+    // range narrower than the root's span it walks the range and the one
+    // (non-empty) position after it, at any batch size.
+    let node = PhysNode::Aggregate {
+        input: base("D"),
+        func: AggFunc::Sum,
+        attr_index: 1,
+        window: Window::trailing(9),
+        strategy: AggStrategy::NaiveProbe,
+        span: Span::new(1, 500),
+    };
+    let plan = PhysPlan::new(node, Span::new(50, 400));
+    for batch_size in [1, 64, 4096] {
+        let c = catalog(5);
+        let ctx = ExecContext::new(&c);
+        let rows = execute_batched_with(&plan, &ctx, batch_size).unwrap();
+        assert_eq!(rows.len(), 351);
+        assert_eq!(ctx.stats.snapshot().naive_walk_steps, 352 * 9, "batch_size {batch_size}");
+    }
 }

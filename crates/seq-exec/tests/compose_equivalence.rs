@@ -3,21 +3,21 @@
 //! Random plans built from Compose (all three join strategies, with and
 //! without residual predicates), Cache-B value offsets, and
 //! cumulative/whole-span aggregates — nested to several levels over
-//! catalogs of varying density — are executed on the record-at-a-time
-//! path, the vectorized path (batch sizes from 1 to far-larger-than-the-
-//! input), and the morsel-parallel path where the plan partitions. Every
-//! path must produce bit-identical rows, and the operator-level counters
-//! (predicate evaluations, cache traffic, probes, output records) must be
-//! *exactly* equal — the batch path changes update granularity, never what
-//! is charged. Stream-side storage traffic is held to the documented
-//! read-ahead slack, except under lock-step merges of poorly correlated
-//! inputs where batch-granular merging amplifies reads (see
-//! `batch_equivalence.rs` for the rationale).
+//! catalogs of varying density — are executed at batch sizes from 1 to
+//! far-larger-than-the-input and on the morsel-parallel path where the plan
+//! partitions, and probed at sampled positions. Every run must produce
+//! bit-identical rows, and the operator-level counters (predicate
+//! evaluations, cache traffic, probes, output records) must be *exactly*
+//! equal to the batch-size-1 run — the batch size changes update
+//! granularity, never what is charged. Stream-side storage traffic is held
+//! to the documented read-ahead slack, except under lock-step merges of
+//! poorly correlated inputs where batch-granular merging amplifies reads
+//! (see `batch_equivalence.rs` for the rationale).
 
-use seq_core::{record, schema, AttrType, BaseSequence, Span};
+use seq_core::{record, schema, AttrType, BaseSequence, Record, Span};
 use seq_exec::{
-    execute, execute_batched_with, execute_parallel_with, AggStrategy, ExecContext, JoinStrategy,
-    ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
+    execute_batched_with, execute_parallel_with, probe_positions, AggStrategy, ExecContext,
+    JoinStrategy, ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -35,7 +35,7 @@ fn span() -> Span {
 /// land on encoded pages (`R` holds 24-position constant runs → RLE, `D`
 /// draws from six fixed levels → dictionary). Any batch kernel that takes
 /// the in-place path over those encodings must still agree bit-for-bit
-/// with the record path.
+/// with the probe path.
 fn catalog(seed: u64) -> Catalog {
     let mut rng = Rng::seed_from_u64(seed);
     let mut c = Catalog::new();
@@ -226,14 +226,13 @@ fn contains_lockstep(n: &PhysNode) -> bool {
     }
 }
 
-/// A lock-step join drives its children with data-dependent skip hints, and
-/// the record path additionally advances both sides eagerly on a match
-/// while the batch path advances buffer indices lazily. Over base scans
-/// that only moves *storage* counters (handled by the slack/exemption
-/// below), but when a counting operator — a probing join, a predicate, a
-/// cache — sits underneath, the amount of work it materializes becomes
-/// path-dependent too. Such plans guarantee bit-identical rows, not exact
-/// interior counters.
+/// A lock-step join drives its children with data-dependent skip hints
+/// whose reach depends on how many rows each side has buffered. Over base
+/// scans that only moves *storage* counters (handled by the
+/// slack/exemption below), but when a counting operator — a probing join,
+/// a predicate, a cache — sits underneath, the amount of work it
+/// materializes depends on the batch size too. Such plans guarantee
+/// bit-identical rows, not exact interior counters.
 fn lockstep_over_operators(n: &PhysNode) -> bool {
     let is_base = |m: &PhysNode| matches!(m, PhysNode::Base { .. } | PhysNode::FusedScan { .. });
     match n {
@@ -251,6 +250,37 @@ fn lockstep_over_operators(n: &PhysNode) -> bool {
     }
 }
 
+/// Roughly how many base probes one probe of `n` issues: an aggregate over
+/// a cumulative or whole-span window re-derives its input at up to every
+/// span position, and a value offset walks several input positions. Plans
+/// that stack these are too slow to probe in a debug build.
+fn probe_fanout(n: &PhysNode) -> u64 {
+    match n {
+        PhysNode::Compose { left, right, .. } => probe_fanout(left) + probe_fanout(right),
+        PhysNode::Aggregate { input, .. } => span().len() * probe_fanout(input),
+        PhysNode::ValueOffset { input, .. } => 8 * probe_fanout(input),
+        PhysNode::Select { input, .. }
+        | PhysNode::Project { input, .. }
+        | PhysNode::PosOffset { input, .. } => probe_fanout(input),
+        _ => 1,
+    }
+}
+
+/// Probe the plan at `positions` and check each answer against the streamed
+/// rows: present exactly where the stream has a row, with the same values.
+fn assert_probes_match(
+    plan: &PhysPlan,
+    ctx: &ExecContext<'_>,
+    streamed: &[(i64, Record)],
+    positions: &[i64],
+    label: &str,
+) {
+    for (pos, probed) in probe_positions(plan, ctx, positions).unwrap() {
+        let want = streamed.binary_search_by_key(&pos, |(p, _)| *p).ok().map(|i| &streamed[i].1);
+        assert_eq!(probed.as_ref(), want, "{label}: probe at {pos}");
+    }
+}
+
 #[test]
 fn random_plans_agree_across_all_three_paths() {
     for plan_seed in 0..24u64 {
@@ -263,19 +293,27 @@ fn random_plans_agree_across_all_three_paths() {
 
         let c1 = catalog(plan_seed);
         let ctx1 = ExecContext::new(&c1);
-        let reference = execute(&plan, &ctx1).unwrap();
+        let reference = execute_batched_with(&plan, &ctx1, 1).unwrap();
         let access1 = c1.stats().snapshot();
         let exec1 = ctx1.stats.snapshot();
 
-        for batch_size in [1usize, 7, 64, 512] {
+        // The probe path, at positions sampled across the span.
+        if probe_fanout(&node) <= 4 * span().len() {
+            let positions: Vec<i64> = (0..16).map(|_| rng.gen_range(1..401i64)).collect();
+            let c0 = catalog(plan_seed);
+            assert_probes_match(&plan, &ExecContext::new(&c0), &reference, &positions, &label);
+        }
+
+        for batch_size in [7usize, 64, 512] {
             let c2 = catalog(plan_seed);
             let ctx2 = ExecContext::new(&c2);
             let batched = execute_batched_with(&plan, &ctx2, batch_size).unwrap();
             let access2 = c2.stats().snapshot();
             let exec2 = ctx2.stats.snapshot();
 
-            // Bit-identical rows: every float fold happens in record order
-            // on both paths, so not even last-ulp slack is needed.
+            // Bit-identical rows: every float fold happens in positional
+            // order at every batch size, so not even last-ulp slack is
+            // needed.
             assert_eq!(reference, batched, "{label}: rows diverged at batch_size {batch_size}");
 
             // Operator-level counters are exact unless a lock-step join
@@ -305,14 +343,14 @@ fn random_plans_agree_across_all_three_paths() {
 
             // Storage traffic: bounded read-ahead per buffering operator,
             // except under lock-step merges (batch-granular merging reads
-            // whole batches the record path's skip hints avoid).
+            // whole batches that per-row skip hints avoid).
             if !contains_lockstep(&node) {
                 let bs = batch_size as u64;
                 let stream_diff = access2.stream_records.abs_diff(access1.stream_records);
                 assert!(
                     stream_diff <= ops * bs,
                     "{label}: stream records diverged beyond read-ahead at batch_size \
-                     {batch_size} ({} record vs {} batched)",
+                     {batch_size} ({} at batch size 1 vs {} batched)",
                     access1.stream_records,
                     access2.stream_records
                 );
@@ -320,7 +358,7 @@ fn random_plans_agree_across_all_three_paths() {
                 assert!(
                     page_diff <= ops * (bs.div_ceil(PAGE_CAPACITY) + 1),
                     "{label}: page accesses diverged beyond read-ahead at batch_size \
-                     {batch_size} ({} record vs {} batched)",
+                     {batch_size} ({} at batch size 1 vs {} batched)",
                     access1.page_accesses(),
                     access2.page_accesses()
                 );
@@ -359,9 +397,9 @@ fn random_plans_agree_across_all_three_paths() {
 }
 
 /// Deterministic plans where even the stream-side storage counters are
-/// *exactly* equal across paths: the input is consumed in full on both,
-/// so there is no terminal read-ahead and (for the joins) the frontiers
-/// never diverge enough for skip hints to matter.
+/// *exactly* equal across batch sizes: the input is consumed in full, so
+/// there is no terminal read-ahead and (for the joins) the frontiers never
+/// diverge enough for skip hints to matter.
 #[test]
 fn fully_consumed_plans_have_exact_access_stats() {
     let h = || Box::new(PhysNode::Base { name: "H".into(), span: span() });
@@ -433,11 +471,14 @@ fn fully_consumed_plans_have_exact_access_stats() {
 
         let c1 = catalog(99);
         let ctx1 = ExecContext::new(&c1);
-        let reference = execute(&plan, &ctx1).unwrap();
+        let reference = execute_batched_with(&plan, &ctx1, 1).unwrap();
         let access1 = c1.stats().snapshot();
         let exec1 = ctx1.stats.snapshot();
+        let c0 = catalog(99);
+        let every: Vec<i64> = span().positions().collect();
+        assert_probes_match(&plan, &ExecContext::new(&c0), &reference, &every, name);
 
-        for batch_size in [1usize, 64] {
+        for batch_size in [7usize, 64] {
             let c2 = catalog(99);
             let ctx2 = ExecContext::new(&c2);
             let batched = execute_batched_with(&plan, &ctx2, batch_size).unwrap();

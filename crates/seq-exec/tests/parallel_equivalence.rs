@@ -11,7 +11,7 @@
 
 use seq_core::{record, schema, AttrType, BaseSequence, Record, Span, Value};
 use seq_exec::{
-    execute, execute_batched_with, execute_parallel, execute_parallel_with, AggStrategy,
+    execute_batched_with, execute_parallel, execute_parallel_with, probe_positions, AggStrategy,
     ExecContext, JoinStrategy, ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
@@ -111,7 +111,7 @@ fn partitionable_plans() -> Vec<(&'static str, PhysNode, bool)> {
             true,
         ),
         // A lock-step join of two bases is positionally unit-scope, so it
-        // partitions — through the record-path adapter fallback.
+        // partitions.
         (
             "select-over-compose-fallback",
             select(
@@ -158,10 +158,16 @@ fn parallel_is_identical_to_sequential_batched() {
         let ctx_seq = ExecContext::new(&c_seq);
         let sequential = execute_batched_with(&plan, &ctx_seq, 64).unwrap();
 
-        // Record path agrees with the batch path (anchor for the chain).
-        let c_rec = catalog(42);
-        let recorded = execute(&plan, &ExecContext::new(&c_rec)).unwrap();
-        assert_eq!(recorded, sequential, "{name}: batch path diverged from record path");
+        // The probe path agrees with the batch path (anchor for the chain).
+        let c_probe = catalog(42);
+        let positions: Vec<i64> = plan.range.positions().collect();
+        let probed: Vec<(i64, Record)> =
+            probe_positions(&plan, &ExecContext::new(&c_probe), &positions)
+                .unwrap()
+                .into_iter()
+                .filter_map(|(p, r)| r.map(|r| (p, r)))
+                .collect();
+        assert_rows_match(&sequential, &probed, ulp_slack, &format!("{name}: probe path"));
 
         for workers in [2usize, 4, 8] {
             for morsel_positions in [0u64, 97] {

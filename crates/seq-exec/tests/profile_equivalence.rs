@@ -3,7 +3,8 @@
 //! path, and the per-operator attribution must reconcile exactly with the
 //! global totals it tees into.
 //!
-//! Invariants checked here, on the tuple, batch, and morsel-parallel paths:
+//! Invariants checked here, on the batch path (native kernels and a
+//! probe-walked node) and the morsel-parallel path:
 //!
 //! 1. profiled results == unprofiled results (bit-identical);
 //! 2. profiled global `ExecStats`/`AccessStats` == unprofiled (tee, not
@@ -52,12 +53,16 @@ fn pred(threshold: f64) -> Expr {
 /// Select over a trailing average over a base scan — three operators, all
 /// position-partitionable, exercising predicate, cache, and page counters.
 fn plan() -> PhysPlan {
+    plan_with(AggStrategy::CacheA)
+}
+
+fn plan_with(strategy: AggStrategy) -> PhysPlan {
     let agg = PhysNode::Aggregate {
         input: Box::new(PhysNode::Base { name: "T".into(), span: span() }),
         func: AggFunc::Avg,
         attr_index: 1,
         window: Window::trailing(8),
-        strategy: AggStrategy::CacheA,
+        strategy,
         span: span(),
     };
     let sch = schema(&[("avg_close", AttrType::Float)]);
@@ -66,8 +71,10 @@ fn plan() -> PhysPlan {
 }
 
 #[test]
-fn profiling_is_invisible_on_the_tuple_path() {
-    let plan = plan();
+fn profiling_is_invisible_on_a_probe_walk() {
+    // The naive aggregate has no batch kernel: it streams as a walk over its
+    // own probes, and probes its base per window position.
+    let plan = plan_with(AggStrategy::NaiveProbe);
     let c_plain = catalog(11);
     let ctx_plain = ExecContext::new(&c_plain);
     let plain = execute(&plan, &ctx_plain).unwrap();
@@ -83,6 +90,29 @@ fn profiling_is_invisible_on_the_tuple_path() {
     assert_eq!(profile.root_rows_out(), ctx_prof.stats.snapshot().output_records);
     assert_eq!(profile.root_rows_out(), profiled.len() as u64);
     assert_eq!(profile.total_storage(), c_prof.stats().snapshot());
+
+    // Per operator: the walked aggregate yields one row per position whose
+    // window holds a record (what Cache-A yields), and the probed base one
+    // row per record a window probe found. Every window position is one
+    // walk step and one base probe: 8 per position, fewer below position 8.
+    let c = catalog(11);
+    let cache_a = PhysPlan::new(plan_with(AggStrategy::CacheA).root.children()[0].clone(), span());
+    let agg_rows = execute(&cache_a, &ExecContext::new(&c)).unwrap().len() as u64;
+    let base = PhysPlan::new(PhysNode::Base { name: "T".into(), span: span() }, span());
+    let records: Vec<i64> =
+        execute(&base, &ExecContext::new(&c)).unwrap().iter().map(|(p, _)| *p).collect();
+    let found: u64 = span()
+        .positions()
+        .map(|o| records.iter().filter(|&&p| o - 7 <= p && p <= o).count() as u64)
+        .sum();
+    let window_positions = 8 * N as u64 - 28;
+    let reports = profile.op_reports();
+    let modes: Vec<&str> = reports.iter().map(|r| r.mode).collect();
+    assert_eq!(modes, ["batch+sel", "probe", "probe"]);
+    assert_eq!(reports[1].rows_out, agg_rows);
+    assert_eq!(reports[2].rows_out, found);
+    assert_eq!(reports[1].exec.naive_walk_steps, window_positions);
+    assert_eq!(reports[2].storage.probes, window_positions);
 }
 
 #[test]
@@ -155,10 +185,10 @@ fn root_rows_out_matches_output_records_across_paths() {
 
     let c = catalog(23);
     let mut ctx = ExecContext::new(&c);
-    let p_tuple = ctx.enable_profiling(&plan);
-    let rows_tuple = execute(&plan, &ctx).unwrap();
-    assert_eq!(p_tuple.root_rows_out(), rows_tuple.len() as u64);
-    assert_eq!(p_tuple.root_rows_out(), ctx.stats.snapshot().output_records);
+    let p_one = ctx.enable_profiling(&plan);
+    let rows_one = execute_batched_with(&plan, &ctx, 1).unwrap();
+    assert_eq!(p_one.root_rows_out(), rows_one.len() as u64);
+    assert_eq!(p_one.root_rows_out(), ctx.stats.snapshot().output_records);
 
     let c = catalog(23);
     let mut ctx = ExecContext::new(&c);
@@ -175,8 +205,8 @@ fn root_rows_out_matches_output_records_across_paths() {
     assert_eq!(p_par.root_rows_out(), rows_par.len() as u64);
     assert_eq!(p_par.root_rows_out(), ctx.stats.snapshot().output_records);
 
-    assert_eq!(rows_tuple, rows_batch);
-    assert_eq!(rows_tuple, rows_par);
+    assert_eq!(rows_one, rows_batch);
+    assert_eq!(rows_one, rows_par);
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Differential audit of selection-vector execution.
 //!
-//! Every plan in a randomized family runs three ways — record-at-a-time,
-//! batch, and parallel — and the paths must agree:
+//! Every plan in a randomized family runs at batch size 1 (one row per
+//! batch: every selection is all or nothing), at larger batch sizes, and in
+//! parallel, and the runs must agree:
 //!
-//! - **rows bit-identical** across all three executions;
-//! - **path-independent counters exact**: `page_reads`, `pages_skipped`,
+//! - **rows bit-identical** across all executions;
+//! - **mode-invariant counters exact**: `page_reads`, `pages_skipped`,
 //!   `probes`, and `predicate_evals` do not depend on how survivors are
 //!   represented between operators;
 //! - **path-dependent counters follow the structural rule**: a partially-
@@ -13,13 +14,13 @@
 //!   nearest physical consumer indexes rows densely (aggregate, value
 //!   offset, join), and those copied rows are charged as `slots_compacted`
 //!   to the *consumer's* operator id; a root-facing select is never
-//!   compacted. `bytes_decoded` / `columns_pruned` show the late-
-//!   materialization savings the batch path exists for.
+//!   compacted. `bytes_decoded` shows the late-materialization savings
+//!   against the full decode of every column of every page in the span.
 
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
 use seq_exec::{
     execute, execute_batched_with, execute_parallel, AggStrategy, ExecContext, JoinStrategy,
-    PhysNode, PhysPlan, ValueOffsetStrategy,
+    PhysNode, PhysPlan, ValueOffsetStrategy, DEFAULT_BATCH_SIZE,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -108,7 +109,7 @@ struct Case {
     name: &'static str,
     node: PhysNode,
     consumer: Consumer,
-    /// The batch path decodes strictly less than the record path (scan-level
+    /// The plan decodes strictly less than the full decode (scan-level
     /// column pruning or fused survivor-only materialization).
     late_mat_wins: bool,
 }
@@ -136,7 +137,7 @@ fn cases() -> Vec<Case> {
         Case {
             // Project narrows the referenced set to {close}; the predicate
             // column is already in it, so `vol`/`size`/`time` are never
-            // decoded on the batch path while the record path pays for all.
+            // decoded.
             name: "project-over-select-prunes",
             node: PhysNode::Project {
                 input: Box::new(select(base(), pred_close(35.0))),
@@ -273,7 +274,6 @@ fn run(node: &PhysNode, mode: &str, batch_size: usize) -> Run {
     let mut ctx = ExecContext::new(&cat);
     let profile = ctx.enable_profiling(&plan);
     let rows = match mode {
-        "tuple" => execute(&plan, &ctx).unwrap(),
         "batch" => execute_batched_with(&plan, &ctx, batch_size).unwrap(),
         "parallel" => execute_parallel(&plan, &ctx, 3).unwrap(),
         other => unreachable!("unknown mode {other}"),
@@ -286,36 +286,49 @@ fn run(node: &PhysNode, mode: &str, batch_size: usize) -> Run {
     }
 }
 
+/// Bytes decoded by materializing every column of every page in the span:
+/// what one scan without column pruning or survivor-only decode pays.
+fn full_decode_bytes() -> u64 {
+    let plan = PhysPlan::new(*base(), span());
+    let cat = catalog(17);
+    execute(&plan, &ExecContext::new(&cat)).unwrap();
+    cat.stats().snapshot().bytes_decoded
+}
+
+/// Base scans in the plan (every case streams all of its leaves).
+fn scans(node: &PhysNode) -> u64 {
+    match node {
+        PhysNode::Base { .. } | PhysNode::FusedScan { .. } => 1,
+        other => other.children().into_iter().map(scans).sum(),
+    }
+}
+
 #[test]
 fn all_paths_agree_on_rows_and_shared_counters() {
     for case in cases() {
+        let full = scans(&case.node) * full_decode_bytes();
+        let one = run(&case.node, "batch", 1);
         for batch_size in [7usize, 64, 512] {
-            let tuple = run(&case.node, "tuple", batch_size);
             let batch = run(&case.node, "batch", batch_size);
             let name = case.name;
-            assert_eq!(tuple.rows, batch.rows, "{name}/bs={batch_size}: batch rows");
+            assert_eq!(one.rows, batch.rows, "{name}/bs={batch_size}: batch rows");
 
-            // Path-independent counters: exact across representations.
+            // Mode-invariant counters: exact across representations.
             assert_eq!(
-                tuple.storage.page_reads, batch.storage.page_reads,
+                one.storage.page_reads, batch.storage.page_reads,
                 "{name}/bs={batch_size}: page_reads"
             );
             assert_eq!(
-                tuple.storage.pages_skipped, batch.storage.pages_skipped,
+                one.storage.pages_skipped, batch.storage.pages_skipped,
                 "{name}/bs={batch_size}: pages_skipped"
             );
+            assert_eq!(one.storage.probes, batch.storage.probes, "{name}/bs={batch_size}: probes");
             assert_eq!(
-                tuple.storage.probes, batch.storage.probes,
-                "{name}/bs={batch_size}: probes"
-            );
-            assert_eq!(
-                tuple.exec.predicate_evals, batch.exec.predicate_evals,
+                one.exec.predicate_evals, batch.exec.predicate_evals,
                 "{name}/bs={batch_size}: predicate_evals"
             );
 
-            // The structural rule. The record path has no selections at all.
-            assert_eq!(tuple.exec.selections_carried, 0, "{name}: tuple carried");
-            assert_eq!(tuple.exec.slots_compacted, 0, "{name}: tuple compacted");
+            // The structural rule.
             match case.consumer {
                 Consumer::Unknown => {}
                 Consumer::Root => {
@@ -348,22 +361,19 @@ fn all_paths_agree_on_rows_and_shared_counters() {
                 }
             }
 
-            // Late materialization: the batch pipeline never decodes more
-            // than the record path, and strictly less where pruning or
-            // fused survivor-decode applies.
+            // Late materialization: the pipeline never decodes more than
+            // the full decode, and strictly less where pruning or fused
+            // survivor-decode applies.
             assert!(
-                batch.storage.bytes_decoded <= tuple.storage.bytes_decoded,
-                "{name}/bs={batch_size}: batch decoded more than tuple \
-                 ({} vs {})",
+                batch.storage.bytes_decoded <= full,
+                "{name}/bs={batch_size}: decoded more than the full decode ({} vs {full})",
                 batch.storage.bytes_decoded,
-                tuple.storage.bytes_decoded
             );
             if case.late_mat_wins {
                 assert!(
-                    batch.storage.bytes_decoded < tuple.storage.bytes_decoded,
-                    "{name}/bs={batch_size}: expected a decode win, got {} vs {}",
+                    batch.storage.bytes_decoded < full,
+                    "{name}/bs={batch_size}: expected a decode win, got {} vs {full}",
                     batch.storage.bytes_decoded,
-                    tuple.storage.bytes_decoded
                 );
             }
         }
@@ -376,20 +386,20 @@ fn parallel_path_agrees_where_partitionable() {
         if !case.node.is_position_partitionable() {
             continue;
         }
-        let tuple = run(&case.node, "tuple", 64);
+        let one = run(&case.node, "batch", 1);
         let parallel = run(&case.node, "parallel", 64);
         let name = case.name;
-        assert_eq!(tuple.rows, parallel.rows, "{name}: parallel rows");
+        assert_eq!(one.rows, parallel.rows, "{name}: parallel rows");
         assert_eq!(
-            tuple.exec.predicate_evals, parallel.exec.predicate_evals,
+            one.exec.predicate_evals, parallel.exec.predicate_evals,
             "{name}: parallel predicate_evals"
         );
-        assert_eq!(tuple.storage.probes, parallel.storage.probes, "{name}: parallel probes");
+        assert_eq!(one.storage.probes, parallel.storage.probes, "{name}: parallel probes");
         // Page traffic: every page in the span is either read or skipped
         // exactly once per morsel covering it; with page-aligned morsels the
         // totals are exact.
         assert_eq!(
-            tuple.storage.page_reads + tuple.storage.pages_skipped,
+            one.storage.page_reads + one.storage.pages_skipped,
             parallel.storage.page_reads + parallel.storage.pages_skipped,
             "{name}: parallel read+skip accounting"
         );
@@ -409,4 +419,25 @@ fn parallel_path_agrees_where_partitionable() {
             Consumer::Unknown => {}
         }
     }
+}
+
+#[test]
+fn low_selectivity_multi_column_scan_cuts_decode_at_least_2x() {
+    // A conjunction over two columns keeps ~1.5% of the rows, and only
+    // `close` is read above the scan: evaluating the terms over the encoded
+    // page and decoding just the survivors' referenced column must at least
+    // halve the bytes a full decode of the span costs.
+    let node = PhysNode::Project {
+        input: Box::new(fused(pred_conj(90.0, 1500.0))),
+        indices: vec![1],
+        span: span(),
+    };
+    let lowsel = run(&node, "batch", DEFAULT_BATCH_SIZE);
+    assert!(!lowsel.rows.is_empty());
+    let full = full_decode_bytes();
+    assert!(
+        full >= 2 * lowsel.storage.bytes_decoded,
+        "low-selectivity multi-column scan must cut bytes_decoded >= 2x, got {full} -> {}",
+        lowsel.storage.bytes_decoded
+    );
 }

@@ -1,13 +1,14 @@
 //! The always-on telemetry registry must agree with itself across
-//! execution paths: running the same plan down the tuple, batch, and
-//! morsel-parallel entry points (each into its own fresh registry) must
+//! execution paths: running the same plan down the batch entry point at two
+//! batch sizes and the morsel-parallel one (each into its own fresh
+//! registry) must
 //! fold *identical* values for every mode-invariant counter — rows_out,
 //! page accesses, pages_skipped, probes, predicate_evals — because the
 //! registry records counter *deltas* of the shared executor/storage
 //! atomics, which the equivalence suites already hold to exactness.
-//! (`stream_records` and `bytes_decoded` are deliberately exempt, like in
-//! the mixed-mode suite: the batch lock-step join seeks across gaps, and
-//! morsel workers re-decode overhang pages.)
+//! (`stream_records` and `bytes_decoded` are deliberately exempt: the batch
+//! lock-step join's read-ahead depends on the batch size, and morsel
+//! workers re-decode overhang pages.)
 //!
 //! Also covered here: telemetry is on by default and detachable, shared
 //! registries accumulate across queries and paths, failed queries tally
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
 use seq_exec::{
     execute, execute_batched_with, execute_parallel_with, AggStrategy, ExecContext,
-    MetricsSnapshot, ParallelConfig, PhysNode, PhysPlan, QueryPath, SessionMetrics,
+    MetricsSnapshot, ParallelConfig, PhysNode, PhysPlan, SessionMetrics,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -43,7 +44,7 @@ fn catalog(seed: u64) -> Catalog {
 
 /// select(close > 35) → project: selective and position-partitionable with
 /// zero operator overhang, so *every* fold — pages, predicates, rows — must
-/// be identical across the tuple, batch, and parallel paths. (Windowed
+/// be identical across batch sizes and the parallel path. (Windowed
 /// plans widen each morsel's input by the window overhang, legitimately
 /// re-reading boundary pages per worker; the equivalence suites cover those
 /// under their own taxonomy.)
@@ -104,39 +105,39 @@ fn paths_fold_identical_mode_invariant_counters() {
     let catalog = catalog(0x7e1e);
     let plan = plan();
 
-    let run = |path: QueryPath| -> (Vec<(i64, seq_core::Record)>, MetricsSnapshot) {
+    // `Some(n)` runs the batch path at batch size `n`, `None` the parallel
+    // path.
+    let run = |batch_size: Option<usize>| -> (Vec<(i64, seq_core::Record)>, MetricsSnapshot) {
         let metrics = Arc::new(SessionMetrics::new());
         let mut ctx = ExecContext::new(&catalog);
         ctx.share_telemetry(&metrics);
-        let rows = match path {
-            QueryPath::Tuple => execute(&plan, &ctx).unwrap(),
-            QueryPath::Batch => execute_batched_with(&plan, &ctx, 64).unwrap(),
-            QueryPath::Parallel => execute_parallel_with(&plan, &ctx, par_config(4)).unwrap(),
-            QueryPath::Probe => unreachable!(),
+        let rows = match batch_size {
+            Some(n) => execute_batched_with(&plan, &ctx, n).unwrap(),
+            None => execute_parallel_with(&plan, &ctx, par_config(4)).unwrap(),
         };
         (rows, metrics.snapshot())
     };
 
-    let (tuple_rows, tuple) = run(QueryPath::Tuple);
-    let (batch_rows, batch) = run(QueryPath::Batch);
-    let (par_rows, parallel) = run(QueryPath::Parallel);
+    let (one_rows, one) = run(Some(1));
+    let (batch_rows, batch) = run(Some(64));
+    let (par_rows, parallel) = run(None);
 
-    assert_eq!(tuple_rows, batch_rows);
-    assert_eq!(tuple_rows, par_rows);
-    assert!(!tuple_rows.is_empty());
+    assert_eq!(one_rows, batch_rows);
+    assert_eq!(one_rows, par_rows);
+    assert!(!one_rows.is_empty());
 
-    assert_eq!(invariant(&tuple), invariant(&batch), "tuple vs batch folds diverged");
-    assert_eq!(invariant(&tuple), invariant(&parallel), "tuple vs parallel folds diverged");
+    assert_eq!(invariant(&one), invariant(&batch), "batch sizes 1 vs 64 folds diverged");
+    assert_eq!(invariant(&one), invariant(&parallel), "batch vs parallel folds diverged");
 
     // Each registry attributed its one query to the right path...
-    assert_eq!(tuple.path_counts, [1, 0, 0, 0]);
-    assert_eq!(batch.path_counts, [0, 1, 0, 0]);
-    assert_eq!(parallel.path_counts, [0, 0, 1, 0]);
+    assert_eq!(one.path_counts, [1, 0, 0]);
+    assert_eq!(batch.path_counts, [1, 0, 0]);
+    assert_eq!(parallel.path_counts, [0, 1, 0]);
     // ...with exactly one execute-latency sample each, and per-worker morsel
     // tees only on the genuinely parallel run.
-    assert_eq!(tuple.execute.count, 1);
+    assert_eq!(batch.execute.count, 1);
     assert_eq!(parallel.execute.count, 1);
-    assert_eq!(tuple.morsels, 0);
+    assert_eq!(batch.morsels, 0);
     assert!(parallel.morsels > 1, "multi-morsel run must tee per-morsel samples");
     assert_eq!(parallel.morsel.count, parallel.morsels);
 }
@@ -177,7 +178,7 @@ fn shared_registry_accumulates_across_paths_and_queries() {
 
     let snap = metrics.snapshot();
     assert_eq!(snap.queries, 3);
-    assert_eq!(snap.path_counts, [1, 1, 1, 0]);
+    assert_eq!(snap.path_counts, [2, 1, 0]);
     assert_eq!(snap.rows_out, 3 * rows.len() as u64);
     assert_eq!(snap.execute.count, 3);
     assert!(snap.trace_recorded >= 3, "each query records a trace span");
@@ -216,5 +217,5 @@ fn exports_remain_valid_after_mixed_traffic() {
     // 4-worker run records as parallel — never both for one query.
     let snap = metrics.snapshot();
     assert_eq!(snap.queries, 2);
-    assert_eq!(snap.path_counts, [0, 1, 1, 0]);
+    assert_eq!(snap.path_counts, [1, 1, 0]);
 }

@@ -119,14 +119,13 @@ impl SequenceGroup {
             cfg.range = range;
             let optimized = optimize(&query, &CatalogRef(&catalog), &cfg)?;
             let ctx = ExecContext::new(&catalog);
-            let mut cursor = optimized.plan.root.open_stream(&ctx)?;
             let start = optimized.plan.range.intersect(&optimized.plan.root.span());
             if !start.is_empty() {
-                // Existence check: pull at most one record.
-                if let Some((p, _)) = cursor.next_from(start.start())? {
-                    if p <= start.end() {
-                        out.push(key.clone());
-                    }
+                // Existence check: pull one single-row batch.
+                let mut cursor = optimized.plan.root.open_batch(&ctx, 1)?;
+                let first = cursor.next_batch_from(start.start())?.and_then(|b| b.first_pos());
+                if first.is_some_and(|p| p <= start.end()) {
+                    out.push(key.clone());
                 }
             }
         }

@@ -75,6 +75,17 @@ impl Parser {
         }
     }
 
+    /// A window width `n` with `1 <= n <= u32::MAX`, positioned at the
+    /// number on failure.
+    fn width(&mut self, kind: &str) -> Result<u32> {
+        let at = self.peek().map_or(0, |t| t.offset);
+        let n = self.int()?;
+        match u32::try_from(n) {
+            Ok(w) if w >= 1 => Ok(w),
+            _ => Err(perr(at, format!("{kind} window needs 1 <= n <= {}, got {n}", u32::MAX))),
+        }
+    }
+
     /// Parse a query node into a [`SeqQuery`].
     fn node(&mut self) -> Result<SeqQuery> {
         self.expect(&TokenKind::LParen)?;
@@ -211,20 +222,8 @@ impl Parser {
             TokenKind::LParen => {
                 let (kind, at) = self.symbol()?;
                 let w = match kind.as_str() {
-                    "trailing" => {
-                        let n = self.int()?;
-                        if n < 1 {
-                            return Err(perr(at, "trailing window needs n >= 1"));
-                        }
-                        Window::trailing(n as u32)
-                    }
-                    "leading" => {
-                        let n = self.int()?;
-                        if n < 1 {
-                            return Err(perr(at, "leading window needs n >= 1"));
-                        }
-                        Window::leading(n as u32)
-                    }
+                    "trailing" => Window::trailing(self.width(&kind)?),
+                    "leading" => Window::leading(self.width(&kind)?),
                     "sliding" => {
                         let lo = self.int()?;
                         let hi = self.int()?;
@@ -388,6 +387,20 @@ mod tests {
         assert!(e.contains("unknown expression head"), "{e}");
         assert!(parse_query("(base IBM").is_err()); // missing paren
         assert!(parse_query("").is_err());
+        // Window widths must fit a u32: 2^32 would truncate to 0, 2^32 + 1
+        // to 1. The error points at the number.
+        for (q, n) in [
+            ("(agg sum close (trailing 4294967296) (base HP))", "4294967296"),
+            ("(agg sum close (trailing 4294967297) (base HP))", "4294967297"),
+            ("(agg sum close (leading 4294967296) (base HP))", "4294967296"),
+            ("(agg sum close (trailing 0) (base HP))", "0"),
+        ] {
+            let e = parse_query(q).unwrap_err().to_string();
+            let at = q.find(n).unwrap();
+            assert!(e.contains(&format!("parse error at byte {at}: ")), "{e}");
+            assert!(e.contains(&format!("window needs 1 <= n <= 4294967295, got {n}")), "{e}");
+        }
+        assert!(parse_query("(agg sum close (trailing 4294967295) (base HP))").is_ok());
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub struct OpAnalysis {
     pub id: usize,
     /// Execution mode the operator lowered onto: "batch" (native vectorized
     /// kernel), "batch+sel" (a vectorized filter handing survivors on as a
-    /// selection vector), "tuple" (record-at-a-time, possibly behind an
-    /// adapter), or "fused" (predicate fused into the scan).
+    /// selection vector), "fused" (predicate fused into the scan), or
+    /// "probe" (probed access: a Strategy-A inner subtree, or a node without
+    /// a kernel walked over its own probes).
     pub mode: &'static str,
     /// Optimizer-estimated output rows (Step 2.a meta-data rules).
     pub est_rows: f64,
@@ -615,12 +616,11 @@ mod tests {
     }
 
     #[test]
-    fn full_native_stack_lowers_with_zero_adapters() {
+    fn full_native_stack_lowers_with_zero_probe_walks() {
         // Compose + value offset + cumulative aggregate: every stream-
-        // strategy operator now has a native batch kernel, so the lowered
-        // plan must contain no batch<->tuple adapter boundary — every
-        // \analyze mode annotation reads "batch" (or "fused"), never
-        // "tuple".
+        // strategy operator has a native batch kernel, so the lowered plan
+        // walks no probes — every \analyze mode annotation reads "batch"
+        // (or "fused"), never "probe".
         let mut c = Catalog::new();
         c.set_page_capacity(16);
         let base = BaseSequence::from_entries(
@@ -643,7 +643,7 @@ mod tests {
         for a in &report.per_op {
             assert!(
                 a.mode.starts_with("batch") || a.mode == "fused",
-                "operator {} fell back to {} mode — an adapter boundary survived",
+                "operator {} fell back to {} mode — a probe walk survived",
                 a.id,
                 a.mode
             );

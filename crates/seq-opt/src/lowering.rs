@@ -1,14 +1,14 @@
 //! Execution-mode lowering: which executor entry point runs the plan.
 //!
-//! All execution paths produce identical results, so this is a purely
+//! Both execution paths produce identical results, so this is a purely
 //! physical decision made after plan selection (Step 6) — and a structural
 //! one: nothing here is priced. The paper's costed physical choice is the
 //! access mode (stream vs. probed, §3.3/§4.1), which the Step-5 DP has
 //! already fixed in the plan's strategies. Which nodes then run a batch
-//! kernel, which fall back to record cursors behind an adapter, and where a
-//! filter's selection vector is densified all follow from the plan's shape
-//! and live in one place, `seq-exec`'s lowering
-//! ([`PhysNode::open_batch`], mirrored by [`PhysNode::exec_mode_labels`]).
+//! kernel, which are walked over their own probes, and where a filter's
+//! selection vector is densified all follow from the plan's shape and live
+//! in one place, `seq-exec`'s lowering ([`PhysNode::open_batch`], mirrored
+//! by [`PhysNode::exec_mode_labels`]).
 
 use seq_core::Span;
 use seq_exec::PhysNode;
@@ -16,9 +16,7 @@ use seq_exec::PhysNode;
 /// Which executor entry point a plan should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Record-at-a-time cursors ([`seq_exec::execute`]).
-    RecordAtATime,
-    /// Vectorized batch kernels ([`seq_exec::execute_batched`]).
+    /// Sequential batch kernels ([`seq_exec::execute`]).
     Batched,
     /// Morsel-driven parallel batch pipelines
     /// ([`seq_exec::execute_parallel`]).
@@ -31,7 +29,6 @@ pub enum ExecMode {
 impl std::fmt::Display for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecMode::RecordAtATime => write!(f, "record-at-a-time"),
             ExecMode::Batched => write!(f, "batched"),
             ExecMode::Parallel { workers } => write!(f, "parallel({workers})"),
         }
@@ -43,20 +40,15 @@ impl std::fmt::Display for ExecMode {
 /// Parallel wins when the user asked for more than one worker *and* the
 /// plan can be evaluated morsel-by-morsel: every operator position-
 /// partitionable and the materialized range bounded (morsels are contiguous
-/// position intervals). Otherwise the sequential batch path runs every plan
-/// whose root has a native batch kernel; a kernel-less root (the naive
-/// probe-walk strategies, `Constant`) would only re-batch the record
-/// cursor's output behind an adapter, so it runs the record path directly.
+/// position intervals). Otherwise the sequential batch path runs the plan.
 pub fn choose_exec_mode(root: &PhysNode, parallelism: usize, range: Span) -> ExecMode {
     if parallelism > 1
         && root.is_position_partitionable()
         && range.intersect(&root.span()).is_bounded()
     {
         ExecMode::Parallel { workers: parallelism }
-    } else if root.is_batch_capable() {
-        ExecMode::Batched
     } else {
-        ExecMode::RecordAtATime
+        ExecMode::Batched
     }
 }
 
@@ -71,7 +63,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_less_root_runs_the_record_path() {
+    fn kernel_less_root_is_probe_walked_on_the_batch_path() {
         let span = Span::new(1, 10);
         assert_eq!(choose_exec_mode(&base(), 1, span), ExecMode::Batched);
         let agg = |strategy| PhysNode::Aggregate {
@@ -83,14 +75,14 @@ mod tests {
             span,
         };
         assert_eq!(choose_exec_mode(&agg(AggStrategy::CacheA), 1, span), ExecMode::Batched);
-        // The naive probe-walk strategy has no batch kernel.
+        // The naive strategy has no batch kernel: it is walked over its own
+        // probes, and opens its subtree in probed mode.
         let naive = agg(AggStrategy::NaiveProbe);
-        assert_eq!(choose_exec_mode(&naive, 1, span), ExecMode::RecordAtATime);
-        // Under a batch-capable root it is an adapter boundary, not a
-        // reason to leave the batch path.
+        assert_eq!(choose_exec_mode(&naive, 1, span), ExecMode::Batched);
+        assert_eq!(naive.exec_mode_labels(), vec!["probe", "probe"]);
         let over = PhysNode::Project { input: Box::new(naive), indices: vec![0], span };
         assert_eq!(choose_exec_mode(&over, 1, span), ExecMode::Batched);
-        assert_eq!(over.exec_mode_labels(true), vec!["batch", "tuple", "tuple"]);
+        assert_eq!(over.exec_mode_labels(), vec!["batch", "probe", "probe"]);
     }
 
     #[test]

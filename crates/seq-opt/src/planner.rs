@@ -129,8 +129,7 @@ impl Optimized {
     pub fn execute(&self, ctx: &seq_exec::ExecContext<'_>) -> Result<Vec<(i64, seq_core::Record)>> {
         match self.exec_mode {
             ExecMode::Parallel { workers } => seq_exec::execute_parallel(&self.plan, ctx, workers),
-            ExecMode::Batched => seq_exec::execute_batched(&self.plan, ctx),
-            ExecMode::RecordAtATime => seq_exec::execute(&self.plan, ctx),
+            ExecMode::Batched => seq_exec::execute(&self.plan, ctx),
         }
     }
 }
@@ -238,7 +237,7 @@ pub fn optimize(
     // The per-operator labels are the executor's own account of how it
     // lowers this tree on the chosen path — the same ones a profiled run
     // reports.
-    let labels = plan.root.exec_mode_labels(exec_mode != ExecMode::RecordAtATime);
+    let labels = plan.root.exec_mode_labels();
     let _ = writeln!(explain, "per-op modes (pre-order):");
     for (id, label) in labels.iter().enumerate() {
         let _ = writeln!(explain, "  op {id}: {label}");

@@ -3,8 +3,9 @@
 //! Zone-map page skipping is a pure storage-side optimization: for any
 //! predicate and any data distribution, a plan optimized with pushdown on
 //! must produce exactly the rows of the same plan optimized with pushdown
-//! off, on every execution path (record-at-a-time, vectorized batch,
-//! morsel-driven parallel). The only counter allowed to move is the page
+//! off — and of the reference evaluator — on every execution path (batch at
+//! batch size 1 and 48, morsel-driven parallel). The only counter allowed
+//! to move is the page
 //! traffic split: every page the filtered scan *doesn't* read it must
 //! charge to `pages_skipped`, so
 //!
@@ -17,11 +18,14 @@
 //! may only shrink when pushdown is on — skipping a page never creates
 //! work.
 
-use seq_core::{record, schema, AttrType, BaseSequence, Record, Span};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use seq_core::{record, schema, AttrType, BaseSequence, Record, Sequence, Span};
 use seq_exec::{
-    execute, execute_batched_with, execute_parallel_with, ExecContext, ParallelConfig, PhysPlan,
+    execute_batched_with, execute_parallel_with, ExecContext, ParallelConfig, PhysPlan,
 };
-use seq_ops::{Expr, SeqQuery};
+use seq_ops::{Expr, QueryGraph, ReferenceEvaluator, SeqQuery};
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_storage::{Catalog, StatsSnapshot};
 use seq_workload::Rng;
@@ -126,7 +130,7 @@ fn drive(plan: &PhysPlan, seed: u64, path: &str) -> Run {
     let c = catalog(seed);
     let ctx = ExecContext::new(&c);
     let rows = match path {
-        "tuple" => execute(plan, &ctx).unwrap(),
+        "one" => execute_batched_with(plan, &ctx, 1).unwrap(),
         "batch" => execute_batched_with(plan, &ctx, 48).unwrap(),
         "parallel" => {
             let config = ParallelConfig { workers: 4, batch_size: 48, morsel_positions: 96 };
@@ -141,6 +145,17 @@ fn drive(plan: &PhysPlan, seed: u64, path: &str) -> Run {
         predicate_evals: exec.predicate_evals,
         storage: c.stats().snapshot(),
     }
+}
+
+/// The reference evaluator's rows for `query` over the catalog's sequences.
+fn reference_rows(query: &QueryGraph, c: &Catalog) -> Vec<(i64, Record)> {
+    let resolved = query.resolve(&CatalogRef(c)).unwrap();
+    let sequences: HashMap<String, Arc<dyn Sequence>> = ["CLUST", "UNI", "SPARSE", "STEP", "QUANT"]
+        .iter()
+        .map(|&name| (name.to_string(), c.get(name).unwrap() as Arc<dyn Sequence>))
+        .collect();
+    let eval = ReferenceEvaluator::new(&resolved, &sequences).unwrap();
+    eval.materialize(Span::new(1, N)).unwrap()
 }
 
 #[test]
@@ -170,11 +185,13 @@ fn pushdown_differential(rng: &mut Rng) {
         assert_eq!(opt_off.est_pages_skipped, 0.0, "off must not predict skips");
         fused_at_least_once |= opt_on.est_pages_skipped > 0.0;
 
-        for path in ["tuple", "batch", "parallel"] {
+        let reference = reference_rows(&query, &catalog(7));
+        for path in ["one", "batch", "parallel"] {
             let label = format!("trial {trial}: {name} where {pred} [{path}]");
             let got_on = drive(&opt_on.plan, 7, path);
             let got_off = drive(&opt_off.plan, 7, path);
 
+            assert_eq!(got_on.rows, reference, "{label}: rows diverged from the reference");
             assert_eq!(got_on.rows, got_off.rows, "{label}: rows diverged");
             assert_eq!(got_on.output_records, got_off.output_records, "{label}: rows_out");
 

@@ -58,7 +58,7 @@ pub struct QueryOutcome {
     pub cached: bool,
     /// Estimated cost of the served plan (first-seen costing on hits).
     pub est_cost: f64,
-    /// Execution-path label (`tuple`/`batch`/`parallel(n)`).
+    /// Execution-path label (`batched`/`parallel(n)`).
     pub exec_mode: String,
     /// Epoch of the snapshot the query ran against.
     pub epoch: u64,

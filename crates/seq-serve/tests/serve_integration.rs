@@ -239,6 +239,33 @@ fn wire_sessions_share_the_plan_cache_and_keep_private_config() {
 }
 
 #[test]
+fn oversized_window_width_is_a_query_error_and_the_worker_survives() {
+    // 2^32 used to truncate to a zero-width window and panic the only
+    // worker, leaving the server draining.
+    let mut cfg = ServerConfig::local(Span::new(1, 750));
+    cfg.workers = 1;
+    let handle = serve(engine(1), &cfg).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    for width in ["4294967296", "4294967297"] {
+        let query = format!("(agg sum close (trailing {width}) (base HP))");
+        match client.send(&query).unwrap() {
+            Response::Err { code, message } => {
+                assert_eq!(code, "query", "{message}");
+                assert!(message.contains("parse error at byte"), "{message}");
+            }
+            Response::Ok(lines) => panic!("width {width} ran: {lines:?}"),
+        }
+        let Response::Ok(lines) = client.send("(agg sum close (trailing 2) (base HP))").unwrap()
+        else {
+            panic!("the next query after width {width} was not answered");
+        };
+        assert!(lines.last().unwrap().contains("rows"), "{lines:?}");
+    }
+    drop(client);
+    handle.join();
+}
+
+#[test]
 fn oversized_line_gets_err_proto_and_the_connection_closes() {
     use std::io::{BufRead, BufReader, Write};
     let handle = serve(engine(1), &ServerConfig::local(Span::new(1, 750))).unwrap();

@@ -15,7 +15,7 @@
 //!   with the chosen execution path and each operator's execution mode;
 //! - `\analyze <query>` — execute under seq-trace instrumentation and show
 //!   the plan annotated with each operator's execution mode
-//!   (`batch`/`batch+sel`/`tuple`/`fused` — structural, the same labels
+//!   (`batch`/`batch+sel`/`fused`/`probe` — structural, the same labels
 //!   `\explain` prints), actual rows, per-operator timings and
 //!   counters, and estimated-vs-measured cost (`--profile-out FILE` also
 //!   writes the JSON profile export, mode field included);
@@ -238,13 +238,12 @@ impl Shell {
         let snap = self.metrics.snapshot();
         println!("window #{} since unix_ms {}", snap.resets, snap.window_started_unix_ms);
         println!(
-            "queries: {} ({} failed) | tuple {} batch {} parallel {} probe {}",
+            "queries: {} ({} failed) | batch {} parallel {} probe {}",
             snap.queries,
             snap.queries_failed,
             snap.path_counts[0],
             snap.path_counts[1],
             snap.path_counts[2],
-            snap.path_counts[3],
         );
         println!(
             "rows_out {} | page_reads {} (hits {}) | pages_skipped {} | probes {} | \

@@ -5,8 +5,8 @@
 //! the compositional operator algebra with operator *scopes*, the cost-based
 //! six-step optimizer (span propagation, query transformations, query
 //! blocks, Selinger-style join-order enumeration, access-mode and
-//! cache-strategy selection), and a pull-based executor with stream and
-//! probed access modes.
+//! cache-strategy selection), and a pull-based executor with stream
+//! (batch-at-a-time) and probed access modes.
 //!
 //! ## Quick start
 //!
@@ -37,7 +37,7 @@
 //!
 //! The layers are available individually: [`seq_core`] (model),
 //! [`seq_storage`] (paged store), [`seq_ops`] (algebra + reference
-//! semantics), [`seq_exec`] (cursors and strategies), [`seq_opt`]
+//! semantics), [`seq_exec`] (batch kernels, probes and strategies), [`seq_opt`]
 //! (optimizer), [`seq_relational`] (the Example 1.1 relational baseline),
 //! [`seq_workload`] (generators), and [`seq_serve`] (the `seqd` concurrent
 //! serving layer: plan cache, snapshot reads, admission control).
@@ -60,10 +60,10 @@ pub mod prelude {
         SeqMeta, Sequence, Span, Value,
     };
     pub use seq_exec::{
-        execute, execute_batched, execute_batched_with, execute_parallel, execute_parallel_with,
-        probe_positions, AggStrategy, ExecContext, ExecStats, HistogramSnapshot, JoinStrategy,
-        LatencyHistogram, MetricsSnapshot, ParallelConfig, Phase, PhysNode, PhysPlan, QueryPath,
-        QueryProfile, SessionMetrics, ValueOffsetStrategy,
+        execute, execute_batched_with, execute_parallel, execute_parallel_with, probe_positions,
+        AggStrategy, ExecContext, ExecStats, HistogramSnapshot, JoinStrategy, LatencyHistogram,
+        MetricsSnapshot, ParallelConfig, Phase, PhysNode, PhysPlan, QueryPath, QueryProfile,
+        SessionMetrics, ValueOffsetStrategy,
     };
     pub use seq_ops::{
         AggFunc, BinOp, Expr, QueryGraph, ReferenceEvaluator, SeqOperator, SeqQuery, Window,

@@ -1,19 +1,20 @@
-//! Differential testing of the vectorized batch path against the
-//! record-at-a-time path over the full randomized query grammar: whatever
-//! plan the optimizer selects, `execute_batched` must produce exactly the
-//! rows `execute` produces, and `Optimized::execute` must dispatch to the
-//! mode the planner chose.
+//! Differential testing of the batch path against the reference evaluator
+//! over the full randomized query grammar: whatever plan the optimizer
+//! selects, `execute` at any batch size must produce exactly the rows the
+//! reference evaluator produces, and `Optimized::execute` must dispatch to
+//! the mode the planner chose.
 
 mod common;
 
 use common::*;
 use seqproc::prelude::*;
-use seqproc::seq_exec::{execute, execute_batched, execute_batched_with};
+use seqproc::seq_exec::{execute_batched_with, DEFAULT_BATCH_SIZE};
 use seqproc::seq_opt::ExecMode;
 use seqproc::seq_workload::Rng;
 
-/// Optimize a query and run it down both execution paths; `false` when the
-/// plan cannot be stream-materialized (unbounded spans) and was skipped.
+/// Optimize a query, run it on the batch path and through the dispatcher,
+/// and check both against the reference evaluator; `false` when either side
+/// cannot materialize the query (unbounded spans) and it was skipped.
 fn check_seed(seed: u64, depth: u32, batch_size: Option<usize>) -> bool {
     let world = random_world(seed, 40);
     let mut rng = Rng::seed_from_u64(seed ^ 0xBA7C4);
@@ -27,30 +28,25 @@ fn check_seed(seed: u64, depth: u32, batch_size: Option<usize>) -> bool {
         Err(SeqError::Unsupported(_)) => return false,
         Err(e) => panic!("seed {seed}: optimization failed: {e}"),
     };
+    let Some(reference) = reference_rows(&world, &query, range) else { return false };
 
     let ctx = ExecContext::new(&world.catalog);
-    let record_path = match execute(&optimized.plan, &ctx) {
+    let batch_size = batch_size.unwrap_or(DEFAULT_BATCH_SIZE);
+    let batch_path = match execute_batched_with(&optimized.plan, &ctx, batch_size) {
         Ok(rows) => rows,
         Err(SeqError::Unsupported(_)) => return false,
-        Err(e) => panic!("seed {seed}: record execution failed: {e}"),
+        Err(e) => {
+            panic!("seed {seed}: batched execution failed: {e}\nplan:\n{}", optimized.plan.render())
+        }
     };
-
-    let ctx2 = ExecContext::new(&world.catalog);
-    let batch_path = match batch_size {
-        Some(n) => execute_batched_with(&optimized.plan, &ctx2, n),
-        None => execute_batched(&optimized.plan, &ctx2),
-    }
-    .unwrap_or_else(|e| {
-        panic!("seed {seed}: batched execution failed: {e}\nplan:\n{}", optimized.plan.render())
-    });
-    assert_rows_equal(&record_path, &batch_path, &format!("seed {seed}"));
+    assert_rows_equal(&reference, &batch_path, &format!("seed {seed}"));
 
     // The planner-chosen mode must round-trip through the dispatcher too.
-    let ctx3 = ExecContext::new(&world.catalog);
-    let dispatched = optimized.execute(&ctx3).unwrap_or_else(|e| {
+    let ctx2 = ExecContext::new(&world.catalog);
+    let dispatched = optimized.execute(&ctx2).unwrap_or_else(|e| {
         panic!("seed {seed}: dispatched execution ({}) failed: {e}", optimized.exec_mode)
     });
-    assert_rows_equal(&record_path, &dispatched, &format!("seed {seed} dispatch"));
+    assert_rows_equal(&reference, &dispatched, &format!("seed {seed} dispatch"));
     true
 }
 
@@ -104,15 +100,20 @@ fn planner_vectorizes_exactly_when_the_root_has_a_batch_kernel() {
         optimized.explain.contains("exec mode: batched"),
         "explain output should surface the chosen mode"
     );
+    assert!(optimized.explain.contains("op 0: fused"), "{}", optimized.explain);
 
-    // The mode follows the plan's shape, not a switch: the naive ablation
-    // leaves the record path only where it picks a kernel-less strategy at
-    // the root (here a probe-walking aggregate).
+    // Every plan runs on the batch path; the root runs a batch kernel
+    // exactly when it has one. The naive ablation's probe-walking aggregate
+    // has none, so the root is walked over its probes — and its input,
+    // opened in probed mode, is labelled the same.
     let naive = OptimizerConfig::naive(range);
-    let optimized = optimize(&filter, &CatalogRef(&world.catalog), &naive).unwrap();
-    assert_eq!(optimized.exec_mode, ExecMode::Batched);
     let agg = SeqQuery::base("S0").aggregate(AggFunc::Sum, "close", Window::trailing(3)).build();
     let optimized = optimize(&agg, &CatalogRef(&world.catalog), &naive).unwrap();
-    assert_eq!(optimized.exec_mode, ExecMode::RecordAtATime);
-    assert!(optimized.explain.contains("exec mode: record-at-a-time"));
+    assert!(!optimized.plan.root.is_batch_capable());
+    assert_eq!(optimized.exec_mode, ExecMode::Batched);
+    assert!(optimized.explain.contains("exec mode: batched"));
+    assert!(optimized.explain.contains("op 0: probe\n  op 1: probe\n"), "{}", optimized.explain);
+    let expected = reference_rows(&world, &agg, range).unwrap();
+    let ctx = ExecContext::new(&world.catalog);
+    assert_rows_equal(&expected, &optimized.execute(&ctx).unwrap(), "naive aggregate");
 }

@@ -1,7 +1,10 @@
-//! The §3.5 cache strategies as batch kernels: Cache-Strategy-A windows and
-//! Cache-Strategy-B value offsets on the batch path return the record path's
-//! rows and the reference evaluator's rows bit for bit (`f64::to_bits`, and
-//! the value variant), and charge the record path's cache stores.
+//! The §3.5 cache strategies as batch kernels, and their naive
+//! alternatives as probe walks: Cache-Strategy-A windows and
+//! Cache-Strategy-B value offsets, the same windows and offsets under the
+//! naive strategies (walked over their probes), and a constant sequence
+//! return the reference evaluator's rows bit for bit (`f64::to_bits`, and
+//! the value variant) at every batch size, and charge the same cache stores
+//! and naive walk steps whatever the batch size.
 //!
 //! The data is chosen where a reordered or drifting float sum would show:
 //! `1e16, 1.0, -1e16` runs, windows holding only `-0.0` (their sum is `+0.0`),
@@ -9,14 +12,16 @@
 //! with values near the ends of the range. Windows are trailing, leading and
 //! centered with widths 1 to 512; batch sizes 1, 7 and 1024 run both a full
 //! drain and a drain that skips ahead with `next_batch_from` across batch
-//! boundaries (the record path takes the same skips with `next_from`).
+//! boundaries (a batch-size-1 cursor takes the same skips and pulls the same
+//! rows, one per batch).
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use common::*;
 use seqproc::prelude::*;
+use seqproc::seq_exec::ExecSnapshot;
 use seqproc::seq_workload::Rng;
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
@@ -106,61 +111,83 @@ fn assert_bit_identical(got: &[(i64, Record)], want: &[(i64, Record)], label: &s
     }
 }
 
-/// Drain the root batch cursor and the root record cursor side by side,
-/// skipping ahead after most batches (by one position, by a little more
-/// than a batch, by a stretch), the record cursor taking exactly the same
-/// skips. Returns both row sets and both cache-store counts.
+/// Drain the root batch cursor, skipping ahead after most batches (by one
+/// position, by a little more than a batch, by a stretch), beside a
+/// batch-size-1 cursor that takes exactly the same skips and pulls the same
+/// rows one batch at a time. Returns both row sets and both executor
+/// counter snapshots.
 fn skipping_drain(
     world: &World,
     plan: &PhysPlan,
     batch_size: usize,
-) -> [(Vec<(i64, Record)>, u64); 2] {
-    let (ctx_b, ctx_r) = (ExecContext::new(&world.catalog), ExecContext::new(&world.catalog));
+) -> [(Vec<(i64, Record)>, ExecSnapshot); 2] {
+    let (ctx_b, ctx_1) = (ExecContext::new(&world.catalog), ExecContext::new(&world.catalog));
     let mut batches = plan.root.open_batch(&ctx_b, batch_size).unwrap();
-    let mut records = plan.root.open_stream(&ctx_r).unwrap();
+    let mut ones = plan.root.open_batch(&ctx_1, 1).unwrap();
     let gaps = [1, batch_size as i64 + 3, 37];
-    let (mut rows_b, mut rows_r) = (Vec::new(), Vec::new());
+    let (mut rows_b, mut rows_1) = (Vec::new(), Vec::new());
     let mut lower = None;
     for step in 0.. {
         let (batch, first) = match lower {
-            Some(l) => (batches.next_batch_from(l).unwrap(), records.next_from(l).unwrap()),
-            None => (batches.next_batch().unwrap(), records.next().unwrap()),
+            Some(l) => (batches.next_batch_from(l).unwrap(), ones.next_batch_from(l).unwrap()),
+            None => (batches.next_batch().unwrap(), ones.next_batch().unwrap()),
         };
         let Some(batch) = batch else {
-            assert!(first.is_none(), "record path outlived the batch path");
+            assert!(first.is_none(), "the batch-size-1 cursor outlived the batched one");
             break;
         };
         rows_b.extend(batch.to_records());
-        rows_r.push(first.expect("record path ended early"));
+        rows_1.extend(first.expect("the batch-size-1 cursor ended early").to_records());
         for _ in 1..batch.len() {
-            rows_r.push(records.next().unwrap().expect("record path ended early"));
+            let one = ones.next_batch().unwrap().expect("the batch-size-1 cursor ended early");
+            rows_1.extend(one.to_records());
         }
         let last = batch.last_pos().expect("batches are never empty");
         lower = (step % 4 != 3).then(|| last + gaps[step % gaps.len()]);
     }
-    [(rows_b, ctx_b.stats.snapshot().cache_stores), (rows_r, ctx_r.stats.snapshot().cache_stores)]
+    [(rows_b, ctx_b.stats.snapshot()), (rows_1, ctx_1.stats.snapshot())]
 }
 
-/// Every batch size, full and skipping drains, against the record path and
-/// the reference rows.
-fn check_plan(world: &World, plan: &PhysPlan, reference: &[(i64, Record)], label: &str) {
-    let ctx = ExecContext::new(&world.catalog);
-    let record_rows = execute(plan, &ctx).unwrap();
-    let record_stores = ctx.stats.snapshot().cache_stores;
-    assert!(record_stores > 0, "{label}: the record path stored nothing");
-    assert_bit_identical(&record_rows, reference, &format!("{label} record path"));
+/// What a full drain must charge, whatever the batch size.
+struct Charges {
+    /// Cache stores; `None` pins them only across batch sizes (and above
+    /// zero).
+    cache_stores: Option<u64>,
+    naive_walk_steps: u64,
+}
 
+/// Every batch size, full and skipping drains, against the reference rows
+/// and the expected charges.
+fn check_plan(
+    world: &World,
+    plan: &PhysPlan,
+    reference: &[(i64, Record)],
+    charges: &Charges,
+    label: &str,
+) {
     let by_pos: HashMap<i64, &Record> = reference.iter().map(|(p, r)| (*p, r)).collect();
+    let mut full_stores = charges.cache_stores;
     for bs in BATCH_SIZES {
         let ctx = ExecContext::new(&world.catalog);
         let rows = execute_batched_with(plan, &ctx, bs).unwrap();
         assert_bit_identical(&rows, reference, &format!("{label} batch {bs}"));
-        assert_eq!(ctx.stats.snapshot().cache_stores, record_stores, "{label} batch {bs} stores");
+        let snap = ctx.stats.snapshot();
+        let stores = *full_stores.get_or_insert_with(|| {
+            assert!(snap.cache_stores > 0, "{label}: the cache stored nothing");
+            snap.cache_stores
+        });
+        assert_eq!(snap.cache_stores, stores, "{label} batch {bs} stores");
+        assert_eq!(snap.naive_walk_steps, charges.naive_walk_steps, "{label} batch {bs} walk");
 
-        let [(skip_b, stores_b), (skip_r, stores_r)] = skipping_drain(world, plan, bs);
+        let [(skip_b, snap_b), (skip_1, snap_1)] = skipping_drain(world, plan, bs);
         let skip_label = format!("{label} batch {bs} skipping");
-        assert_bit_identical(&skip_b, &skip_r, &skip_label);
-        assert_eq!(stores_b, stores_r, "{skip_label}: stores");
+        assert_bit_identical(&skip_b, &skip_1, &skip_label);
+        assert_eq!(snap_b.cache_stores, snap_1.cache_stores, "{skip_label}: stores");
+        // A walk skips the positions below each lower bound; the batched
+        // walk also finishes its last batch at the span end, where the
+        // batch-size-1 cursor may have skipped ahead, so only the full
+        // drain's count bounds it.
+        assert!(snap_b.naive_walk_steps <= charges.naive_walk_steps, "{skip_label}: walk");
         for (p, r) in &skip_b {
             let want = by_pos.get(p).unwrap_or_else(|| panic!("{skip_label}: stray row at {p}"));
             assert!(same_record(r, want), "{skip_label}: at {p} got {r:?}, want {want:?}");
@@ -168,29 +195,92 @@ fn check_plan(world: &World, plan: &PhysPlan, reference: &[(i64, Record)], label
     }
 }
 
+/// Positions of `S`'s records.
+fn record_positions(world: &World) -> Vec<i64> {
+    let base = SeqQuery::base("S").build();
+    reference_rows(world, &base, range()).unwrap().iter().map(|(p, _)| *p).collect()
+}
+
 fn optimized(world: &World, query: &QueryGraph) -> Optimized {
     optimize(query, &CatalogRef(&world.catalog), &OptimizerConfig::new(range())).unwrap()
 }
 
+/// The naive window walk costs its width per output position, so the naive
+/// plans run over the stretch of the data with the telling values (and the
+/// empty windows before it) rather than the whole range, and leave out the
+/// 512-wide windows.
+fn naive_range() -> Span {
+    Span::new(-60, 560)
+}
+
+fn naive_windows() -> Vec<Window> {
+    windows()
+        .into_iter()
+        .filter(|w| matches!(w, Window::Sliding { lo, hi } if hi - lo < 64))
+        .collect()
+}
+
+/// The plan under the naive strategies: probe-walked windows and value
+/// offsets.
+fn optimized_naive(world: &World, query: &QueryGraph) -> Optimized {
+    let mut cfg = OptimizerConfig::new(naive_range());
+    cfg.naive_aggregates = true;
+    cfg.cache_strategy_b = false;
+    optimize(query, &CatalogRef(&world.catalog), &cfg).unwrap()
+}
+
 #[test]
-fn cache_a_windows_match_record_path_and_reference_bit_for_bit() {
+fn cache_a_windows_match_reference_bit_for_bit() {
     let world = world();
+    let records = record_positions(&world);
     for func in FUNCS {
         for col in ["v", "n"] {
             for window in windows() {
                 let query = SeqQuery::base("S").aggregate(func, col, window).build();
                 let opt = optimized(&world, &query);
-                assert!(
-                    matches!(
-                        opt.plan.root,
-                        PhysNode::Aggregate { strategy: AggStrategy::CacheA, .. }
-                    ),
-                    "expected a Cache-A window:\n{}",
-                    opt.plan.render()
-                );
+                let PhysNode::Aggregate { strategy: AggStrategy::CacheA, input, .. } =
+                    &opt.plan.root
+                else {
+                    panic!("expected a Cache-A window:\n{}", opt.plan.render());
+                };
+                // One store per input row consumed: a full drain folds every
+                // record of the input span into the window.
+                let stores = records.iter().filter(|&&p| input.span().contains(p)).count();
+                let charges = Charges { cache_stores: Some(stores as u64), naive_walk_steps: 0 };
                 let reference = reference_rows(&world, &query, range()).expect("bounded window");
-                check_plan(&world, &opt.plan, &reference, &format!("{func} {col} {window:?}"));
+                let label = format!("{func} {col} {window:?}");
+                check_plan(&world, &opt.plan, &reference, &charges, &label);
             }
+        }
+    }
+}
+
+#[test]
+fn naive_windows_match_reference_bit_for_bit() {
+    let world = world();
+    for (func, col) in [(AggFunc::Sum, "v"), (AggFunc::Max, "n")] {
+        for window in naive_windows() {
+            let query = SeqQuery::base("S").aggregate(func, col, window).build();
+            let opt = optimized_naive(&world, &query);
+            let PhysNode::Aggregate {
+                strategy: AggStrategy::NaiveProbe,
+                input,
+                window: Window::Sliding { lo, hi },
+                span,
+                ..
+            } = &opt.plan.root
+            else {
+                panic!("expected a naive sliding window:\n{}", opt.plan.render());
+            };
+            // The walk probes every window position of every output position.
+            let steps = span
+                .positions()
+                .map(|o| Span::new(o + lo, o + hi).intersect(&input.span()).len())
+                .sum();
+            let charges = Charges { cache_stores: Some(0), naive_walk_steps: steps };
+            let reference = reference_rows(&world, &query, naive_range()).expect("bounded window");
+            let label = format!("naive {func} {col} {window:?}");
+            check_plan(&world, &opt.plan, &reference, &charges, &label);
         }
     }
 }
@@ -210,7 +300,7 @@ fn negative_zero_windows_sum_to_positive_zero() {
 }
 
 #[test]
-fn cache_b_value_offsets_match_record_path_and_reference_bit_for_bit() {
+fn cache_b_value_offsets_match_reference_bit_for_bit() {
     let world = world();
     for offset in [-3, -1, 1, 2] {
         let query = SeqQuery::base("S").value_offset(offset).build();
@@ -224,6 +314,68 @@ fn cache_b_value_offsets_match_record_path_and_reference_bit_for_bit() {
             opt.plan.render()
         );
         let reference = reference_rows(&world, &query, range()).expect("bounded input");
-        check_plan(&world, &opt.plan, &reference, &format!("value offset {offset}"));
+        let charges = Charges { cache_stores: None, naive_walk_steps: 0 };
+        check_plan(&world, &opt.plan, &reference, &charges, &format!("value offset {offset}"));
     }
+}
+
+/// The naive value-offset walk: from each output position, step away from
+/// it one input position at a time until |offset| records are passed or the
+/// input span ends.
+fn offset_walk_steps(records: &[i64], input: Span, span: Span, offset: i64) -> u64 {
+    let present: HashSet<i64> = records.iter().copied().filter(|&p| input.contains(p)).collect();
+    span.positions()
+        .map(|o| {
+            let walk: Vec<i64> = if offset < 0 {
+                (input.start()..o).rev().collect()
+            } else {
+                (o + 1..=input.end()).collect()
+            };
+            let mut remaining = offset.unsigned_abs();
+            let mut steps = 0;
+            for j in walk {
+                steps += 1;
+                if present.contains(&j) {
+                    remaining -= 1;
+                    if remaining == 0 {
+                        break;
+                    }
+                }
+            }
+            steps
+        })
+        .sum()
+}
+
+#[test]
+fn naive_value_offsets_match_reference_bit_for_bit() {
+    let world = world();
+    let records = record_positions(&world);
+    for offset in [-3, -1, 1, 2] {
+        let query = SeqQuery::base("S").value_offset(offset).build();
+        let opt = optimized_naive(&world, &query);
+        let PhysNode::ValueOffset {
+            strategy: ValueOffsetStrategy::NaiveProbe, input, span, ..
+        } = &opt.plan.root
+        else {
+            panic!("expected a naive value offset:\n{}", opt.plan.render());
+        };
+        let steps = offset_walk_steps(&records, input.span(), *span, offset);
+        let charges = Charges { cache_stores: Some(0), naive_walk_steps: steps };
+        let reference = reference_rows(&world, &query, naive_range()).expect("bounded input");
+        let label = format!("naive value offset {offset}");
+        check_plan(&world, &opt.plan, &reference, &charges, &label);
+    }
+}
+
+#[test]
+fn constant_is_walked_over_its_probes() {
+    let world = world();
+    let query = SeqQuery::constant(schema(&[("k", AttrType::Float)]), record![-0.0]).build();
+    let opt = optimized(&world, &query);
+    assert!(matches!(opt.plan.root, PhysNode::Constant { .. }), "{}", opt.plan.render());
+    let reference = reference_rows(&world, &query, range()).expect("range-bounded constant");
+    assert_eq!(reference.len() as u64, range().len());
+    let charges = Charges { cache_stores: Some(0), naive_walk_steps: 0 };
+    check_plan(&world, &opt.plan, &reference, &charges, "constant");
 }

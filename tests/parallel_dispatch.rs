@@ -1,18 +1,19 @@
 //! Optimizer-level dispatch of morsel-driven parallel execution: with
 //! `parallelism > 1` the planner must select `parallel(N)` exactly for
 //! position-partitionable bounded plans, and whatever it selects must
-//! return the record-path rows — over the full randomized query grammar.
+//! return the reference evaluator's rows — over the full randomized query
+//! grammar.
 
 mod common;
 
 use common::*;
 use seqproc::prelude::*;
-use seqproc::seq_exec::execute;
 use seqproc::seq_opt::ExecMode;
 use seqproc::seq_workload::Rng;
 
 /// Optimize with `parallelism` workers and compare the dispatched result
-/// against the record path; `false` when the plan was skipped (unbounded).
+/// against the reference evaluator; `None` when the plan was skipped
+/// (unbounded).
 fn check_seed(seed: u64, depth: u32, parallelism: usize) -> Option<ExecMode> {
     let world = random_world(seed, 40);
     let mut rng = Rng::seed_from_u64(seed ^ 0xBA7C4);
@@ -44,22 +45,16 @@ fn check_seed(seed: u64, depth: u32, parallelism: usize) -> Option<ExecMode> {
         ),
     }
 
+    let reference = reference_rows(&world, &query, range)?;
     let ctx = ExecContext::new(&world.catalog);
-    let record_path = match execute(&optimized.plan, &ctx) {
-        Ok(rows) => rows,
-        Err(SeqError::Unsupported(_)) => return None,
-        Err(e) => panic!("seed {seed}: record execution failed: {e}"),
-    };
-
-    let ctx2 = ExecContext::new(&world.catalog);
-    let dispatched = optimized.execute(&ctx2).unwrap_or_else(|e| {
+    let dispatched = optimized.execute(&ctx).unwrap_or_else(|e| {
         panic!(
             "seed {seed}: dispatched execution ({}) failed: {e}\nplan:\n{}",
             optimized.exec_mode,
             optimized.plan.render()
         )
     });
-    assert_rows_equal(&record_path, &dispatched, &format!("seed {seed}"));
+    assert_rows_equal(&reference, &dispatched, &format!("seed {seed}"));
     Some(optimized.exec_mode)
 }
 

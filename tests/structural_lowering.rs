@@ -1,11 +1,10 @@
 //! The execution mode is a function of the plan's shape. For every canned
 //! query template, with the default optimizer config at `parallelism` 1 and
-//! 4: what `Optimized::execute` returns, what the record-at-a-time reference
-//! executor returns for the same plan, and what the reference evaluator
-//! derives from the algebra's semantics are the same rows; the optimizer
-//! never leaves the batch path; and the per-operator modes a profiled run
-//! reports are exactly the ones `PhysNode::exec_mode_labels` states (the
-//! same ones EXPLAIN prints).
+//! 4: what `Optimized::execute` returns, what probing the same plan at
+//! every position of the range returns, and what the reference evaluator
+//! derives from the algebra's semantics are the same rows; and the
+//! per-operator modes a profiled run reports are exactly the ones
+//! `PhysNode::exec_mode_labels` states (the same ones EXPLAIN prints).
 
 mod common;
 
@@ -66,26 +65,35 @@ fn every_template_lowers_structurally_and_matches_both_references() {
             let mut config = OptimizerConfig::new(range());
             config.parallelism = parallelism;
             let opt = optimize(&query, &CatalogRef(&world.catalog), &config).unwrap();
-            assert_ne!(opt.exec_mode, ExecMode::RecordAtATime, "{label}");
+            let parallel = matches!(opt.exec_mode, ExecMode::Parallel { .. });
+            assert_eq!(parallel, parallelism > 1 && opt.plan.root.is_position_partitionable());
 
-            let tuple = execute(&opt.plan, &ExecContext::new(&world.catalog)).unwrap();
+            let positions: Vec<i64> = range().positions().collect();
+            let ctx = ExecContext::new(&world.catalog);
+            let probed: Vec<(i64, Record)> = probe_positions(&opt.plan, &ctx, &positions)
+                .unwrap()
+                .into_iter()
+                .filter_map(|(p, r)| r.map(|r| (p, r)))
+                .collect();
             let (rows, modes) = profiled(&world, &opt);
-            assert_rows_equal(&tuple, &rows, &format!("{label}: dispatched vs tuple"));
+            assert_rows_equal(&probed, &rows, &format!("{label}: dispatched vs probed"));
             assert_rows_equal(&oracle, &rows, &format!("{label}: dispatched vs oracle"));
-            assert_eq!(modes, opt.plan.root.exec_mode_labels(true), "{label}: profiled modes");
+            assert_eq!(modes, opt.plan.root.exec_mode_labels(), "{label}: profiled modes");
         }
     }
 }
 
 #[test]
-fn naive_ablation_root_without_a_kernel_runs_the_record_path() {
+fn naive_ablation_root_without_a_kernel_is_probe_walked() {
     let world = world();
     let query = queries::fig5a_moving_sum(6);
     let opt =
         optimize(&query, &CatalogRef(&world.catalog), &OptimizerConfig::naive(range())).unwrap();
-    assert_eq!(opt.exec_mode, ExecMode::RecordAtATime);
+    assert!(!opt.plan.root.is_batch_capable());
+    assert_eq!(opt.exec_mode, ExecMode::Batched);
     let (rows, modes) = profiled(&world, &opt);
-    assert_eq!(modes, opt.plan.root.exec_mode_labels(false));
+    assert_eq!(modes, opt.plan.root.exec_mode_labels());
+    assert!(modes.iter().all(|m| *m == "probe"), "{modes:?}");
     let oracle = reference_rows(&world, &query, range()).expect("reference rows");
     assert_rows_equal(&oracle, &rows, "naive fig5a vs oracle");
 }
