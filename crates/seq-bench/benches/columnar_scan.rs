@@ -23,7 +23,9 @@
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use seq_core::{record, schema, AttrType, BaseSequence, CmpOp, Record, RecordBatch, Span, Value};
+use seq_core::{
+    record, schema, AttrType, BaseSequence, CmpOp, Record, RecordBatch, ResultSet, Span, Value,
+};
 use seq_storage::{Catalog, DEFAULT_PAGE_CAPACITY};
 use seq_workload::Rng;
 
@@ -182,11 +184,11 @@ fn bench(c: &mut Criterion) {
             set.label
         );
         let mut scan = stored.scan_batch(span, batch_size);
-        let mut got = Vec::new();
+        let mut got = ResultSet::new();
         while let Some((b, _scanned)) =
             scan.next_batch_selected(std::slice::from_ref(&set.term)).unwrap()
         {
-            b.append_records_into(&mut got);
+            got.push(b);
         }
         let (_, op, lit) = &set.term;
         let expect: Vec<(i64, Record)> = set

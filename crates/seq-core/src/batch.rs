@@ -13,9 +13,9 @@
 //! A batch may carry an optional **selection vector** (`sel`): a strictly
 //! increasing list of *physical* row indices that survived a filter. When a
 //! selection is present, the logical batch is the selected subset — [`len`],
-//! [`first_pos`], [`row`], [`record`], [`clamp_positions`],
-//! [`append_records_into`] and friends all see only the selected rows — while
-//! the backing position/column vectors stay untouched (no gather copy).
+//! [`first_pos`], [`row`], [`record`], [`clamp_positions`] and friends all
+//! see only the selected rows — while the backing position/column vectors
+//! stay untouched (no gather copy).
 //! Selection-aware consumers read through [`selection`] / [`physical_len`];
 //! consumers that need dense storage call [`compact`] (a single exact-capacity
 //! gather) at a costed pipeline boundary. Mutating appenders (`push_*`,
@@ -34,12 +34,13 @@
 //! [`row`]: RecordBatch::row
 //! [`record`]: RecordBatch::record
 //! [`clamp_positions`]: RecordBatch::clamp_positions
-//! [`append_records_into`]: RecordBatch::append_records_into
 //! [`selection`]: RecordBatch::selection
 //! [`physical_len`]: RecordBatch::physical_len
 //! [`compact`]: RecordBatch::compact
 //! [`parts_mut`]: RecordBatch::parts_mut
 //! [`column_is_materialized`]: RecordBatch::column_is_materialized
+
+use std::fmt;
 
 use crate::error::{Result, SeqError};
 use crate::record::Record;
@@ -516,43 +517,11 @@ impl RecordBatch {
             col.drain(..start);
         }
     }
-
-    /// Materialize every logical row as `(position, Record)` pairs.
-    pub fn to_records(&self) -> Vec<(i64, Record)> {
-        (0..self.len()).map(|i| self.record(i)).collect()
-    }
-
-    /// Append every logical row to `out` as `(position, Record)` pairs.
-    ///
-    /// All rows of the batch are materialized into one shared row-major
-    /// buffer: one allocation per batch instead of one per record.
-    pub fn append_records_into(&self, out: &mut Vec<(i64, Record)>) {
-        let (n, arity) = (self.len(), self.arity());
-        let shared: std::sync::Arc<[Value]> = match (self.columns.as_slice(), &self.sel) {
-            // Single column: the row-major layout equals the column itself, so
-            // collect straight into the shared allocation.
-            ([col], None) => col.iter().cloned().collect(),
-            ([col], Some(sel)) => sel.iter().map(|&i| col[i as usize].clone()).collect(),
-            (cols, _) => {
-                let mut flat = Vec::with_capacity(n * arity);
-                for i in 0..n {
-                    let p = self.phys(i);
-                    for col in cols {
-                        flat.push(col[p].clone());
-                    }
-                }
-                flat.into()
-            }
-        };
-        out.reserve(n);
-        out.extend((0..n).map(|i| {
-            (self.positions[self.phys(i)], Record::from_shared_slice(&shared, i * arity, arity))
-        }));
-    }
 }
 
-/// A borrowed view of one row of a [`RecordBatch`].
-#[derive(Debug, Clone, Copy)]
+/// A borrowed view of one row of a [`RecordBatch`]. It prints like a
+/// [`Record`] (`<a, b>`) and compares equal to a record with the same values.
+#[derive(Clone, Copy)]
 pub struct RowRef<'a> {
     batch: &'a RecordBatch,
     /// Physical row index (already resolved through any selection).
@@ -582,6 +551,42 @@ impl RowRef<'_> {
             }),
             None => Err(SeqError::Schema(format!("column index {idx} out of bounds"))),
         }
+    }
+
+    /// The row's values in column order. Every column must be materialized.
+    pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
+        self.batch.columns.iter().map(move |c| &c[self.row])
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &RowRef<'_>) -> bool {
+        self.arity() == other.arity() && self.values().eq(other.values())
+    }
+}
+
+impl PartialEq<Record> for RowRef<'_> {
+    fn eq(&self, other: &Record) -> bool {
+        self.arity() == other.arity() && self.values().eq(other.values())
+    }
+}
+
+impl fmt::Display for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "<")?;
+        for (i, v) in self.values().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{v}")?;
+        }
+        write!(f, ">")
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.values()).finish()
     }
 }
 
@@ -690,7 +695,7 @@ mod tests {
         b.set_selection(vec![0, 2, 3, 4]); // positions 1,3,4,5
         b.select_logical(vec![1, 3]); // logical rows 1 and 3 → physical 2, 4
         assert_eq!(b.selection(), Some(&[2u32, 4][..]));
-        assert_eq!(b.to_records().iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![3, 5]);
+        assert_eq!((0..b.len()).map(|i| b.position_at(i)).collect::<Vec<_>>(), vec![3, 5]);
     }
 
     #[test]
@@ -736,26 +741,6 @@ mod tests {
         b.compact();
         assert_eq!(b.column(0).unwrap().len(), 2);
         assert_eq!(b.column(1).unwrap().len(), 0, "pruned slot stays pruned");
-    }
-
-    #[test]
-    fn append_records_into_sees_only_selected_rows() {
-        let mut b = batch_of(&[(1, &[10, 100]), (2, &[20, 200]), (3, &[30, 300])]);
-        b.select_logical(vec![0, 2]);
-        let mut out = Vec::new();
-        b.append_records_into(&mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 1);
-        assert_eq!(out[1].0, 3);
-        assert_eq!(out[1].1.values(), &[Value::Int(30), Value::Int(300)]);
-        // Single-column fast path.
-        let mut s = batch_of(&[(1, &[10]), (2, &[20]), (3, &[30])]);
-        s.select_logical(vec![1]);
-        let mut out = Vec::new();
-        s.append_records_into(&mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, 2);
-        assert_eq!(out[0].1.values(), &[Value::Int(20)]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! - [`meta::SeqMeta`] — span / density / column statistics meta-data
 //!   (Table 1 of the paper);
 //! - [`sequence::Sequence`] — the probed/stream read interface, with
-//!   in-memory [`sequence::BaseSequence`] and [`sequence::ConstantSequence`].
+//!   in-memory [`sequence::BaseSequence`] and [`sequence::ConstantSequence`];
+//! - [`batch::RecordBatch`] — columnar runs of records, and
+//!   [`result::ResultSet`] — a query's output kept as its root's batches.
 //!
 //! Positions are `i64`. A sequence is a function from positions to records or
 //! Null; empty positions are represented as `None` and never materialized.
@@ -18,6 +20,7 @@ pub mod batch;
 pub mod error;
 pub mod meta;
 pub mod record;
+pub mod result;
 pub mod schema;
 pub mod sequence;
 pub mod span;
@@ -27,6 +30,7 @@ pub use batch::{RecordBatch, RowRef, DEFAULT_BATCH_SIZE};
 pub use error::{Result, SeqError};
 pub use meta::{CmpOp, ColumnStats, Histogram, SeqMeta};
 pub use record::Record;
+pub use result::{ResultSet, Row, Rows};
 pub use schema::{schema, Field, Schema};
 pub use sequence::{BaseSequence, ConstantSequence, Sequence};
 pub use span::{Span, NEG_INF, POS_INF};

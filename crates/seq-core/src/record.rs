@@ -15,8 +15,8 @@ use crate::value::Value;
 /// records cheap to hold in operator caches (§3.4–3.5).
 ///
 /// A record is a window `[start, start+len)` into its backing store, so many
-/// records can share one allocation — the vectorized path materializes a
-/// whole output batch into a single row-major buffer and hands out views.
+/// records can share one allocation — [`crate::ResultSet::into_rows`] lays a
+/// whole output batch out in a single row-major buffer and hands out views.
 #[derive(Debug, Clone)]
 pub struct Record {
     values: Arc<[Value]>,

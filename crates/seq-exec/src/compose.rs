@@ -426,7 +426,7 @@ impl BatchCursor for StreamProbeJoinBatch {
 mod tests {
     use super::*;
     use crate::probe::BaseProbe;
-    use seq_core::{record, schema, AttrType, BaseSequence, Value};
+    use seq_core::{record, schema, AttrType, BaseSequence, ResultSet, Value};
     use seq_storage::Catalog;
     use std::sync::Arc;
 
@@ -476,11 +476,11 @@ mod tests {
         ))
     }
 
-    fn collect_batches(mut cur: impl BatchCursor) -> Vec<(i64, Record)> {
-        let mut out = Vec::new();
+    fn collect_batches(mut cur: impl BatchCursor) -> ResultSet {
+        let mut out = ResultSet::new();
         while let Some(b) = cur.next_batch().unwrap() {
             assert!(!b.is_empty());
-            b.append_records_into(&mut out);
+            out.push(b);
         }
         out
     }
@@ -573,7 +573,7 @@ mod tests {
         );
         let rows = collect_batches(j);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, 3);
+        assert_eq!(rows.iter().next().unwrap().0, 3);
         // Position 3: 30 > 3 ✓. Position 5: 50 > 500 ✗ — still counted.
         assert_eq!(stats.snapshot().predicate_evals, 2);
     }

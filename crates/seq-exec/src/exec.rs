@@ -7,7 +7,7 @@
 //! ([`probe_positions`]) covers the other query form the template supports
 //! ("records at (a) specific positions").
 
-use seq_core::{Record, RecordBatch, Result, SeqError, Span};
+use seq_core::{Record, RecordBatch, Result, ResultSet, SeqError, Span};
 
 use crate::plan::{ExecContext, PhysNode, PhysPlan};
 use crate::telemetry::{instrument, QueryPath};
@@ -30,8 +30,8 @@ pub(crate) fn materialized_range(plan: &PhysPlan) -> Result<Option<Span>> {
 
 /// Stream-evaluate the plan, materializing every non-Null output within the
 /// plan's position range, in positional order, [`seq_core::DEFAULT_BATCH_SIZE`]
-/// rows at a time.
-pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<Vec<(i64, Record)>> {
+/// rows at a time. The result keeps the root's batches as they come.
+pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<ResultSet> {
     execute_batched_with(plan, ctx, seq_core::DEFAULT_BATCH_SIZE)
 }
 
@@ -40,18 +40,18 @@ pub fn execute_batched_with(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,
     batch_size: usize,
-) -> Result<Vec<(i64, Record)>> {
+) -> Result<ResultSet> {
     instrument(
         ctx,
         QueryPath::Batch,
-        |rows: &Vec<(i64, Record)>| rows.len() as u64,
+        |rows: &ResultSet| rows.len() as u64,
         || {
-            let Some(range) = materialized_range(plan)? else { return Ok(Vec::new()) };
+            let mut out = ResultSet::new();
+            let Some(range) = materialized_range(plan)? else { return Ok(out) };
             if let Some(p) = &ctx.profile {
                 p.set_op_modes(plan.root.exec_mode_labels());
             }
-            let mut out = Vec::new();
-            drain_batches(&plan.root, ctx, range, batch_size, |b| b.append_records_into(&mut out))?;
+            drain_batches(&plan.root, ctx, range, batch_size, |b| out.push(b))?;
             Ok(out)
         },
     )
@@ -103,7 +103,7 @@ pub fn execute_parallel(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,
     workers: usize,
-) -> Result<Vec<(i64, Record)>> {
+) -> Result<ResultSet> {
     crate::parallel::execute_parallel_with(
         plan,
         ctx,
@@ -149,7 +149,7 @@ fn probe_positions_inner(
 mod tests {
     use super::*;
     use crate::plan::{AggStrategy, JoinStrategy, PhysNode, ValueOffsetStrategy};
-    use seq_core::{record, schema, AttrType, BaseSequence, Value};
+    use seq_core::{record, schema, AttrType, BaseSequence, Row, Value};
     use seq_ops::{AggFunc, Expr, Window};
     use seq_storage::Catalog;
 
@@ -195,7 +195,7 @@ mod tests {
         // means p > 31 - p, i.e. p >= 16.
         let expect: Vec<i64> =
             (1..=30).filter(|p| p % 3 != 0 && p % 2 != 0 && *p as f64 > (31 - p) as f64).collect();
-        let got: Vec<i64> = out.iter().map(|(p, _)| *p).collect();
+        let got: Vec<i64> = out.iter().map(|r| r.0).collect();
         assert_eq!(got, expect);
         assert_eq!(ctx.stats.snapshot().output_records, out.len() as u64);
     }
@@ -208,7 +208,7 @@ mod tests {
             PhysNode::Base { name: "IBM".into(), span: Span::new(1, 30) },
             Span::new(10, 12),
         );
-        let got: Vec<i64> = execute(&plan, &ctx).unwrap().iter().map(|(p, _)| *p).collect();
+        let got: Vec<i64> = execute(&plan, &ctx).unwrap().iter().map(|r| r.0).collect();
         assert_eq!(got, vec![10, 11]); // 12 is a multiple of 3, absent
     }
 
@@ -265,11 +265,11 @@ mod tests {
             Span::new(1, 33),
         );
         let streamed = execute(&plan, &ctx).unwrap();
-        let positions: Vec<i64> = streamed.iter().map(|(p, _)| *p).collect();
+        let positions: Vec<i64> = streamed.iter().map(|r| r.0).collect();
         let probed = probe_positions(&plan, &ctx, &positions).unwrap();
-        for ((sp, sr), (pp, pr)) in streamed.iter().zip(probed.iter()) {
-            assert_eq!(sp, pp);
-            assert_eq!(Some(sr), pr.as_ref());
+        for (Row(sp, sr), (pp, pr)) in streamed.iter().zip(probed.iter()) {
+            assert_eq!(sp, *pp);
+            assert!(pr.as_ref().is_some_and(|pr| sr == *pr));
         }
     }
 }
@@ -291,7 +291,7 @@ pub fn materialize_into(
         let ctx = ExecContext::new(catalog);
         execute(plan, &ctx)?
     };
-    let base = seq_core::BaseSequence::from_entries(schema, rows)?;
+    let base = seq_core::BaseSequence::from_entries(schema, rows.into_rows())?;
     Ok(catalog.register(name, &base))
 }
 

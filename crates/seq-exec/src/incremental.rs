@@ -595,7 +595,7 @@ mod tests {
             })
             .collect();
         let expected: Vec<(i64, Record)> =
-            batch.into_iter().filter(|(p, _)| event_positions.contains(p)).collect();
+            batch.into_rows().into_iter().filter(|(p, _)| event_positions.contains(p)).collect();
 
         let mut engine = TriggerEngine::new(plan).unwrap();
         let got = replay(&mut engine, &feeds_from(catalog, names)).unwrap();

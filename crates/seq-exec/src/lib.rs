@@ -21,9 +21,12 @@
 //! - [`compose`] — positional joins: Join-Strategy-A (stream+probe, both
 //!   variants) and Join-Strategy-B (lock-step) (Figure 4, §3.3);
 //! - [`plan`] / [`exec`] — physical plans carrying per-operator strategies
-//!   and spans, and the Start operator that drives them (Figure 6);
+//!   and spans, and the Start operator that drives them (Figure 6). Every
+//!   driver returns a [`seq_core::ResultSet`]: the root's batches, kept
+//!   columnar, with no rows built unless the caller asks for them;
 //! - [`parallel`] — morsel-driven parallel execution of position-
-//!   partitionable plans with an order-preserving bounded merge;
+//!   partitionable plans with an order-preserving bounded merge that moves
+//!   each morsel's batches into the result;
 //! - [`profile`] — seq-trace: opt-in per-operator/per-worker instrumentation
 //!   ([`profile::QueryProfile`]) with hand-rolled JSON export;
 //! - [`telemetry`] — the always-on side of seq-trace: the session metrics

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use seq_core::{Record, RecordBatch, Result, SeqError, Span};
+use seq_core::{RecordBatch, Result, ResultSet, SeqError, Span};
 
 use crate::plan::{ExecContext, PhysPlan};
 
@@ -203,7 +203,8 @@ impl MergeQueue {
 }
 
 /// Evaluate one morsel: restrict the plan to the sub-span, run its pipeline
-/// to completion, and return the produced batches (already clamped).
+/// to completion, and return the produced batches, clamped and compacted
+/// here on the worker so the merge thread only moves them.
 fn run_morsel(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,
@@ -212,11 +213,15 @@ fn run_morsel(
 ) -> Result<Vec<RecordBatch>> {
     let node = plan.root.restrict_to(morsel);
     let mut out = Vec::new();
-    crate::exec::drain_batches(&node, ctx, morsel, batch_size, |b| out.push(b))?;
+    crate::exec::drain_batches(&node, ctx, morsel, batch_size, |mut b| {
+        b.compact();
+        out.push(b);
+    })?;
     Ok(out)
 }
 
-/// Morsel-driven parallel evaluation of the plan: bit-identical to
+/// Morsel-driven parallel evaluation of the plan: the merge thread moves each
+/// morsel's batches into the result in morsel order. Bit-identical to
 /// [`crate::exec::execute_batched_with`], which it reduces to exactly when
 /// `workers <= 1` or the range fits a single morsel.
 ///
@@ -227,8 +232,8 @@ pub fn execute_parallel_with(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,
     config: ParallelConfig,
-) -> Result<Vec<(i64, Record)>> {
-    let Some(range) = crate::exec::materialized_range(plan)? else { return Ok(Vec::new()) };
+) -> Result<ResultSet> {
+    let Some(range) = crate::exec::materialized_range(plan)? else { return Ok(ResultSet::new()) };
     let batch_size = config.batch_size.max(1);
     if config.workers <= 1 {
         // Degree 1 is *exactly* the sequential batch path: same cursors,
@@ -249,7 +254,7 @@ pub fn execute_parallel_with(
     crate::telemetry::instrument(
         ctx,
         crate::telemetry::QueryPath::Parallel,
-        |rows: &Vec<(i64, Record)>| rows.len() as u64,
+        |rows: &ResultSet| rows.len() as u64,
         || run_parallel(plan, ctx, &morsels, batch_size, config.workers),
     )
 }
@@ -261,7 +266,7 @@ fn run_parallel(
     morsels: &[Span],
     batch_size: usize,
     workers: usize,
-) -> Result<Vec<(i64, Record)>> {
+) -> Result<ResultSet> {
     if let Some(p) = &ctx.profile {
         p.set_op_modes(plan.root.exec_mode_labels());
     }
@@ -271,7 +276,7 @@ fn run_parallel(
         p.record_morsels_planned(morsels.len() as u64);
     }
 
-    let mut out = Vec::new();
+    let mut out = ResultSet::new();
     let merged: Result<()> = std::thread::scope(|scope| {
         for w in 0..workers {
             let (queue, profile) = (&queue, ctx.profile.as_deref());
@@ -323,11 +328,8 @@ fn run_parallel(
                 p.record_merge_wait(wait.elapsed().as_nanos() as u64);
             }
             match next {
-                Ok(Some(batches)) => {
-                    for batch in &batches {
-                        batch.append_records_into(&mut out);
-                    }
-                }
+                // Already dense: the set takes each batch as it is.
+                Ok(Some(batches)) => batches.into_iter().for_each(|b| out.push(b)),
                 Ok(None) => return Ok(()),
                 Err(e) => {
                     queue.abort();

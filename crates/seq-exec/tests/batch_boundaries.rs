@@ -16,7 +16,9 @@
 //! 3. **empty-span construction**: a cursor built over the canonical empty
 //!    span must yield nothing without ever touching its input.
 
-use seq_core::{record, schema, AttrType, BaseSequence, Record, RecordBatch, Result, Span, Value};
+use seq_core::{
+    record, schema, AttrType, BaseSequence, Record, RecordBatch, Result, ResultSet, Span, Value,
+};
 use seq_exec::aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
 use seq_exec::batch::{PosOffsetBatchCursor, ProbeWalkBatchCursor, WindowAggBatchCursor};
 use seq_exec::offset::ValueOffsetBatchCursor;
@@ -335,7 +337,7 @@ fn audit_against_model(
         };
         match got {
             Some(batch) => {
-                let rows = batch.to_records();
+                let rows = rows_of(batch);
                 assert!(!rows.is_empty(), "{name}: step {step} returned an empty batch");
                 let end = expect_idx + rows.len();
                 assert!(
@@ -431,10 +433,18 @@ fn extreme_rows(positions: &[i64]) -> Vec<(i64, Record)> {
     positions.iter().enumerate().map(|(i, &p)| (p, record![i as i64])).collect()
 }
 
+/// A batch's logical rows as a query result holds them: compacted when
+/// pushed, then transposed.
+fn rows_of(batch: RecordBatch) -> Vec<(i64, Record)> {
+    let mut set = ResultSet::new();
+    set.push(batch);
+    set.into_rows()
+}
+
 fn drain_batches(mut c: Box<dyn BatchCursor>) -> Vec<(i64, Record)> {
     let mut out = Vec::new();
     while let Some(b) = c.next_batch().unwrap() {
-        let rows = b.to_records();
+        let rows = rows_of(b);
         assert!(!rows.is_empty(), "cursors must not return empty batches");
         out.extend(rows);
     }
@@ -648,8 +658,8 @@ fn carried_selections_expose_consistent_logical_views() {
                     "{name}: selection indexes out of the physical batch"
                 );
             }
-            let rows = batch.to_records();
-            assert_eq!(rows.len(), n, "{name}: to_records length");
+            let rows = rows_of(batch.clone());
+            assert_eq!(rows.len(), n, "{name}: result rows length");
             for (i, row) in rows.iter().enumerate() {
                 assert_eq!(row.0, batch.position_at(i), "{name}: position accessor");
                 let (pos, rec) = batch.record(i);
@@ -662,7 +672,9 @@ fn carried_selections_expose_consistent_logical_views() {
             let mut dense = batch.clone();
             let copied = dense.compact();
             assert!(dense.selection().is_none(), "{name}: compact left a selection");
-            assert_eq!(dense.to_records(), rows, "{name}: compact changed contents");
+            let dense_rows: Vec<(i64, Record)> =
+                (0..dense.len()).map(|i| dense.record(i)).collect();
+            assert_eq!(dense_rows, rows, "{name}: compact changed contents");
             if copied > 0 {
                 assert_eq!(copied, n, "{name}: compact copied a partial batch");
             }

@@ -6,7 +6,7 @@
 //! interactions. Batch size 1 charges storage at the finest granularity, so
 //! it is the accounting baseline the larger sizes are held to.
 
-use seq_core::{record, schema, AttrType, BaseSequence, Record, Span, Value};
+use seq_core::{record, schema, AttrType, BaseSequence, Record, ResultSet, Row, Span, Value};
 use seq_exec::{
     execute_batched_with, probe_positions, AggStrategy, ExecContext, JoinStrategy, PhysNode,
     PhysPlan, ValueOffsetStrategy,
@@ -184,11 +184,11 @@ fn has_running_sums(node: &PhysNode) -> bool {
         || node.children().into_iter().any(has_running_sums)
 }
 
-fn assert_close(got: &[(i64, Record)], want: &[(i64, Record)], label: &str) {
+fn assert_close(got: &ResultSet, want: &[(i64, Record)], label: &str) {
     assert_eq!(got.len(), want.len(), "{label}: row count");
-    for ((gp, gr), (wp, wr)) in got.iter().zip(want) {
-        assert_eq!(gp, wp, "{label}: position");
-        for (gv, wv) in gr.values().iter().zip(wr.values()) {
+    for (Row(gp, gr), (wp, wr)) in got.iter().zip(want) {
+        assert_eq!(gp, *wp, "{label}: position");
+        for (gv, wv) in gr.values().zip(wr.values()) {
             match (gv, wv) {
                 (Value::Float(g), Value::Float(w)) => {
                     assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{label}: {g} vs {w} at {gp}")
@@ -205,7 +205,7 @@ fn batch_sizes_agree_bit_for_bit_and_match_the_probe_path() {
         let plan = PhysPlan::new(node.clone(), Span::new(1, 500));
         let c0 = catalog(42);
         let probed = probed_rows(&plan, &ExecContext::new(&c0));
-        let mut first: Option<Vec<(i64, Record)>> = None;
+        let mut first: Option<ResultSet> = None;
         for batch_size in [1usize, 3, 16, 64, 1024] {
             let c = catalog(42);
             let ctx = ExecContext::new(&c);

@@ -301,7 +301,8 @@ fn random_plans_agree_across_all_three_paths() {
         if probe_fanout(&node) <= 4 * span().len() {
             let positions: Vec<i64> = (0..16).map(|_| rng.gen_range(1..401i64)).collect();
             let c0 = catalog(plan_seed);
-            assert_probes_match(&plan, &ExecContext::new(&c0), &reference, &positions, &label);
+            let rows = reference.clone().into_rows();
+            assert_probes_match(&plan, &ExecContext::new(&c0), &rows, &positions, &label);
         }
 
         for batch_size in [7usize, 64, 512] {
@@ -476,7 +477,8 @@ fn fully_consumed_plans_have_exact_access_stats() {
         let exec1 = ctx1.stats.snapshot();
         let c0 = catalog(99);
         let every: Vec<i64> = span().positions().collect();
-        assert_probes_match(&plan, &ExecContext::new(&c0), &reference, &every, name);
+        let rows = reference.clone().into_rows();
+        assert_probes_match(&plan, &ExecContext::new(&c0), &rows, &every, name);
 
         for batch_size in [7usize, 64] {
             let c2 = catalog(99);

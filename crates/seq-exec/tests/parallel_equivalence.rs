@@ -9,7 +9,7 @@
 //! compared with last-ulp slack; integer aggregates and everything else must
 //! be bit-identical.
 
-use seq_core::{record, schema, AttrType, BaseSequence, Record, Span, Value};
+use seq_core::{record, schema, AttrType, BaseSequence, Record, ResultSet, Row, Span, Value};
 use seq_exec::{
     execute_batched_with, execute_parallel, execute_parallel_with, probe_positions, AggStrategy,
     ExecContext, JoinStrategy, ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
@@ -129,15 +129,15 @@ fn partitionable_plans() -> Vec<(&'static str, PhysNode, bool)> {
     ]
 }
 
-fn assert_rows_match(got: &[(i64, Record)], want: &[(i64, Record)], ulp_slack: bool, label: &str) {
+fn assert_rows_match(got: &ResultSet, want: &[(i64, Record)], ulp_slack: bool, label: &str) {
     if !ulp_slack {
-        assert_eq!(got, want, "{label}");
+        assert_eq!(*got, want.to_vec(), "{label}");
         return;
     }
     assert_eq!(got.len(), want.len(), "{label}: row count");
-    for ((gp, gr), (wp, wr)) in got.iter().zip(want) {
-        assert_eq!(gp, wp, "{label}: position");
-        for (gv, wv) in gr.values().iter().zip(wr.values()) {
+    for (Row(gp, gr), (wp, wr)) in got.iter().zip(want) {
+        assert_eq!(gp, *wp, "{label}: position");
+        for (gv, wv) in gr.values().zip(wr.values()) {
             match (gv, wv) {
                 (Value::Float(g), Value::Float(w)) => {
                     let tol = 1e-9 * w.abs().max(1.0);
@@ -169,6 +169,7 @@ fn parallel_is_identical_to_sequential_batched() {
                 .collect();
         assert_rows_match(&sequential, &probed, ulp_slack, &format!("{name}: probe path"));
 
+        let sequential = sequential.into_rows();
         for workers in [2usize, 4, 8] {
             for morsel_positions in [0u64, 97] {
                 let config = ParallelConfig { workers, batch_size: 64, morsel_positions };
@@ -177,6 +178,34 @@ fn parallel_is_identical_to_sequential_batched() {
                 let parallel = execute_parallel_with(&plan, &ctx_par, config).unwrap();
                 let label = format!("{name} (workers={workers}, morsel={morsel_positions})");
                 assert_rows_match(&parallel, &sequential, ulp_slack, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn result_sets_are_equal_at_parallelism_two_and_four() {
+    // The parallel merge moves each morsel's batches into the result as
+    // they are, so batch boundaries differ from the sequential run's; the
+    // results must still compare equal row for row.
+    for (name, node, ulp_slack) in partitionable_plans() {
+        if ulp_slack {
+            continue;
+        }
+        let plan = PhysPlan::new(node, Span::new(1, 500));
+        let c_seq = catalog(42);
+        let sequential = execute_batched_with(&plan, &ExecContext::new(&c_seq), 4096).unwrap();
+        for workers in [2usize, 4] {
+            for batch_size in [7usize, 64] {
+                let config = ParallelConfig { workers, batch_size, morsel_positions: 0 };
+                let c_par = catalog(42);
+                let parallel =
+                    execute_parallel_with(&plan, &ExecContext::new(&c_par), config).unwrap();
+                assert!(
+                    sequential.is_empty() || parallel.batches().len() > 1,
+                    "{name}: expected batches from several morsels"
+                );
+                assert_eq!(parallel, sequential, "{name} (workers={workers}, batch={batch_size})");
             }
         }
     }

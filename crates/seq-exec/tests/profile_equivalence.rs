@@ -100,7 +100,7 @@ fn profiling_is_invisible_on_a_probe_walk() {
     let agg_rows = execute(&cache_a, &ExecContext::new(&c)).unwrap().len() as u64;
     let base = PhysPlan::new(PhysNode::Base { name: "T".into(), span: span() }, span());
     let records: Vec<i64> =
-        execute(&base, &ExecContext::new(&c)).unwrap().iter().map(|(p, _)| *p).collect();
+        execute(&base, &ExecContext::new(&c)).unwrap().iter().map(|r| r.0).collect();
     let found: u64 = span()
         .positions()
         .map(|o| records.iter().filter(|&&p| o - 7 <= p && p <= o).count() as u64)

@@ -261,7 +261,7 @@ fn cases() -> Vec<Case> {
 }
 
 struct Run {
-    rows: Vec<(i64, seq_core::Record)>,
+    rows: seq_core::ResultSet,
     storage: seq_storage::StatsSnapshot,
     exec: seq_exec::ExecSnapshot,
     /// `slots_compacted` per pre-order operator id.

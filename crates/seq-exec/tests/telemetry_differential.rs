@@ -107,7 +107,7 @@ fn paths_fold_identical_mode_invariant_counters() {
 
     // `Some(n)` runs the batch path at batch size `n`, `None` the parallel
     // path.
-    let run = |batch_size: Option<usize>| -> (Vec<(i64, seq_core::Record)>, MetricsSnapshot) {
+    let run = |batch_size: Option<usize>| -> (seq_core::ResultSet, MetricsSnapshot) {
         let metrics = Arc::new(SessionMetrics::new());
         let mut ctx = ExecContext::new(&catalog);
         ctx.share_telemetry(&metrics);

@@ -49,7 +49,7 @@ pub fn correlated_join(
         cfg.range = range;
         let optimized = optimize(&template(), &CatalogRef(&catalog), &cfg)?;
         let ctx = ExecContext::new(&catalog);
-        for (pos, rec) in execute(&optimized.plan, &ctx)? {
+        for (pos, rec) in execute(&optimized.plan, &ctx)?.into_rows() {
             out.push((key.to_string(), pos, rec));
         }
     }

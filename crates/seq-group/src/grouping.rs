@@ -94,7 +94,7 @@ impl SequenceGroup {
             cfg.range = range;
             let optimized = optimize(&query, &CatalogRef(&catalog), &cfg)?;
             let ctx = ExecContext::new(&catalog);
-            for (pos, rec) in execute(&optimized.plan, &ctx)? {
+            for (pos, rec) in execute(&optimized.plan, &ctx)?.into_rows() {
                 out.push((key.clone(), pos, rec));
             }
         }

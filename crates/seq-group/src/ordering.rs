@@ -266,7 +266,7 @@ mod tests {
         let optimized =
             optimize(&q, &CatalogRef(&catalog), &OptimizerConfig::new(Span::new(0, 3))).unwrap();
         let rows = execute(&optimized.plan, &ExecContext::new(&catalog)).unwrap();
-        let weeks: Vec<i64> = rows.iter().map(|(p, _)| *p).collect();
+        let weeks: Vec<i64> = rows.iter().map(|r| r.0).collect();
         assert_eq!(weeks, vec![1, 3]); // avgs 45 and 60
     }
 }

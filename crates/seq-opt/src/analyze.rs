@@ -53,7 +53,7 @@ pub struct OpAnalysis {
 /// plan, per-operator comparisons, and the raw profile.
 pub struct AnalyzeReport {
     /// The query result rows.
-    pub rows: Vec<(i64, seq_core::Record)>,
+    pub rows: seq_core::ResultSet,
     /// End-to-end wall time of the execution.
     pub wall: std::time::Duration,
     /// The optimizer's estimated cost of the executed (stream) plan.

@@ -126,7 +126,7 @@ pub struct Optimized {
 
 impl Optimized {
     /// Run the selected plan on the execution path Step 6 chose.
-    pub fn execute(&self, ctx: &seq_exec::ExecContext<'_>) -> Result<Vec<(i64, seq_core::Record)>> {
+    pub fn execute(&self, ctx: &seq_exec::ExecContext<'_>) -> Result<seq_core::ResultSet> {
         match self.exec_mode {
             ExecMode::Parallel { workers } => seq_exec::execute_parallel(&self.plan, ctx, workers),
             ExecMode::Batched => seq_exec::execute(&self.plan, ctx),
@@ -260,7 +260,7 @@ pub fn optimize(
 mod tests {
     use super::*;
     use crate::info::CatalogRef;
-    use seq_core::{record, schema, AttrType, BaseSequence, Record, Schema, Value};
+    use seq_core::{record, schema, AttrType, BaseSequence, Record, Row, Schema, Value};
     use seq_exec::{execute, ExecContext};
     use seq_ops::{AggFunc, Expr, SeqQuery, Window};
     use seq_storage::Catalog;
@@ -312,11 +312,11 @@ mod tests {
         let out = execute(&opt.plan, &ctx).unwrap();
         assert!(!out.is_empty());
         // Every output is within the restricted span [200, 350].
-        assert!(out.iter().all(|(p, _)| (200..=350).contains(p)));
+        assert!(out.iter().all(|Row(p, _)| (200..=350).contains(&p)));
         // Each output composes DEC, IBM, HP records: arity 6.
-        assert_eq!(out[0].1.arity(), 6);
+        assert_eq!(out.iter().next().unwrap().1.arity(), 6);
         // And IBM.close > HP.close holds (columns 3 and 5).
-        for (_, r) in &out {
+        for Row(_, r) in &out {
             let ibm = r.value(3).unwrap().as_f64().unwrap();
             let hp = r.value(5).unwrap().as_f64().unwrap();
             assert!(ibm > hp);
@@ -335,11 +335,7 @@ mod tests {
         let ctx = ExecContext::new(&c);
         let a = execute(&full.plan, &ctx).unwrap();
         let b = execute(&naive.plan, &ctx).unwrap();
-        assert_eq!(a.len(), b.len());
-        for ((p1, r1), (p2, r2)) in a.iter().zip(b.iter()) {
-            assert_eq!(p1, p2);
-            assert_eq!(r1, r2);
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -390,7 +386,7 @@ mod tests {
         // Spot-check one window: positions 200..=205 hold records except
         // multiples of 20: 201..=205 (200 is dropped). Sum at 205 of
         // closes 201+202+203+204+205.
-        let at_205 = out.iter().find(|(p, _)| *p == 205).unwrap();
+        let at_205 = out.iter().find(|r| r.0 == 205).unwrap();
         let expect: f64 = (201..=205).map(|p| p as f64).sum();
         assert_eq!(at_205.1.value(0).unwrap(), &Value::Float(expect));
     }
@@ -416,7 +412,7 @@ mod tests {
         let ctx = ExecContext::new(&c);
         let out = execute(&opt.plan, &ctx).unwrap();
         assert!(!out.is_empty());
-        assert_eq!(out[0].1.arity(), 6);
+        assert_eq!(out.iter().next().unwrap().1.arity(), 6);
 
         // The naive configuration computes the same answer.
         let naive = optimize(&q, &info, &OptimizerConfig::naive(Span::new(1, 350))).unwrap();
@@ -458,7 +454,7 @@ mod tests {
         let ctx = ExecContext::new(&c);
         let out = execute(&opt.plan, &ctx).unwrap();
         assert!(!out.is_empty());
-        for (_, r) in &out {
+        for Row(_, r) in &out {
             assert!(r.value(1).unwrap().as_f64().unwrap() > 300.0);
         }
     }
@@ -477,11 +473,11 @@ mod tests {
         let ctx = ExecContext::new(&c);
         let out = execute(&opt.plan, &ctx).unwrap();
         assert!(!out.is_empty());
-        for (p, r) in &out {
+        for Row(p, r) in &out {
             assert_eq!(r.arity(), 2);
             // DEC.close = p·0.5, HP.close = p·0.8.
-            assert_eq!(r.value(0).unwrap(), &Value::Float(*p as f64 * 0.5));
-            assert_eq!(r.value(1).unwrap(), &Value::Float(*p as f64 * 0.8));
+            assert_eq!(r.value(0).unwrap(), &Value::Float(p as f64 * 0.5));
+            assert_eq!(r.value(1).unwrap(), &Value::Float(p as f64 * 0.8));
         }
     }
 

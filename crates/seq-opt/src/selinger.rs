@@ -14,7 +14,7 @@
 //! `O(C(N, ⌈N/2⌉))` live plans; the counters in [`DpStats`] let the
 //! Property 4.1 experiment compare measured against the closed forms.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use seq_core::{Result, SeqError, SeqMeta, Span};
@@ -402,12 +402,15 @@ fn dp_enumerate(
     stats: &mut DpStats,
 ) -> Result<Entry> {
     let n = prepared.len();
-    let mut level: HashMap<u32, Entry> =
+    // Levels iterate in ascending mask order and a candidate replaces the
+    // best only when strictly cheaper, so cost ties go to the syntactic join
+    // order and the chosen plan is the same on every run.
+    let mut level: BTreeMap<u32, Entry> =
         (0..n).map(|i| (1u32 << i, singleton_entry(prepared, i))).collect();
     stats.peak_plans_stored = stats.peak_plans_stored.max(level.len() as u64);
 
     for _size in 1..n {
-        let mut next: HashMap<u32, Entry> = HashMap::new();
+        let mut next: BTreeMap<u32, Entry> = BTreeMap::new();
         for entry in level.values() {
             for j in 0..n {
                 if entry.mask & (1 << j) != 0 {

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use seq_core::{record, schema, AttrType, BaseSequence, Record, Sequence, Span};
+use seq_core::{record, schema, AttrType, BaseSequence, Record, ResultSet, Sequence, Span};
 use seq_exec::{
     execute_batched_with, execute_parallel_with, ExecContext, ParallelConfig, PhysPlan,
 };
@@ -118,7 +118,7 @@ fn random_predicate(rng: &mut Rng) -> Expr {
 }
 
 struct Run {
-    rows: Vec<(i64, Record)>,
+    rows: ResultSet,
     output_records: u64,
     predicate_evals: u64,
     storage: StatsSnapshot,

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use seq_core::{Record, Result, Span};
+use seq_core::{Result, ResultSet, Span};
 use seq_exec::{ExecContext, ExecStats, LatencyHistogram, Phase, SessionMetrics};
 use seq_lang::parse_query;
 use seq_opt::{
@@ -52,8 +52,8 @@ impl SessionConfig {
 
 /// The result of one query execution.
 pub struct QueryOutcome {
-    /// Output rows, in position order.
-    pub rows: Vec<(i64, Record)>,
+    /// Output rows, in position order, as the plan root's batches.
+    pub rows: ResultSet,
     /// Whether the plan came from the cache (parse + optimize skipped).
     pub cached: bool,
     /// Estimated cost of the served plan (first-seen costing on hits).

@@ -37,7 +37,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use seq_core::{Sequence, Span};
+use seq_core::{Row, Sequence, Span};
 
 use crate::engine::{Engine, SessionConfig};
 
@@ -274,8 +274,8 @@ fn execute(engine: &Engine, command: &Command, config: &SessionConfig) -> Reply 
         Command::Query(text) => match engine.run_query(text, config) {
             Ok(outcome) => {
                 let mut lines = Vec::new();
-                for (pos, rec) in outcome.rows.iter().take(config.limit) {
-                    lines.push(format!("{pos}: {rec}"));
+                for Row(pos, row) in outcome.rows.iter().take(config.limit) {
+                    lines.push(format!("{pos}: {row}"));
                 }
                 if outcome.rows.len() > config.limit {
                     lines.push(format!(

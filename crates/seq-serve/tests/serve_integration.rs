@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use seq_core::{Record, Span, Value};
+use seq_core::{Record, ResultSet, Row, Span, Value};
 use seq_serve::client::{Client, Response};
 use seq_serve::{serve, Engine, ServerConfig, SessionConfig};
 use seq_storage::Catalog;
@@ -20,16 +20,12 @@ fn config(scale: i64) -> SessionConfig {
     c
 }
 
-fn rows_eq(a: &[(i64, Record)], b: &[(i64, Record)]) -> bool {
+fn rows_eq(a: &ResultSet, b: &ResultSet) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|((pa, ra), (pb, rb))| {
+        && a.iter().zip(b).all(|(Row(pa, ra), Row(pb, rb))| {
             pa == pb
-                && ra.values().len() == rb.values().len()
-                && ra
-                    .values()
-                    .iter()
-                    .zip(rb.values())
-                    .all(|(x, y)| format!("{x:?}") == format!("{y:?}"))
+                && ra.arity() == rb.arity()
+                && ra.values().zip(rb.values()).all(|(x, y)| format!("{x:?}") == format!("{y:?}"))
         })
 }
 
@@ -235,6 +231,52 @@ fn wire_sessions_share_the_plan_cache_and_keep_private_config() {
     assert!(matches!(a.send("\\ping").unwrap(), Response::Ok(v) if v == ["pong"]));
     drop(a);
     drop(b);
+    handle.join();
+}
+
+/// The reply `seqd` sent for `query` under `\limit limit` when it formatted
+/// owned rows: one `pos: <record>` line per row up to the limit, the
+/// overflow line, and the stats line. Rows come from `into_rows()` and print
+/// through `Record`'s `Display`.
+fn row_built_reply(query: &str, range: Span, limit: usize) -> Vec<String> {
+    let mut config = SessionConfig::new(range);
+    config.limit = limit;
+    let outcome = engine(1).run_query(query, &config).unwrap();
+    let (est_cost, exec_mode, epoch) = (outcome.est_cost, outcome.exec_mode, outcome.epoch);
+    let rows: Vec<(i64, Record)> = outcome.rows.into_rows();
+    let mut lines: Vec<String> =
+        rows.iter().take(limit).map(|(pos, rec)| format!("{pos}: {rec}")).collect();
+    if rows.len() > limit {
+        lines.push(format!("... {} more rows (\\limit to adjust)", rows.len() - limit));
+    }
+    lines.push(format!(
+        "{} rows | planned | est cost {est_cost:.1} | {exec_mode} | epoch {epoch}",
+        rows.len()
+    ));
+    lines
+}
+
+#[test]
+fn replies_format_rows_straight_from_the_result_batches() {
+    let range = Span::new(1, 750);
+    let compose = "(compose (base IBM) (base HP))";
+    let filter = "(select (> avg_close 100.0) (agg avg close (trailing 7) (base HP)))";
+    let scan = "(base DEC)";
+    // The filter's root is a select that hands its batches on with a
+    // selection vector; the result compacts them.
+    let explain = engine(1).explain(filter, &SessionConfig::new(range)).unwrap();
+    assert!(explain.contains("op 0: batch+sel"), "root must carry a selection:\n{explain}");
+
+    let handle = serve(engine(1), &ServerConfig::local(range)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    for (query, limit) in [(compose, 7), (filter, 5), (scan, 0)] {
+        assert!(matches!(client.send(&format!("\\limit {limit}")).unwrap(), Response::Ok(_)));
+        let Response::Ok(lines) = client.send(query).unwrap() else { panic!("{query} failed") };
+        let want = row_built_reply(query, range, limit);
+        assert!(want.len() == limit + 2, "{query}: more rows than the limit expected");
+        assert_eq!(lines, want, "{query} under \\limit {limit}");
+    }
+    drop(client);
     handle.join();
 }
 

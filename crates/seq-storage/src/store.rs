@@ -861,6 +861,14 @@ mod tests {
     }
 }
 
+/// A batch's logical rows, through a one-batch query result.
+#[cfg(test)]
+fn rows_of(batch: RecordBatch) -> Vec<(i64, Record)> {
+    let mut set = seq_core::ResultSet::new();
+    set.push(batch);
+    set.into_rows()
+}
+
 #[cfg(test)]
 mod owned_scan_tests {
     use super::*;
@@ -937,7 +945,8 @@ mod owned_scan_tests {
             let owned_snap = stats.snapshot();
             stats.reset();
             let batches = drain_batches(&s, span, batch_size);
-            let batched: Vec<(i64, Record)> = batches.iter().flat_map(|b| b.to_records()).collect();
+            let batched: Vec<(i64, Record)> =
+                batches.iter().flat_map(|b| rows_of(b.clone())).collect();
             let batch_snap = stats.snapshot();
             assert_eq!(owned, batched, "batch_size={batch_size} cap={cap}");
             assert_eq!(owned_snap.stream_records, batch_snap.stream_records);
@@ -1152,7 +1161,7 @@ mod filtered_scan_tests {
             let mut scan = s.scan_batch_filtered(span, batch_size, ge(lit));
             let mut batched = Vec::new();
             while let Some(b) = scan.next_batch() {
-                batched.extend(b.to_records());
+                batched.extend(rows_of(b));
             }
             let batch_snap = stats.snapshot();
             assert_eq!(tuple, batched, "bs={batch_size} cap={cap} lit={lit}");
@@ -1201,7 +1210,7 @@ mod filtered_scan_tests {
             let mut scan = s.scan_batch_filtered(span, batch_size, ge(lit));
             let mut want = Vec::new();
             while let Some(b) = scan.next_batch() {
-                for (p, r) in b.to_records() {
+                for (p, r) in rows_of(b) {
                     if r.values()[0].total_cmp(&Value::Int(lit)).unwrap().is_ge() {
                         want.push((p, r));
                     }
@@ -1215,7 +1224,7 @@ mod filtered_scan_tests {
             let mut scanned_total = 0u64;
             while let Some((b, scanned)) = scan.next_batch_selected(&terms).unwrap() {
                 scanned_total += scanned;
-                got.extend(b.to_records());
+                got.extend(rows_of(b));
             }
             let got_snap = stats.snapshot();
 
@@ -1320,7 +1329,7 @@ mod filtered_scan_tests {
         let mut scan = s.scan_batch(span, 16);
         let mut want = Vec::new();
         while let Some(b) = scan.next_batch() {
-            for (p, r) in b.to_records() {
+            for (p, r) in rows_of(b) {
                 if crate::column::strict_eq(&r.values()[2], &Value::str("hi"))
                     && r.values()[0].total_cmp(&Value::Int(80)).unwrap().is_le()
                 {

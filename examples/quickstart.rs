@@ -40,7 +40,7 @@ fn main() -> Result<(), SeqError> {
     let ctx = ExecContext::new(&catalog);
     let rows = execute(&optimized.plan, &ctx)?;
     println!("== {} momentum days ==", rows.len());
-    for (day, row) in rows.iter().take(8) {
+    for Row(day, row) in rows.iter().take(8) {
         println!(
             "  day {day}: 7-day avg {:.2} > previous close {:.2}",
             row.value(0)?.as_f64()?,

@@ -94,7 +94,7 @@ fn main() -> Result<(), SeqError> {
     let optimized = optimize(&q, &CatalogRef(&catalog), &OptimizerConfig::new(weekly_span))?;
     let bad_weeks = execute(&optimized.plan, &ExecContext::new(&catalog))?;
     println!("weeks with a quake above 8.9: {}", bad_weeks.len());
-    for (week, rec) in bad_weeks.iter().take(3) {
+    for Row(week, rec) in bad_weeks.iter().take(3) {
         println!(
             "  week {week}: max strength {:.2} over {} quakes",
             rec.value(0)?.as_f64()?,

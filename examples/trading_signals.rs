@@ -36,11 +36,11 @@ fn main() -> Result<(), SeqError> {
     // Compress runs of consecutive signal days into entry points.
     let mut entries = Vec::new();
     let mut last = i64::MIN;
-    for (pos, row) in &rows {
-        if *pos > last + 1 {
-            entries.push((*pos, row.value(0)?.as_f64()?, row.value(1)?.as_f64()?));
+    for Row(pos, row) in &rows {
+        if pos > last + 1 {
+            entries.push((pos, row.value(0)?.as_f64()?, row.value(1)?.as_f64()?));
         }
-        last = *pos;
+        last = pos;
     }
     println!("\n{} signal days forming {} golden-cross entries:", rows.len(), entries.len());
     for (pos, short, long) in entries.iter().take(10) {

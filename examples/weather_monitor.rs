@@ -35,7 +35,7 @@ fn main() -> Result<(), SeqError> {
     let rows = execute(&optimized.plan, &ctx)?;
     let seq_stats = catalog.stats().snapshot();
     println!("answers: {} eruptions", rows.len());
-    for (pos, row) in rows.iter().take(5) {
+    for Row(pos, row) in rows.iter().take(5) {
         println!("  {} (recorded at position {pos})", row.value(0)?.as_str()?);
     }
     println!("sequence-plan accesses: {seq_stats}");

@@ -342,8 +342,8 @@ impl Shell {
             }
         };
         let elapsed = started.elapsed();
-        for (pos, rec) in rows.iter().take(self.limit) {
-            println!("  {pos}: {rec}");
+        for Row(pos, row) in rows.iter().take(self.limit) {
+            println!("  {pos}: {row}");
         }
         if rows.len() > self.limit {
             println!("  ... {} more rows (\\limit to adjust)", rows.len() - self.limit);

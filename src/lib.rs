@@ -56,8 +56,8 @@ pub use seq_workload;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use seq_core::{
-        record, schema, AttrType, BaseSequence, ConstantSequence, Record, Schema, SeqError,
-        SeqMeta, Sequence, Span, Value,
+        record, schema, AttrType, BaseSequence, ConstantSequence, Record, ResultSet, Row, Schema,
+        SeqError, SeqMeta, Sequence, Span, Value,
     };
     pub use seq_exec::{
         execute, execute_batched_with, execute_parallel, execute_parallel_with, probe_positions,

@@ -125,7 +125,7 @@ fn skipping_drain(
     let mut batches = plan.root.open_batch(&ctx_b, batch_size).unwrap();
     let mut ones = plan.root.open_batch(&ctx_1, 1).unwrap();
     let gaps = [1, batch_size as i64 + 3, 37];
-    let (mut rows_b, mut rows_1) = (Vec::new(), Vec::new());
+    let (mut rows_b, mut rows_1) = (ResultSet::new(), ResultSet::new());
     let mut lower = None;
     for step in 0.. {
         let (batch, first) = match lower {
@@ -136,16 +136,15 @@ fn skipping_drain(
             assert!(first.is_none(), "the batch-size-1 cursor outlived the batched one");
             break;
         };
-        rows_b.extend(batch.to_records());
-        rows_1.extend(first.expect("the batch-size-1 cursor ended early").to_records());
-        for _ in 1..batch.len() {
-            let one = ones.next_batch().unwrap().expect("the batch-size-1 cursor ended early");
-            rows_1.extend(one.to_records());
+        let (n, last) = (batch.len(), batch.last_pos().expect("batches are never empty"));
+        rows_b.push(batch);
+        rows_1.push(first.expect("the batch-size-1 cursor ended early"));
+        for _ in 1..n {
+            rows_1.push(ones.next_batch().unwrap().expect("the batch-size-1 cursor ended early"));
         }
-        let last = batch.last_pos().expect("batches are never empty");
         lower = (step % 4 != 3).then(|| last + gaps[step % gaps.len()]);
     }
-    [(rows_b, ctx_b.stats.snapshot()), (rows_1, ctx_1.stats.snapshot())]
+    [(rows_b.into_rows(), ctx_b.stats.snapshot()), (rows_1.into_rows(), ctx_1.stats.snapshot())]
 }
 
 /// What a full drain must charge, whatever the batch size.
@@ -169,7 +168,7 @@ fn check_plan(
     let mut full_stores = charges.cache_stores;
     for bs in BATCH_SIZES {
         let ctx = ExecContext::new(&world.catalog);
-        let rows = execute_batched_with(plan, &ctx, bs).unwrap();
+        let rows = execute_batched_with(plan, &ctx, bs).unwrap().into_rows();
         assert_bit_identical(&rows, reference, &format!("{label} batch {bs}"));
         let snap = ctx.stats.snapshot();
         let stores = *full_stores.get_or_insert_with(|| {
@@ -290,7 +289,8 @@ fn negative_zero_windows_sum_to_positive_zero() {
     // [151, 300] holds only -0.0; a sum starts from +0.0 and stays there.
     let world = world();
     let query = SeqQuery::base("S").aggregate(AggFunc::Sum, "v", Window::trailing(16)).build();
-    let rows = optimized(&world, &query).execute(&ExecContext::new(&world.catalog)).unwrap();
+    let rows =
+        optimized(&world, &query).execute(&ExecContext::new(&world.catalog)).unwrap().into_rows();
     let zero_windows: Vec<&Record> =
         rows.iter().filter(|(p, _)| (166..=300).contains(p)).map(|(_, r)| r).collect();
     assert!(!zero_windows.is_empty());

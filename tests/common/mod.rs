@@ -149,7 +149,7 @@ pub fn optimized_rows(
     world: &World,
     query: &QueryGraph,
     config: &OptimizerConfig,
-) -> Option<Vec<(i64, Record)>> {
+) -> Option<ResultSet> {
     let optimized = match optimize(query, &CatalogRef(&world.catalog), config) {
         Ok(o) => o,
         Err(SeqError::Unsupported(_)) => return None,
@@ -163,12 +163,13 @@ pub fn optimized_rows(
     }
 }
 
-/// Assert two row sets are identical (positions and records).
+/// Assert an engine result holds exactly the expected rows (positions and
+/// records).
 #[allow(dead_code)]
-pub fn assert_rows_equal(a: &[(i64, Record)], b: &[(i64, Record)], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: row counts differ");
-    for ((pa, ra), (pb, rb)) in a.iter().zip(b.iter()) {
-        assert_eq!(pa, pb, "{label}: positions diverge");
-        assert_eq!(ra, rb, "{label}: records diverge at position {pa}");
+pub fn assert_rows_equal(want: &[(i64, Record)], got: &ResultSet, label: &str) {
+    assert_eq!(want.len(), got.len(), "{label}: row counts differ");
+    for ((pw, rw), Row(pg, rg)) in want.iter().zip(got) {
+        assert_eq!(*pw, pg, "{label}: positions diverge");
+        assert!(rg == *rw, "{label}: records diverge at position {pw}: {rw} vs {rg}");
     }
 }

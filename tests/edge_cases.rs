@@ -17,7 +17,7 @@ fn world_with(entries: Vec<(i64, f64)>) -> Catalog {
 
 fn run(catalog: &Catalog, q: QueryGraph, range: Span) -> Vec<(i64, Record)> {
     let optimized = optimize(&q, &CatalogRef(catalog), &OptimizerConfig::new(range)).unwrap();
-    execute(&optimized.plan, &ExecContext::new(catalog)).unwrap()
+    execute(&optimized.plan, &ExecContext::new(catalog)).unwrap().into_rows()
 }
 
 #[test]

@@ -37,7 +37,7 @@ fn run_world(seed: u64, n_quakes: usize, n_volcanos: usize) {
     // generators are both time-ascending).
     let seq_answers: Vec<(String, i64)> = rows
         .iter()
-        .map(|(pos, r)| (r.value(0).unwrap().as_str().unwrap().to_string(), *pos))
+        .map(|Row(pos, r)| (r.value(0).unwrap().as_str().unwrap().to_string(), pos))
         .collect();
     let rel_answers: Vec<(String, i64)> = naive
         .iter()

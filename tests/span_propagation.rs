@@ -79,7 +79,7 @@ fn narrow_query_ranges_propagate_to_leaves() {
         "leaf scans should be clamped to the requested range:\n{rendered}"
     );
     let rows = execute(&opt.plan, &ExecContext::new(&catalog)).unwrap();
-    assert!(rows.iter().all(|(p, _)| (300..=310).contains(p)));
+    assert!(rows.iter().all(|r| (300..=310).contains(&r.0)));
 }
 
 #[test]

@@ -46,7 +46,7 @@ fn templates() -> Vec<(&'static str, QueryGraph)> {
 
 /// Run `opt` on its chosen path with a profile attached; returns the rows
 /// and the per-operator modes the run reported.
-fn profiled(world: &World, opt: &Optimized) -> (Vec<(i64, Record)>, Vec<&'static str>) {
+fn profiled(world: &World, opt: &Optimized) -> (ResultSet, Vec<&'static str>) {
     let mut ctx = ExecContext::new(&world.catalog);
     let profile = ctx.enable_profiling(&opt.plan);
     let rows = opt.execute(&ctx).expect("dispatched execution");
