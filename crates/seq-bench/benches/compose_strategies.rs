@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{execute, ExecContext, JoinStrategy, PhysNode, PhysPlan};
+use seq_exec::{execute, ExecContext, ExecOptions, JoinStrategy, PhysNode, PhysPlan};
 use seq_storage::Catalog;
 use seq_workload::Rng;
 
@@ -81,7 +81,9 @@ fn measure(catalog: &Catalog) -> Vec<(Duration, usize)> {
     const SAMPLES: usize = 7;
     let plans: Vec<PhysPlan> =
         cases().into_iter().map(|(_, l, r, strategy)| compose_plan(l, r, strategy)).collect();
-    let run = |plan: &PhysPlan| execute(plan, &ExecContext::new(catalog)).unwrap().len();
+    let run = |plan: &PhysPlan| {
+        execute(plan, &ExecContext::new(catalog), &ExecOptions::default()).unwrap().len()
+    };
     let mut best = vec![Duration::MAX; plans.len()];
     for _ in 0..SAMPLES {
         for (plan, best) in plans.iter().zip(&mut best) {
@@ -102,12 +104,17 @@ fn bench(c: &mut Criterion) {
     ];
     for (left, right) in [("DL", "DR"), ("SP", "DR")] {
         let ctx = ExecContext::new(&catalog);
-        let reference = execute(&compose_plan(left, right, JoinStrategy::LockStep), &ctx).unwrap();
+        let reference = execute(
+            &compose_plan(left, right, JoinStrategy::LockStep),
+            &ctx,
+            &ExecOptions::default(),
+        )
+        .unwrap();
         for strategy in strategies {
             let plan = compose_plan(left, right, strategy);
             let ctx = ExecContext::new(&catalog);
             assert_eq!(
-                execute(&plan, &ctx).unwrap(),
+                execute(&plan, &ctx, &ExecOptions::default()).unwrap(),
                 reference,
                 "{left}∘{right} under {strategy:?} diverged from lock-step"
             );
@@ -121,7 +128,7 @@ fn bench(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&plan, &ctx).unwrap().len()
+                execute(&plan, &ctx, &ExecOptions::default()).unwrap().len()
             })
         });
     }

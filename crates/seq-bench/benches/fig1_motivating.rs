@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seq_core::{Sequence, Span};
-use seq_exec::{execute, ExecContext};
+use seq_exec::ExecContext;
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_relational::{indexed_nested_plan, nested_subquery_plan, RelStats, Relation};
 use seq_workload::{queries, weather_catalog, WeatherSpec};
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("sequence_stream_plan", &label), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&optimized.plan, &ctx).unwrap().len()
+                optimized.execute(&ctx).unwrap().len()
             })
         });
         group.bench_function(BenchmarkId::new("relational_nested_subquery", &label), |b| {

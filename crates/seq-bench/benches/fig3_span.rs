@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seq_core::Span;
-use seq_exec::{execute, ExecContext};
+use seq_exec::ExecContext;
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_workload::{queries, table1_catalog};
 
@@ -23,13 +23,13 @@ fn bench(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("span_propagation_on", scale), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&on.plan, &ctx).unwrap().len()
+                on.execute(&ctx).unwrap().len()
             })
         });
         group.bench_function(BenchmarkId::new("span_propagation_off", scale), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&off.plan, &ctx).unwrap().len()
+                off.execute(&ctx).unwrap().len()
             })
         });
         // The optimization itself (all six steps) is cheap; time it too.

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seq_bench::e3_access_modes::{build_catalog, STRATEGIES};
 use seq_core::Span;
-use seq_exec::{execute, ExecContext};
+use seq_exec::{execute, ExecContext, ExecOptions};
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_workload::queries;
 
@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(format!("{strat:?}"), format!("d2={d2}")), |b| {
                 b.iter(|| {
                     let ctx = ExecContext::new(&catalog);
-                    execute(&plan, &ctx).unwrap().len()
+                    execute(&plan, &ctx, &ExecOptions::default()).unwrap().len()
                 })
             });
         }

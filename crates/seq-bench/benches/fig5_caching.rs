@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seq_bench::e4_caching::{agg_catalog, prev_catalog, threshold_at};
 use seq_core::Span;
-use seq_exec::{execute, ExecContext};
+use seq_exec::ExecContext;
 use seq_ops::{Expr, SeqQuery};
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_workload::queries;
@@ -31,19 +31,19 @@ fn bench_fig5a(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("cache_a_recompute", window), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&cached.plan, &ctx).unwrap().len()
+                cached.execute(&ctx).unwrap().len()
             })
         });
         group.bench_function(BenchmarkId::new("cache_a_incremental", window), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&incremental.plan, &ctx).unwrap().len()
+                incremental.execute(&ctx).unwrap().len()
             })
         });
         group.bench_function(BenchmarkId::new("naive_probe", window), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&naive.plan, &ctx).unwrap().len()
+                naive.execute(&ctx).unwrap().len()
             })
         });
     }
@@ -74,13 +74,13 @@ fn bench_fig5b(c: &mut Criterion) {
     group.bench_function("cache_strategy_b", |b| {
         b.iter(|| {
             let ctx = ExecContext::new(&catalog);
-            execute(&cache_b.plan, &ctx).unwrap().len()
+            cache_b.execute(&ctx).unwrap().len()
         })
     });
     group.bench_function("naive_rederivation", |b| {
         b.iter(|| {
             let ctx = ExecContext::new(&catalog);
-            execute(&naive.plan, &ctx).unwrap().len()
+            naive.execute(&ctx).unwrap().len()
         })
     });
     group.finish();

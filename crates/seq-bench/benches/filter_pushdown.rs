@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{execute, ExecContext, PhysNode, PhysPlan};
+use seq_exec::{execute, ExecContext, ExecOptions, PhysNode, PhysPlan};
 use seq_ops::Expr;
 use seq_storage::Catalog;
 use seq_workload::Rng;
@@ -78,11 +78,11 @@ fn measure(catalog: &Catalog, name: &str) -> (Duration, Duration, usize) {
     let fused = fused_plan(name);
     let mut run_unfused = || {
         let ctx = ExecContext::new(catalog);
-        execute(&unfused_plan, &ctx).unwrap().len()
+        execute(&unfused_plan, &ctx, &ExecOptions::default()).unwrap().len()
     };
     let mut run_fused = || {
         let ctx = ExecContext::new(catalog);
-        execute(&fused, &ctx).unwrap().len()
+        execute(&fused, &ctx, &ExecOptions::default()).unwrap().len()
     };
     let (mut t_unfused, mut t_fused) = (Duration::MAX, Duration::MAX);
     for _ in 0..SAMPLES {
@@ -99,10 +99,10 @@ fn bench(c: &mut Criterion) {
     // Correctness anchor + the skip accounting for the artifact.
     let start = catalog.stats().snapshot();
     let ctx = ExecContext::new(&catalog);
-    let unfused_rows = execute(&select_plan("CLUST"), &ctx).unwrap();
+    let unfused_rows = execute(&select_plan("CLUST"), &ctx, &ExecOptions::default()).unwrap();
     let mid = catalog.stats().snapshot();
     let ctx = ExecContext::new(&catalog);
-    let fused_rows = execute(&fused_plan("CLUST"), &ctx).unwrap();
+    let fused_rows = execute(&fused_plan("CLUST"), &ctx, &ExecOptions::default()).unwrap();
     let unfused_io = mid.since(&start);
     let fused_io = catalog.stats().snapshot().since(&mid);
     assert_eq!(unfused_rows, fused_rows, "pushdown changed the result");
@@ -121,13 +121,13 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("{name}/select_over_base"), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&unfused, &ctx).unwrap().len()
+                execute(&unfused, &ctx, &ExecOptions::default()).unwrap().len()
             })
         });
         group.bench_function(format!("{name}/fused_scan"), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute(&fused, &ctx).unwrap().len()
+                execute(&fused, &ctx, &ExecOptions::default()).unwrap().len()
             })
         });
     }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seq_core::{Record, Span};
-use seq_exec::{execute, ExecContext, TriggerEngine};
+use seq_exec::{execute, ExecContext, ExecOptions, TriggerEngine};
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_workload::{queries, weather_catalog, WeatherSpec};
 
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
                     plan.root.clone(),
                     plan.range.intersect(&Span::new(1, upto)),
                 );
-                total = execute(&narrowed, &ctx).unwrap().len();
+                total = execute(&narrowed, &ctx, &ExecOptions::default()).unwrap().len();
             }
             total
         })

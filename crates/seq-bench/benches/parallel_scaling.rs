@@ -10,9 +10,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{
-    execute, execute_parallel_with, AggStrategy, ExecContext, ParallelConfig, PhysNode, PhysPlan,
-};
+use seq_exec::{execute, AggStrategy, ExecContext, ExecOptions, PhysNode, PhysPlan};
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
 use seq_workload::Rng;
@@ -77,9 +75,7 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("workers_{workers}"), |b| {
             b.iter(|| {
                 let ctx = ExecContext::new(&catalog);
-                execute_parallel_with(&plan, &ctx, ParallelConfig::with_workers(workers))
-                    .unwrap()
-                    .len()
+                execute(&plan, &ctx, &ExecOptions::with_workers(workers)).unwrap().len()
             })
         });
     }
@@ -88,11 +84,10 @@ fn bench(c: &mut Criterion) {
     // Recorded artifact: interleaved min-of-7 sweep, anchored by a sanity
     // check that every degree returns the sequential batch-path rows.
     let ctx = ExecContext::new(&catalog);
-    let rows = execute(&plan, &ctx).unwrap();
+    let rows = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
     for workers in WORKER_SWEEP {
         let ctx = ExecContext::new(&catalog);
-        let got =
-            execute_parallel_with(&plan, &ctx, ParallelConfig::with_workers(workers)).unwrap();
+        let got = execute(&plan, &ctx, &ExecOptions::with_workers(workers)).unwrap();
         assert_eq!(rows.len(), got.len(), "degree {workers} changed the row count");
         assert!(
             rows.iter().zip(&got).all(|(a, b)| a.0 == b.0),
@@ -117,9 +112,7 @@ fn bench(c: &mut Criterion) {
         for (slot, &workers) in timed_sweep.iter().enumerate() {
             let mut run = || {
                 let ctx = ExecContext::new(&catalog);
-                execute_parallel_with(&plan, &ctx, ParallelConfig::with_workers(workers))
-                    .unwrap()
-                    .len()
+                execute(&plan, &ctx, &ExecOptions::with_workers(workers)).unwrap().len()
             };
             best[slot] = best[slot].min(time_once(&mut run));
         }

@@ -15,7 +15,9 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seq_bench::validate::check_document;
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{execute, AggStrategy, ExecContext, PhysNode, PhysPlan, SessionMetrics};
+use seq_exec::{
+    execute, AggStrategy, ExecContext, ExecOptions, PhysNode, PhysPlan, SessionMetrics,
+};
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
 use seq_workload::Rng;
@@ -77,14 +79,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut ctx = ExecContext::new(&catalog);
             ctx.telemetry = None;
-            execute(&plan, &ctx).unwrap().len()
+            execute(&plan, &ctx, &ExecOptions::default()).unwrap().len()
         })
     });
     group.bench_function("telemetry_on", |b| {
         b.iter(|| {
             let mut ctx = ExecContext::new(&catalog);
             ctx.share_telemetry(&metrics);
-            execute(&plan, &ctx).unwrap().len()
+            execute(&plan, &ctx, &ExecOptions::default()).unwrap().len()
         })
     });
     group.finish();
@@ -94,22 +96,22 @@ fn bench(c: &mut Criterion) {
     // noise hits both alike, and each reports its best observed time.
     let mut ctx = ExecContext::new(&catalog);
     ctx.telemetry = None;
-    let rows_off = execute(&plan, &ctx).unwrap();
+    let rows_off = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
     let mut ctx = ExecContext::new(&catalog);
     ctx.share_telemetry(&metrics);
-    let rows_on = execute(&plan, &ctx).unwrap();
+    let rows_on = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
     assert_eq!(rows_off, rows_on, "telemetry must not change results");
 
     const SAMPLES: usize = 7;
     let mut run_off = || {
         let mut ctx = ExecContext::new(&catalog);
         ctx.telemetry = None;
-        execute(&plan, &ctx).unwrap().len()
+        execute(&plan, &ctx, &ExecOptions::default()).unwrap().len()
     };
     let mut run_on = || {
         let mut ctx = ExecContext::new(&catalog);
         ctx.share_telemetry(&metrics);
-        execute(&plan, &ctx).unwrap().len()
+        execute(&plan, &ctx, &ExecOptions::default()).unwrap().len()
     };
     let (mut off, mut on) = (Duration::MAX, Duration::MAX);
     for _ in 0..SAMPLES {

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seq_bench::e8_pushdown;
-use seq_exec::{execute, ExecContext, JoinStrategy, PhysNode, PhysPlan};
+use seq_exec::{execute, ExecContext, ExecOptions, JoinStrategy, PhysNode, PhysPlan};
 use seq_ops::{Expr, SeqQuery};
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_storage::Catalog;
@@ -56,13 +56,13 @@ fn bench(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("selection", "pushed_down"), |b| {
         b.iter(|| {
             let ctx = ExecContext::new(&catalog);
-            execute(&pushed.plan, &ctx).unwrap().len()
+            pushed.execute(&ctx).unwrap().len()
         })
     });
     group.bench_function(BenchmarkId::new("selection", "applied_late"), |b| {
         b.iter(|| {
             let ctx = ExecContext::new(&catalog);
-            execute(&late, &ctx).unwrap().len()
+            execute(&late, &ctx, &ExecOptions::default()).unwrap().len()
         })
     });
 

@@ -316,7 +316,7 @@ mod tests {
         );
         let mut ctx = ExecContext::new(&c);
         let profile = ctx.enable_profiling(&plan);
-        seq_exec::execute(&plan, &ctx).unwrap();
+        seq_exec::execute(&plan, &ctx, &seq_exec::ExecOptions::default()).unwrap();
         let parsed = parse(&profile.to_json()).unwrap();
         assert_eq!(parsed.get("profile_version").unwrap().as_f64(), Some(1.0));
         let ops = parsed.get("operators").unwrap().as_array().unwrap();

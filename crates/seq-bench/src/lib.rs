@@ -17,7 +17,7 @@ pub mod validate;
 pub use experiments::*;
 
 use seq_core::Span;
-use seq_exec::{execute, ExecContext, ExecSnapshot, PhysPlan};
+use seq_exec::{execute, ExecContext, ExecOptions, ExecSnapshot, PhysPlan};
 use seq_opt::CostParams;
 use seq_storage::{Catalog, StatsSnapshot};
 
@@ -55,7 +55,7 @@ pub fn measure(catalog: &Catalog, plan: &PhysPlan) -> Measured {
     catalog.reset_measurement();
     let ctx = ExecContext::new(catalog);
     let start = std::time::Instant::now();
-    let rows = execute(plan, &ctx).expect("plan executes");
+    let rows = execute(plan, &ctx, &ExecOptions::default()).expect("plan executes");
     let wall = start.elapsed();
     Measured {
         rows: rows.len(),
@@ -76,7 +76,7 @@ pub fn measure_profiled(
     let mut ctx = ExecContext::new(catalog);
     let profile = ctx.enable_profiling(plan);
     let start = std::time::Instant::now();
-    let rows = execute(plan, &ctx).expect("plan executes");
+    let rows = execute(plan, &ctx, &ExecOptions::default()).expect("plan executes");
     let wall = start.elapsed();
     let measured = Measured {
         rows: rows.len(),

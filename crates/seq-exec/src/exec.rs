@@ -3,12 +3,15 @@
 //! "The Start operator at the root of the plan induces a stream access on
 //! its input sequence (i.e. it repeatedly asks for the next non-Null
 //! record)." (§4.1.4) — [`execute`] is that operator, asking for the next
-//! batch of non-Null records. Probed evaluation of specific positions
-//! ([`probe_positions`]) covers the other query form the template supports
-//! ("records at (a) specific positions").
+//! batch of non-Null records: the one stream entry point, whose
+//! [`ExecOptions`] set the batch size and worker count and whose one run
+//! policy ([`run_policy`]) picks the sequential pipeline or morsels. Probed
+//! evaluation of specific positions ([`probe_positions`]) covers the other
+//! query form the template supports ("records at (a) specific positions").
 
 use seq_core::{Record, RecordBatch, Result, ResultSet, SeqError, Span};
 
+use crate::parallel::{plan_morsels, run_parallel};
 use crate::plan::{ExecContext, PhysNode, PhysPlan};
 use crate::telemetry::{instrument, QueryPath};
 
@@ -28,22 +31,75 @@ pub(crate) fn materialized_range(plan: &PhysPlan) -> Result<Option<Span>> {
     Ok(Some(range))
 }
 
-/// Stream-evaluate the plan, materializing every non-Null output within the
-/// plan's position range, in positional order, [`seq_core::DEFAULT_BATCH_SIZE`]
-/// rows at a time. The result keeps the root's batches as they come.
-pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>) -> Result<ResultSet> {
-    execute_batched_with(plan, ctx, seq_core::DEFAULT_BATCH_SIZE)
+/// How [`execute`] runs a plan; the default is sequential at
+/// [`seq_core::DEFAULT_BATCH_SIZE`] rows per batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecOptions {
+    /// Rows per batch in every pipeline.
+    pub batch_size: usize,
+    /// Worker threads; `0` and `1` both mean sequential.
+    pub workers: usize,
+    /// Positions per morsel; `0` sizes them from the batch size.
+    pub morsel_positions: u64,
 }
 
-/// [`execute`] with an explicit batch size (tests and benchmarks).
-pub fn execute_batched_with(
-    plan: &PhysPlan,
-    ctx: &ExecContext<'_>,
-    batch_size: usize,
-) -> Result<ResultSet> {
+impl Default for ExecOptions {
+    fn default() -> ExecOptions {
+        ExecOptions::with_workers(1)
+    }
+}
+
+impl ExecOptions {
+    /// `workers` threads with default batch and morsel sizing.
+    pub fn with_workers(workers: usize) -> ExecOptions {
+        ExecOptions { batch_size: seq_core::DEFAULT_BATCH_SIZE, workers, morsel_positions: 0 }
+    }
+
+    /// Parse a user's `\set parallelism N`: 1 up to the host's cores.
+    pub fn parse_workers(arg: &str) -> std::result::Result<usize, String> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        arg.parse()
+            .ok()
+            .filter(|n| (1..=cores).contains(n))
+            .ok_or_else(|| format!("parallelism must be between 1 and {cores}"))
+    }
+}
+
+/// How [`execute`] runs a plan: the answer of [`run_policy`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Run {
+    /// One pipeline on this thread: under two workers, a plan that is not
+    /// position-partitionable, or a range that is not bounded.
+    Sequential,
+    /// The plan splits but its range is one morsel: one pipeline as well.
+    OneMorsel,
+    /// `workers` threads (at most one per morsel) run the morsels.
+    Morsels { workers: usize, morsels: Vec<Span> },
+}
+
+/// The one run policy: whether `root` over `range` runs as one pipeline or
+/// as morsels (contiguous position intervals) over `opts.workers` threads.
+pub fn run_policy(root: &PhysNode, range: Span, opts: &ExecOptions) -> Run {
+    let range = range.intersect(&root.span());
+    if opts.workers <= 1 || !root.is_position_partitionable() || !range.is_bounded() {
+        return Run::Sequential;
+    }
+    let morsels = plan_morsels(range, opts.batch_size, opts.workers, opts.morsel_positions);
+    if morsels.len() <= 1 {
+        return Run::OneMorsel;
+    }
+    Run::Morsels { workers: opts.workers.min(morsels.len()), morsels }
+}
+
+/// Stream-evaluate the plan, materializing every non-Null output within the
+/// plan's position range, in positional order, on the path [`run_policy`]
+/// picks. The result keeps the root's batches as they come.
+pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>, opts: &ExecOptions) -> Result<ResultSet> {
+    let run = run_policy(&plan.root, plan.range, opts);
+    let path = if let Run::Morsels { .. } = run { QueryPath::Parallel } else { QueryPath::Batch };
     instrument(
         ctx,
-        QueryPath::Batch,
+        path,
         |rows: &ResultSet| rows.len() as u64,
         || {
             let mut out = ResultSet::new();
@@ -51,7 +107,13 @@ pub fn execute_batched_with(
             if let Some(p) = &ctx.profile {
                 p.set_op_modes(plan.root.exec_mode_labels());
             }
-            drain_batches(&plan.root, ctx, range, batch_size, |b| out.push(b))?;
+            let batch_size = opts.batch_size.max(1);
+            match run {
+                Run::Morsels { workers, morsels } => {
+                    run_parallel(plan, ctx, &morsels, batch_size, workers, &mut out)?
+                }
+                _ => drain_batches(&plan.root, ctx, range, batch_size, |b| out.push(b))?,
+            }
             Ok(out)
         },
     )
@@ -94,21 +156,6 @@ pub(crate) fn drain_batches(
         item = cursor.next_batch()?;
     }
     Ok(())
-}
-
-/// Morsel-driven parallel evaluation with `workers` threads and default
-/// batch/morsel sizing; bit-identical to [`execute`]. See
-/// [`crate::parallel`].
-pub fn execute_parallel(
-    plan: &PhysPlan,
-    ctx: &ExecContext<'_>,
-    workers: usize,
-) -> Result<ResultSet> {
-    crate::parallel::execute_parallel_with(
-        plan,
-        ctx,
-        crate::parallel::ParallelConfig::with_workers(workers),
-    )
 }
 
 /// Probe-evaluate the plan at the given positions (the "records at specific
@@ -190,7 +237,7 @@ mod tests {
             },
             Span::new(1, 30),
         );
-        let out = execute(&plan, &ctx).unwrap();
+        let out = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
         // Common positions are odd non-multiples of 3; predicate close > close_r
         // means p > 31 - p, i.e. p >= 16.
         let expect: Vec<i64> =
@@ -208,7 +255,8 @@ mod tests {
             PhysNode::Base { name: "IBM".into(), span: Span::new(1, 30) },
             Span::new(10, 12),
         );
-        let got: Vec<i64> = execute(&plan, &ctx).unwrap().iter().map(|r| r.0).collect();
+        let got: Vec<i64> =
+            execute(&plan, &ctx, &ExecOptions::default()).unwrap().iter().map(|r| r.0).collect();
         assert_eq!(got, vec![10, 11]); // 12 is a multiple of 3, absent
     }
 
@@ -225,7 +273,7 @@ mod tests {
             },
             Span::all(),
         );
-        assert!(execute(&plan, &ctx).is_err());
+        assert!(execute(&plan, &ctx, &ExecOptions::default()).is_err());
     }
 
     #[test]
@@ -264,7 +312,7 @@ mod tests {
             },
             Span::new(1, 33),
         );
-        let streamed = execute(&plan, &ctx).unwrap();
+        let streamed = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
         let positions: Vec<i64> = streamed.iter().map(|r| r.0).collect();
         let probed = probe_positions(&plan, &ctx, &positions).unwrap();
         for (Row(sp, sr), (pp, pr)) in streamed.iter().zip(probed.iter()) {
@@ -289,7 +337,7 @@ pub fn materialize_into(
 ) -> Result<std::sync::Arc<seq_storage::StoredSequence>> {
     let rows = {
         let ctx = ExecContext::new(catalog);
-        execute(plan, &ctx)?
+        execute(plan, &ctx, &ExecOptions::default())?
     };
     let base = seq_core::BaseSequence::from_entries(schema, rows.into_rows())?;
     Ok(catalog.register(name, &base))
@@ -339,7 +387,7 @@ mod materialize_tests {
             Span::new(81, 100),
         );
         let ctx = ExecContext::new(&catalog);
-        assert_eq!(execute(&plan2, &ctx).unwrap().len(), 20);
+        assert_eq!(execute(&plan2, &ctx, &ExecOptions::default()).unwrap().len(), 20);
     }
 
     #[test]
@@ -368,8 +416,8 @@ mod materialize_tests {
         // Duplicated evaluation: run the derivation twice.
         catalog.reset_measurement();
         let ctx = ExecContext::new(&catalog);
-        let a = execute(&derive("S"), &ctx).unwrap();
-        let b = execute(&derive("S"), &ctx).unwrap();
+        let a = execute(&derive("S"), &ctx, &ExecOptions::default()).unwrap();
+        let b = execute(&derive("S"), &ctx, &ExecOptions::default()).unwrap();
         assert_eq!(a.len(), b.len());
         let duplicated = catalog.stats().snapshot().page_reads;
 
@@ -384,8 +432,8 @@ mod materialize_tests {
         .unwrap();
         let shared_plan = PhysPlan::new(PhysNode::Base { name: "Shared".into(), span }, span);
         let ctx = ExecContext::new(&catalog);
-        let c = execute(&shared_plan, &ctx).unwrap();
-        let d = execute(&shared_plan, &ctx).unwrap();
+        let c = execute(&shared_plan, &ctx, &ExecOptions::default()).unwrap();
+        let d = execute(&shared_plan, &ctx, &ExecOptions::default()).unwrap();
         assert_eq!(c.len(), a.len());
         assert_eq!(d.len(), a.len());
         let shared = catalog.stats().snapshot().page_reads;

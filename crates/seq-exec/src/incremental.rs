@@ -587,7 +587,7 @@ mod tests {
     /// Engine emissions must equal batch outputs at event positions.
     fn assert_matches_batch(catalog: &seq_storage::Catalog, plan: &PhysPlan, names: &[&str]) {
         let ctx = ExecContext::new(catalog);
-        let batch = execute(plan, &ctx).unwrap();
+        let batch = execute(plan, &ctx, &crate::ExecOptions::default()).unwrap();
         let event_positions: std::collections::HashSet<i64> = names
             .iter()
             .flat_map(|n| {

@@ -21,12 +21,15 @@
 //! - [`compose`] — positional joins: Join-Strategy-A (stream+probe, both
 //!   variants) and Join-Strategy-B (lock-step) (Figure 4, §3.3);
 //! - [`plan`] / [`exec`] — physical plans carrying per-operator strategies
-//!   and spans, and the Start operator that drives them (Figure 6). Every
-//!   driver returns a [`seq_core::ResultSet`]: the root's batches, kept
+//!   and spans, and the Start operator that drives them (Figure 6): one
+//!   entry point, [`execute`]`(plan, ctx, &`[`ExecOptions`]`)`, whose one
+//!   run policy ([`run_policy`]) picks the sequential pipeline or morsels.
+//!   It returns a [`seq_core::ResultSet`]: the root's batches, kept
 //!   columnar, with no rows built unless the caller asks for them;
-//! - [`parallel`] — morsel-driven parallel execution of position-
-//!   partitionable plans with an order-preserving bounded merge that moves
-//!   each morsel's batches into the result;
+//! - [`parallel`] — the morsels: tiling a bounded range and running a
+//!   position-partitionable plan over worker threads with an
+//!   order-preserving bounded merge that moves each morsel's batches into
+//!   the result;
 //! - [`profile`] — seq-trace: opt-in per-operator/per-worker instrumentation
 //!   ([`profile::QueryProfile`]) with hand-rolled JSON export;
 //! - [`telemetry`] — the always-on side of seq-trace: the session metrics
@@ -52,12 +55,10 @@ pub use aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
 pub use batch::{BatchCursor, FusedBaseBatchCursor, ProbeWalkBatchCursor, DEFAULT_BATCH_SIZE};
 pub use cache::OpCache;
 pub use compose::{LockStepJoinBatch, StreamProbeJoinBatch, StreamSide};
-pub use exec::{
-    execute, execute_batched_with, execute_parallel, materialize_into, probe_positions,
-};
+pub use exec::{execute, materialize_into, probe_positions, run_policy, ExecOptions, Run};
 pub use incremental::{replay, Emission, TriggerEngine};
 pub use offset::ValueOffsetBatchCursor;
-pub use parallel::{execute_parallel_with, plan_morsels, ParallelConfig};
+pub use parallel::plan_morsels;
 pub use plan::{AggStrategy, ExecContext, JoinStrategy, PhysNode, PhysPlan, ValueOffsetStrategy};
 pub use probe::PointAccess;
 pub use profile::{OpReport, QueryProfile, WorkerProfile};

@@ -6,17 +6,19 @@
 //! unclaimed morsel, clones the plan restricted to it
 //! ([`crate::PhysNode::restrict_to`] widens window-aggregate and
 //! positional-offset inputs by the operator's scope overhang), runs an
-//! independent [`BatchCursor`] pipeline over its sub-span, and hands the
-//! result to an order-preserving bounded merge. Because unit-scope stream
-//! operators are position-wise independent, the merged output is
+//! independent [`crate::BatchCursor`] pipeline over its sub-span, and hands
+//! the result to an order-preserving bounded merge. Because unit-scope
+//! stream operators are position-wise independent, the merged output is
 //! bit-identical to the sequential batch path.
 //!
-//! The pool is plain `std::thread::scope` + `Mutex`/`Condvar`; no runtime
-//! dependency. [`crate::stats::ExecStats`] and the storage counters are
-//! shared atomics, so the paper's accounting (§4.1.3) folds correctly across
-//! workers. Claiming is bounded by a merge window: a worker may run at most
-//! a few morsels ahead of the merge frontier, so memory stays proportional
-//! to `workers`, not to the span.
+//! [`crate::run_policy`] decides when a plan runs this way; this module
+//! tiles the range and runs the morsels. The pool is plain
+//! `std::thread::scope` + `Mutex`/`Condvar`; no runtime dependency.
+//! [`crate::stats::ExecStats`] and the storage counters are shared atomics,
+//! so the paper's accounting (§4.1.3) folds correctly across workers.
+//! Claiming is bounded by a merge window: a worker may run at most a few
+//! morsels ahead of the merge frontier, so memory stays proportional to
+//! `workers`, not to the span.
 
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -30,24 +32,6 @@ use crate::plan::{ExecContext, PhysPlan};
 /// given: large enough to amortize per-morsel plan cloning and scan opening,
 /// small enough that a handful of morsels per worker keeps the load even.
 pub const DEFAULT_MORSEL_BATCHES: u64 = 16;
-
-/// Parallel driver configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelConfig {
-    /// Worker thread count; `0` and `1` both mean sequential.
-    pub workers: usize,
-    /// Rows per batch inside each worker's pipeline.
-    pub batch_size: usize,
-    /// Positions per morsel; `0` picks a batch-size multiple automatically.
-    pub morsel_positions: u64,
-}
-
-impl ParallelConfig {
-    /// `workers` threads with default batch and morsel sizing.
-    pub fn with_workers(workers: usize) -> ParallelConfig {
-        ParallelConfig { workers, batch_size: seq_core::DEFAULT_BATCH_SIZE, morsel_positions: 0 }
-    }
-}
 
 /// Partition a bounded span into contiguous morsels of `morsel_positions`
 /// positions (the last one ragged). `morsel_positions = 0` picks
@@ -72,7 +56,7 @@ pub fn plan_morsels(
         // At least ~4 morsels per worker when the span allows it, each a
         // multiple of the batch size, defaulting to DEFAULT_MORSEL_BATCHES
         // batches for long spans.
-        let per_worker = total.div_ceil((workers.max(1) as u64) * 4).max(1);
+        let per_worker = total.div_ceil((workers.max(1) as u64).saturating_mul(4)).max(1);
         per_worker.min(bs * DEFAULT_MORSEL_BATCHES)
     };
     // Round up to a batch-size multiple so batch boundaries inside a morsel
@@ -112,7 +96,6 @@ struct MergeState {
     outstanding: usize,
     /// First worker error; once set, workers stop claiming.
     error: Option<SeqError>,
-    aborted: bool,
 }
 
 impl MergeQueue {
@@ -124,7 +107,6 @@ impl MergeQueue {
                 done: BTreeMap::new(),
                 outstanding: 0,
                 error: None,
-                aborted: false,
             }),
             space: Condvar::new(),
             ready: Condvar::new(),
@@ -134,11 +116,11 @@ impl MergeQueue {
     }
 
     /// Claim the next morsel index, blocking while the claim window is full.
-    /// `None` once every morsel is claimed or the run failed/aborted.
+    /// `None` once every morsel is claimed or the run failed.
     fn claim(&self) -> Option<usize> {
         let mut st = self.state.lock().expect("merge queue poisoned");
         loop {
-            if st.error.is_some() || st.aborted || st.next_claim >= self.total {
+            if st.error.is_some() || st.next_claim >= self.total {
                 return None;
             }
             if st.next_claim < st.next_emit + self.window {
@@ -192,14 +174,6 @@ impl MergeQueue {
             st = self.ready.wait(st).expect("merge queue poisoned");
         }
     }
-
-    /// Stop the run early: workers cease claiming new morsels.
-    fn abort(&self) {
-        let mut st = self.state.lock().expect("merge queue poisoned");
-        st.aborted = true;
-        self.space.notify_all();
-        self.ready.notify_all();
-    }
 }
 
 /// Evaluate one morsel: restrict the plan to the sub-span, run its pipeline
@@ -220,64 +194,24 @@ fn run_morsel(
     Ok(out)
 }
 
-/// Morsel-driven parallel evaluation of the plan: the merge thread moves each
-/// morsel's batches into the result in morsel order. Bit-identical to
-/// [`crate::exec::execute_batched_with`], which it reduces to exactly when
-/// `workers <= 1` or the range fits a single morsel.
-///
-/// Requires a bounded effective range and a position-partitionable plan
-/// ([`crate::PhysNode::is_position_partitionable`]); the optimizer's Step 6
-/// gates the parallel exec mode on both.
-pub fn execute_parallel_with(
-    plan: &PhysPlan,
-    ctx: &ExecContext<'_>,
-    config: ParallelConfig,
-) -> Result<ResultSet> {
-    let Some(range) = crate::exec::materialized_range(plan)? else { return Ok(ResultSet::new()) };
-    let batch_size = config.batch_size.max(1);
-    if config.workers <= 1 {
-        // Degree 1 is *exactly* the sequential batch path: same cursors,
-        // same page and counter accounting — and works for any plan.
-        return crate::exec::execute_batched_with(plan, ctx, batch_size);
-    }
-    if !plan.root.is_position_partitionable() {
-        return Err(SeqError::Unsupported(
-            "parallel execution needs a position-partitionable plan".into(),
-        ));
-    }
-    let morsels = plan_morsels(range, batch_size, config.workers, config.morsel_positions);
-    if morsels.len() <= 1 {
-        return crate::exec::execute_batched_with(plan, ctx, batch_size);
-    }
-    // The degenerate paths above record through the batch entry point; only
-    // the true multi-morsel run below records as a parallel-path query.
-    crate::telemetry::instrument(
-        ctx,
-        crate::telemetry::QueryPath::Parallel,
-        |rows: &ResultSet| rows.len() as u64,
-        || run_parallel(plan, ctx, &morsels, batch_size, config.workers),
-    )
-}
-
-/// The multi-morsel worker/merge loop behind [`execute_parallel_with`].
-fn run_parallel(
+/// The multi-morsel worker/merge loop behind [`crate::Run::Morsels`]:
+/// `workers` threads claim the morsels, and this thread moves each morsel's
+/// batches into `out` in morsel order. Bit-identical to the sequential
+/// pipeline because the plan is position-partitionable.
+pub(crate) fn run_parallel(
     plan: &PhysPlan,
     ctx: &ExecContext<'_>,
     morsels: &[Span],
     batch_size: usize,
     workers: usize,
-) -> Result<ResultSet> {
-    if let Some(p) = &ctx.profile {
-        p.set_op_modes(plan.root.exec_mode_labels());
-    }
-    let workers = workers.min(morsels.len());
+    out: &mut ResultSet,
+) -> Result<()> {
     let queue = MergeQueue::new(morsels.len(), workers * 2 + 2);
     if let Some(p) = &ctx.profile {
         p.record_morsels_planned(morsels.len() as u64);
     }
 
-    let mut out = ResultSet::new();
-    let merged: Result<()> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..workers {
             let (queue, profile) = (&queue, ctx.profile.as_deref());
             let telemetry = ctx.telemetry.as_deref();
@@ -327,19 +261,15 @@ fn run_parallel(
             if let (Some(p), Some(wait)) = (profile, wait) {
                 p.record_merge_wait(wait.elapsed().as_nanos() as u64);
             }
-            match next {
+            // The first worker error surfaces once every claimed morsel has
+            // settled; no worker claims another after it.
+            match next? {
                 // Already dense: the set takes each batch as it is.
-                Ok(Some(batches)) => batches.into_iter().for_each(|b| out.push(b)),
-                Ok(None) => return Ok(()),
-                Err(e) => {
-                    queue.abort();
-                    return Err(e);
-                }
+                Some(batches) => batches.into_iter().for_each(|b| out.push(b)),
+                None => return Ok(()),
             }
         }
-    });
-    merged?;
-    Ok(out)
+    })
 }
 
 #[cfg(test)]
@@ -374,6 +304,18 @@ mod tests {
         assert!(plan_morsels(Span::empty(), 64, 4, 0).is_empty());
         let one = plan_morsels(Span::new(5, 8), 64, 4, 0);
         assert_eq!(one, vec![Span::new(5, 8)]);
+    }
+
+    #[test]
+    fn huge_worker_counts_saturate() {
+        // `workers * 4` must not wrap (2^62 * 4 is 0 in u64, a division by
+        // zero) or overflow: the range still tiles into one-batch morsels.
+        for workers in [usize::MAX, 1 << 62] {
+            let morsels = plan_morsels(Span::new(1, 5000), 64, workers, 0);
+            assert_eq!(morsels.len(), 5000usize.div_ceil(64));
+            assert_eq!(morsels[0], Span::new(1, 64));
+            assert_eq!(morsels.last().unwrap().end(), 5000);
+        }
     }
 
     #[test]

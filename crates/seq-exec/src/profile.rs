@@ -159,8 +159,8 @@ pub struct WorkerProfile {
 pub struct QueryProfile {
     ops: Vec<OpProfile>,
     /// Per-operator execution mode ("batch" / "batch+sel" / "fused" /
-    /// "probe"), in pre-order; set by the execute entry points (empty until
-    /// one runs).
+    /// "probe"), in pre-order; set by [`crate::execute`] (empty until it
+    /// runs).
     modes: Mutex<Vec<&'static str>>,
     workers: Mutex<Vec<WorkerProfile>>,
     morsels_planned: AtomicU64,
@@ -188,7 +188,7 @@ impl QueryProfile {
     }
 
     /// Record each operator's execution mode, in pre-order — see
-    /// [`PhysNode::exec_mode_labels`]. Called by the execute entry points; a
+    /// [`PhysNode::exec_mode_labels`]. Called by [`crate::execute`]; a
     /// length mismatch (a profile reused across plans) is ignored rather
     /// than mis-attributed.
     pub fn set_op_modes(&self, modes: Vec<&'static str>) {
@@ -215,8 +215,8 @@ impl QueryProfile {
     }
 
     /// Rows the plan root produced (equals the Start operator's output count
-    /// once the drivers' range clamping is accounted, which the execute
-    /// entry points do).
+    /// once the driver's range clamping is accounted, which
+    /// [`crate::execute`] does).
     pub fn root_rows_out(&self) -> u64 {
         self.ops[0].rows_out.load(Ordering::Relaxed)
     }
@@ -701,7 +701,7 @@ mod tests {
         let plan = select_plan();
         let mut ctx = ExecContext::new(&c);
         let profile = ctx.enable_profiling(&plan);
-        let rows = crate::exec::execute(&plan, &ctx).unwrap();
+        let rows = crate::exec::execute(&plan, &ctx, &Default::default()).unwrap();
         assert_eq!(rows.len(), 50);
         let ops = profile.op_reports();
         // Root Select produced exactly the output; base produced all 100.
@@ -725,7 +725,7 @@ mod tests {
         let plan = select_plan();
         let mut ctx = ExecContext::new(&c);
         let profile = ctx.enable_profiling(&plan);
-        crate::exec::execute(&plan, &ctx).unwrap();
+        crate::exec::execute(&plan, &ctx, &Default::default()).unwrap();
         let json = profile.to_json();
         assert!(json.contains("\"profile_version\": 1"));
         assert!(json.contains("\"operators\": ["));

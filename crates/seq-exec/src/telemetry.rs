@@ -240,13 +240,14 @@ impl Phase {
     }
 }
 
-/// Which execute entry point served a query.
+/// Which path served a query: the one [`crate::run_policy`] picked for
+/// [`crate::execute`], or a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPath {
-    /// Sequential batch cursors ([`crate::execute`]), including parallel
-    /// runs that degenerated to one morsel.
+    /// One sequential batch pipeline ([`crate::Run::Sequential`] and
+    /// [`crate::Run::OneMorsel`]).
     Batch,
-    /// Morsel-driven parallel workers ([`crate::execute_parallel_with`]).
+    /// Morsel-driven parallel workers ([`crate::Run::Morsels`]).
     Parallel,
     /// Probed point evaluation ([`crate::probe_positions`]).
     Probe,
@@ -846,8 +847,8 @@ pub struct MetricsSnapshot {
     pub queries: u64,
     /// Queries that returned an error.
     pub queries_failed: u64,
-    /// Per-path query counts, indexed like [`QueryPath::index`]
-    /// (batch, parallel, probe).
+    /// Per-path query counts, in [`QueryPath`] order (batch, parallel,
+    /// probe).
     pub path_counts: [u64; 3],
     /// Rows produced at plan roots.
     pub rows_out: u64,
@@ -905,9 +906,8 @@ pub struct MetricsSnapshot {
 
 /// Wrap one execute entry point: time it, and on completion fold the query
 /// into the context's registry (no-op when telemetry is detached). Exactly
-/// one `record_query` per top-level query — the parallel driver's
-/// degenerate delegation to the batch path routes through the batch entry
-/// *instead of* this wrapper, never both.
+/// one `record_query` per top-level query, on the path the run policy
+/// picked.
 pub(crate) fn instrument<T>(
     ctx: &ExecContext<'_>,
     path: QueryPath,

@@ -8,7 +8,7 @@
 
 use seq_core::{record, schema, AttrType, BaseSequence, Record, ResultSet, Row, Span, Value};
 use seq_exec::{
-    execute_batched_with, probe_positions, AggStrategy, ExecContext, JoinStrategy, PhysNode,
+    execute, probe_positions, AggStrategy, ExecContext, ExecOptions, JoinStrategy, PhysNode,
     PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
@@ -209,7 +209,8 @@ fn batch_sizes_agree_bit_for_bit_and_match_the_probe_path() {
         for batch_size in [1usize, 3, 16, 64, 1024] {
             let c = catalog(42);
             let ctx = ExecContext::new(&c);
-            let batch_path = execute_batched_with(&plan, &ctx, batch_size).unwrap();
+            let batch_path =
+                execute(&plan, &ctx, &ExecOptions { batch_size, ..Default::default() }).unwrap();
             match &first {
                 None => {
                     if has_running_sums(&node) {
@@ -253,13 +254,18 @@ fn batched_execution_preserves_access_accounting() {
 
         let c1 = catalog(7);
         let ctx1 = ExecContext::new(&c1);
-        execute_batched_with(&plan, &ctx1, 1).unwrap();
+        execute(&plan, &ctx1, &ExecOptions { batch_size: 1, ..Default::default() }).unwrap();
         let access1 = c1.stats().snapshot();
         let exec1 = ctx1.stats.snapshot();
 
         let c2 = catalog(7);
         let ctx2 = ExecContext::new(&c2);
-        execute_batched_with(&plan, &ctx2, batch_size as usize).unwrap();
+        execute(
+            &plan,
+            &ctx2,
+            &ExecOptions { batch_size: batch_size as usize, ..Default::default() },
+        )
+        .unwrap();
         let access2 = c2.stats().snapshot();
         let exec2 = ctx2.stats.snapshot();
 
@@ -311,13 +317,13 @@ fn batched_stats_fold_per_batch_not_per_record() {
     // Batch size 1: one fold per row.
     let c1 = catalog(3);
     let ctx1 = ExecContext::new(&c1);
-    let out = execute_batched_with(&plan, &ctx1, 1).unwrap();
+    let out = execute(&plan, &ctx1, &ExecOptions { batch_size: 1, ..Default::default() }).unwrap();
 
     // The same totals arrive in O(records / batch_size) folds.
     let batch_size = 64;
     let c2 = catalog(3);
     let ctx2 = ExecContext::new(&c2);
-    let out2 = execute_batched_with(&plan, &ctx2, batch_size).unwrap();
+    let out2 = execute(&plan, &ctx2, &ExecOptions { batch_size, ..Default::default() }).unwrap();
     assert_eq!(out, out2);
 
     let access = c2.stats().snapshot();
@@ -408,7 +414,7 @@ fn a_probe_walk_root_stops_one_row_past_the_range() {
     for batch_size in [1, 64, 4096] {
         let c = catalog(5);
         let ctx = ExecContext::new(&c);
-        let rows = execute_batched_with(&plan, &ctx, batch_size).unwrap();
+        let rows = execute(&plan, &ctx, &ExecOptions { batch_size, ..Default::default() }).unwrap();
         assert_eq!(rows.len(), 351);
         assert_eq!(ctx.stats.snapshot().naive_walk_steps, 352 * 9, "batch_size {batch_size}");
     }

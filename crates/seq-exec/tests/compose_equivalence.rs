@@ -16,8 +16,8 @@
 
 use seq_core::{record, schema, AttrType, BaseSequence, Record, Span};
 use seq_exec::{
-    execute_batched_with, execute_parallel_with, probe_positions, AggStrategy, ExecContext,
-    JoinStrategy, ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
+    execute, probe_positions, AggStrategy, ExecContext, ExecOptions, JoinStrategy, PhysNode,
+    PhysPlan, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -293,7 +293,8 @@ fn random_plans_agree_across_all_three_paths() {
 
         let c1 = catalog(plan_seed);
         let ctx1 = ExecContext::new(&c1);
-        let reference = execute_batched_with(&plan, &ctx1, 1).unwrap();
+        let reference =
+            execute(&plan, &ctx1, &ExecOptions { batch_size: 1, ..Default::default() }).unwrap();
         let access1 = c1.stats().snapshot();
         let exec1 = ctx1.stats.snapshot();
 
@@ -308,7 +309,8 @@ fn random_plans_agree_across_all_three_paths() {
         for batch_size in [7usize, 64, 512] {
             let c2 = catalog(plan_seed);
             let ctx2 = ExecContext::new(&c2);
-            let batched = execute_batched_with(&plan, &ctx2, batch_size).unwrap();
+            let batched =
+                execute(&plan, &ctx2, &ExecOptions { batch_size, ..Default::default() }).unwrap();
             let access2 = c2.stats().snapshot();
             let exec2 = ctx2.stats.snapshot();
 
@@ -371,10 +373,10 @@ fn random_plans_agree_across_all_three_paths() {
         // are bit-identical and the same counters stay exact.
         if node.is_position_partitionable() {
             for workers in [2usize, 4] {
-                let config = ParallelConfig { workers, batch_size: 64, morsel_positions: 0 };
+                let config = ExecOptions { workers, batch_size: 64, morsel_positions: 0 };
                 let c3 = catalog(plan_seed);
                 let ctx3 = ExecContext::new(&c3);
-                let parallel = execute_parallel_with(&plan, &ctx3, config).unwrap();
+                let parallel = execute(&plan, &ctx3, &config).unwrap();
                 let access3 = c3.stats().snapshot();
                 let exec3 = ctx3.stats.snapshot();
                 assert_eq!(reference, parallel, "{label}: rows diverged at workers {workers}");
@@ -472,7 +474,8 @@ fn fully_consumed_plans_have_exact_access_stats() {
 
         let c1 = catalog(99);
         let ctx1 = ExecContext::new(&c1);
-        let reference = execute_batched_with(&plan, &ctx1, 1).unwrap();
+        let reference =
+            execute(&plan, &ctx1, &ExecOptions { batch_size: 1, ..Default::default() }).unwrap();
         let access1 = c1.stats().snapshot();
         let exec1 = ctx1.stats.snapshot();
         let c0 = catalog(99);
@@ -483,7 +486,8 @@ fn fully_consumed_plans_have_exact_access_stats() {
         for batch_size in [7usize, 64] {
             let c2 = catalog(99);
             let ctx2 = ExecContext::new(&c2);
-            let batched = execute_batched_with(&plan, &ctx2, batch_size).unwrap();
+            let batched =
+                execute(&plan, &ctx2, &ExecOptions { batch_size, ..Default::default() }).unwrap();
             let access2 = c2.stats().snapshot();
             let exec2 = ctx2.stats.snapshot();
 

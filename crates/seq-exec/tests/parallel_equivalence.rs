@@ -9,13 +9,17 @@
 //! compared with last-ulp slack; integer aggregates and everything else must
 //! be bit-identical.
 
-use seq_core::{record, schema, AttrType, BaseSequence, Record, ResultSet, Row, Span, Value};
+use std::sync::Arc;
+
+use seq_core::{
+    record, schema, AttrType, BaseSequence, Record, Result, ResultSet, Row, SeqError, Span, Value,
+};
 use seq_exec::{
-    execute_batched_with, execute_parallel, execute_parallel_with, probe_positions, AggStrategy,
-    ExecContext, JoinStrategy, ParallelConfig, PhysNode, PhysPlan, ValueOffsetStrategy,
+    execute, probe_positions, run_policy, AggStrategy, ExecContext, ExecOptions, ExecSnapshot,
+    JoinStrategy, PhysNode, PhysPlan, Run, SessionMetrics, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
-use seq_storage::Catalog;
+use seq_storage::{Catalog, StatsSnapshot};
 use seq_workload::Rng;
 
 fn catalog(seed: u64) -> Catalog {
@@ -156,7 +160,9 @@ fn parallel_is_identical_to_sequential_batched() {
 
         let c_seq = catalog(42);
         let ctx_seq = ExecContext::new(&c_seq);
-        let sequential = execute_batched_with(&plan, &ctx_seq, 64).unwrap();
+        let sequential =
+            execute(&plan, &ctx_seq, &ExecOptions { batch_size: 64, ..Default::default() })
+                .unwrap();
 
         // The probe path agrees with the batch path (anchor for the chain).
         let c_probe = catalog(42);
@@ -172,10 +178,10 @@ fn parallel_is_identical_to_sequential_batched() {
         let sequential = sequential.into_rows();
         for workers in [2usize, 4, 8] {
             for morsel_positions in [0u64, 97] {
-                let config = ParallelConfig { workers, batch_size: 64, morsel_positions };
+                let config = ExecOptions { workers, batch_size: 64, morsel_positions };
                 let c_par = catalog(42);
                 let ctx_par = ExecContext::new(&c_par);
-                let parallel = execute_parallel_with(&plan, &ctx_par, config).unwrap();
+                let parallel = execute(&plan, &ctx_par, &config).unwrap();
                 let label = format!("{name} (workers={workers}, morsel={morsel_positions})");
                 assert_rows_match(&parallel, &sequential, ulp_slack, &label);
             }
@@ -194,13 +200,17 @@ fn result_sets_are_equal_at_parallelism_two_and_four() {
         }
         let plan = PhysPlan::new(node, Span::new(1, 500));
         let c_seq = catalog(42);
-        let sequential = execute_batched_with(&plan, &ExecContext::new(&c_seq), 4096).unwrap();
+        let sequential = execute(
+            &plan,
+            &ExecContext::new(&c_seq),
+            &ExecOptions { batch_size: 4096, ..Default::default() },
+        )
+        .unwrap();
         for workers in [2usize, 4] {
             for batch_size in [7usize, 64] {
-                let config = ParallelConfig { workers, batch_size, morsel_positions: 0 };
+                let config = ExecOptions { workers, batch_size, morsel_positions: 0 };
                 let c_par = catalog(42);
-                let parallel =
-                    execute_parallel_with(&plan, &ExecContext::new(&c_par), config).unwrap();
+                let parallel = execute(&plan, &ExecContext::new(&c_par), &config).unwrap();
                 assert!(
                     sequential.is_empty() || parallel.batches().len() > 1,
                     "{name}: expected batches from several morsels"
@@ -220,12 +230,17 @@ fn awkward_morsel_and_batch_sizes() {
         Span::new(3, 497),
     );
     let c_seq = catalog(7);
-    let sequential = execute_batched_with(&plan, &ExecContext::new(&c_seq), 16).unwrap();
+    let sequential = execute(
+        &plan,
+        &ExecContext::new(&c_seq),
+        &ExecOptions { batch_size: 16, ..Default::default() },
+    )
+    .unwrap();
     for morsel_positions in [1u64, 3, 7, 97] {
         for batch_size in [1usize, 16] {
-            let config = ParallelConfig { workers: 8, batch_size, morsel_positions };
+            let config = ExecOptions { workers: 8, batch_size, morsel_positions };
             let c_par = catalog(7);
-            let parallel = execute_parallel_with(&plan, &ExecContext::new(&c_par), config).unwrap();
+            let parallel = execute(&plan, &ExecContext::new(&c_par), &config).unwrap();
             assert_eq!(
                 parallel, sequential,
                 "diverged at morsel={morsel_positions}, batch={batch_size}"
@@ -261,12 +276,14 @@ fn degree_one_is_exactly_the_sequential_path() {
 
         let c_seq = catalog(42);
         let ctx_seq = ExecContext::new(&c_seq);
-        let sequential = execute_batched_with(&plan, &ctx_seq, 64).unwrap();
+        let sequential =
+            execute(&plan, &ctx_seq, &ExecOptions { batch_size: 64, ..Default::default() })
+                .unwrap();
 
         let c_one = catalog(42);
         let ctx_one = ExecContext::new(&c_one);
-        let config = ParallelConfig { workers: 1, batch_size: 64, morsel_positions: 0 };
-        let one = execute_parallel_with(&plan, &ctx_one, config).unwrap();
+        let config = ExecOptions { workers: 1, batch_size: 64, morsel_positions: 0 };
+        let one = execute(&plan, &ctx_one, &config).unwrap();
 
         assert_eq!(one, sequential);
         assert_eq!(ctx_one.stats.snapshot(), ctx_seq.stats.snapshot());
@@ -275,47 +292,19 @@ fn degree_one_is_exactly_the_sequential_path() {
 }
 
 #[test]
-fn non_partitionable_plans_are_rejected() {
-    // Value offsets reach arbitrarily far for their scope; cumulative
-    // aggregates depend on everything before them. Neither can evaluate a
-    // morsel independently, so multi-worker execution must refuse rather
-    // than silently produce morsel-local answers.
-    let span = Span::new(1, 500);
-    let value_offset = PhysNode::ValueOffset {
-        input: base("D"),
-        offset: -2,
-        strategy: ValueOffsetStrategy::IncrementalCacheB,
-        span,
-    };
-    let cumulative = PhysNode::Aggregate {
-        input: base("D"),
-        func: AggFunc::Sum,
-        attr_index: 1,
-        window: Window::Cumulative,
-        strategy: AggStrategy::CacheA,
-        span,
-    };
-    let nested =
-        PhysNode::Select { input: Box::new(value_offset.clone()), predicate: pred(0.0), span };
-    for node in [value_offset, cumulative, nested] {
-        assert!(!node.is_position_partitionable());
-        let plan = PhysPlan::new(node, span);
-        let c = catalog(42);
-        let err = execute_parallel(&plan, &ExecContext::new(&c), 4).unwrap_err();
-        assert!(matches!(err, seq_core::SeqError::Unsupported(_)), "got {err:?}");
-    }
-}
-
-#[test]
 fn degenerate_ranges() {
     let plan = PhysPlan::new(*base("D"), Span::empty());
     let c = catalog(42);
-    assert_eq!(execute_parallel(&plan, &ExecContext::new(&c), 4).unwrap(), vec![]);
+    assert_eq!(
+        execute(&plan, &ExecContext::new(&c), &ExecOptions::with_workers(4)).unwrap(),
+        vec![]
+    );
 
     let unbounded =
         PhysPlan::new(PhysNode::Base { name: "D".into(), span: Span::all() }, Span::all());
     let c = catalog(42);
-    let err = execute_parallel(&unbounded, &ExecContext::new(&c), 4).unwrap_err();
+    let err =
+        execute(&unbounded, &ExecContext::new(&c), &ExecOptions::with_workers(4)).unwrap_err();
     assert!(matches!(err, seq_core::SeqError::Unsupported(_)));
 }
 
@@ -353,13 +342,13 @@ fn stat_folding_is_identical_across_drives() {
     // Drive 1: pure batch pipeline.
     let c1 = dense_catalog(N);
     let ctx1 = ExecContext::new(&c1);
-    let pure = execute_batched_with(&plan, &ctx1, B).unwrap();
+    let pure = execute(&plan, &ctx1, &ExecOptions { batch_size: B, ..Default::default() }).unwrap();
 
     // Drive 2: parallel, morsels of 512 positions (8 aligned batches each).
     let c2 = dense_catalog(N);
     let ctx2 = ExecContext::new(&c2);
-    let config = ParallelConfig { workers: 4, batch_size: B, morsel_positions: 512 };
-    let parallel = execute_parallel_with(&plan, &ctx2, config).unwrap();
+    let config = ExecOptions { workers: 4, batch_size: B, morsel_positions: 512 };
+    let parallel = execute(&plan, &ctx2, &config).unwrap();
 
     assert_eq!(pure, parallel);
     assert_eq!(pure.len(), N as usize);
@@ -372,6 +361,127 @@ fn stat_folding_is_identical_across_drives() {
     let (a1, a2) = (c1.stats().snapshot(), c2.stats().snapshot());
     assert_eq!(a1.stream_records, a2.stream_records);
     assert_eq!(a1.page_reads, a2.page_reads, "aligned morsels must not re-read pages");
+}
+
+/// Run `plan` at `workers` with batch 64 and default morsel sizing; returns
+/// the rows, both counter snapshots, and the per-path query counts.
+fn run_counted(
+    plan: &PhysPlan,
+    workers: usize,
+) -> (Result<ResultSet>, ExecSnapshot, StatsSnapshot, [u64; 3]) {
+    let c = dense_catalog(4096);
+    let metrics = Arc::new(SessionMetrics::new());
+    let mut ctx = ExecContext::new(&c);
+    ctx.share_telemetry(&metrics);
+    let opts = ExecOptions { batch_size: 64, workers, morsel_positions: 0 };
+    let rows = execute(plan, &ctx, &opts);
+    let counts = metrics.snapshot().path_counts;
+    (rows, ctx.stats.snapshot(), c.stats().snapshot(), counts)
+}
+
+#[test]
+fn run_policy_decision_table() {
+    // One function picks the path. In every cell the rows must be the
+    // sequential rows (a plan that does not partition is never answered
+    // morsel-locally), the counters identical, and the recorded path the
+    // one the policy picked. Dense input, batch 64 and pages of 64 keep
+    // every morsel page-aligned, so even fold counts match.
+    const N: i64 = 4096;
+    let span = Span::new(1, N);
+    let t = || Box::new(PhysNode::Base { name: "T".into(), span });
+    let value_offset = PhysNode::ValueOffset {
+        input: t(),
+        offset: -2,
+        strategy: ValueOffsetStrategy::IncrementalCacheB,
+        span,
+    };
+    let plans = [
+        ("select", PhysNode::Select { input: t(), predicate: pred(-1.0), span }, true),
+        ("value-offset", value_offset.clone(), false),
+        (
+            "cumulative",
+            PhysNode::Aggregate {
+                input: t(),
+                func: AggFunc::Sum,
+                attr_index: 1,
+                window: Window::Cumulative,
+                strategy: AggStrategy::CacheA,
+                span,
+            },
+            false,
+        ),
+        (
+            "select-over-value-offset",
+            PhysNode::Select { input: Box::new(value_offset), predicate: pred(0.0), span },
+            false,
+        ),
+    ];
+    let ranges = [
+        ("multi-morsel", span),
+        ("one-morsel", Span::new(100, 150)),
+        ("empty", Span::new(N + 100, N + 200)),
+    ];
+    for (plan_name, node, splits) in &plans {
+        assert_eq!(node.is_position_partitionable(), *splits, "{plan_name}");
+        for (range_name, range) in ranges {
+            let plan = PhysPlan::new(node.clone(), range);
+            let (sequential, seq_exec, seq_storage, _) = run_counted(&plan, 1);
+            let sequential = sequential.unwrap();
+            assert_eq!(sequential.is_empty(), range_name == "empty");
+            for workers in [1usize, 4] {
+                let label = format!("{plan_name}/{range_name}/workers={workers}");
+                let opts = ExecOptions { batch_size: 64, workers, morsel_positions: 0 };
+                let run = run_policy(&plan.root, plan.range, &opts);
+                let parallel = match (workers > 1 && *splits, range_name) {
+                    (true, "multi-morsel") => {
+                        assert!(
+                            matches!(&run, Run::Morsels { workers: 4, morsels } if morsels.len() > 1),
+                            "{label}: {run:?}"
+                        );
+                        true
+                    }
+                    (true, "one-morsel") => {
+                        assert_eq!(run, Run::OneMorsel, "{label}");
+                        false
+                    }
+                    _ => {
+                        assert_eq!(run, Run::Sequential, "{label}");
+                        false
+                    }
+                };
+                let (rows, exec, storage, paths) = run_counted(&plan, workers);
+                assert_eq!(rows.unwrap(), sequential, "{label}: rows");
+                assert_eq!(exec, seq_exec, "{label}: executor counters");
+                // Each morsel opens its own scan; every other storage
+                // counter is the page traffic, which must not move.
+                let traffic = |s: StatsSnapshot| StatsSnapshot { scans_opened: 0, ..s };
+                assert_eq!(traffic(storage), traffic(seq_storage), "{label}: storage counters");
+                let want = if parallel { [0, 1, 0] } else { [1, 0, 0] };
+                assert_eq!(paths, want, "{label}: recorded path");
+            }
+        }
+    }
+
+    // An unbounded range never splits and still cannot be materialized.
+    let all = || Box::new(PhysNode::Base { name: "T".into(), span: Span::all() });
+    let unbounded = [
+        *all(),
+        PhysNode::ValueOffset {
+            input: all(),
+            offset: -2,
+            strategy: ValueOffsetStrategy::IncrementalCacheB,
+            span: Span::all(),
+        },
+    ];
+    for node in unbounded {
+        let plan = PhysPlan::new(node, Span::all());
+        for workers in [1usize, 4] {
+            let opts = ExecOptions { workers, ..ExecOptions::default() };
+            assert_eq!(run_policy(&plan.root, plan.range, &opts), Run::Sequential);
+            let (rows, ..) = run_counted(&plan, workers);
+            assert!(matches!(rows, Err(SeqError::Unsupported(_))), "got {rows:?}");
+        }
+    }
 }
 
 #[test]
@@ -391,12 +501,12 @@ fn stat_totals_match_on_filtering_plans() {
 
     let c1 = dense_catalog(N);
     let ctx1 = ExecContext::new(&c1);
-    let pure = execute_batched_with(&plan, &ctx1, B).unwrap();
+    let pure = execute(&plan, &ctx1, &ExecOptions { batch_size: B, ..Default::default() }).unwrap();
 
     let c3 = dense_catalog(N);
     let ctx3 = ExecContext::new(&c3);
-    let config = ParallelConfig { workers: 8, batch_size: B, morsel_positions: 96 };
-    let parallel = execute_parallel_with(&plan, &ctx3, config).unwrap();
+    let config = ExecOptions { workers: 8, batch_size: B, morsel_positions: 96 };
+    let parallel = execute(&plan, &ctx3, &config).unwrap();
 
     assert_eq!(pure, parallel);
     let (s1, s3) = (ctx1.stats.snapshot(), ctx3.stats.snapshot());

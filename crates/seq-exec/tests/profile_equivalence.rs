@@ -16,10 +16,7 @@
 //!    per-worker rows sum to the root's `rows_out`.
 
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
-use seq_exec::{
-    execute, execute_batched_with, execute_parallel_with, plan_morsels, AggStrategy, ExecContext,
-    ParallelConfig, PhysNode, PhysPlan,
-};
+use seq_exec::{execute, plan_morsels, AggStrategy, ExecContext, ExecOptions, PhysNode, PhysPlan};
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
 use seq_workload::Rng;
@@ -77,12 +74,12 @@ fn profiling_is_invisible_on_a_probe_walk() {
     let plan = plan_with(AggStrategy::NaiveProbe);
     let c_plain = catalog(11);
     let ctx_plain = ExecContext::new(&c_plain);
-    let plain = execute(&plan, &ctx_plain).unwrap();
+    let plain = execute(&plan, &ctx_plain, &ExecOptions::default()).unwrap();
 
     let c_prof = catalog(11);
     let mut ctx_prof = ExecContext::new(&c_prof);
     let profile = ctx_prof.enable_profiling(&plan);
-    let profiled = execute(&plan, &ctx_prof).unwrap();
+    let profiled = execute(&plan, &ctx_prof, &ExecOptions::default()).unwrap();
 
     assert_eq!(plain, profiled);
     assert_eq!(ctx_plain.stats.snapshot(), ctx_prof.stats.snapshot());
@@ -97,10 +94,14 @@ fn profiling_is_invisible_on_a_probe_walk() {
     // walk step and one base probe: 8 per position, fewer below position 8.
     let c = catalog(11);
     let cache_a = PhysPlan::new(plan_with(AggStrategy::CacheA).root.children()[0].clone(), span());
-    let agg_rows = execute(&cache_a, &ExecContext::new(&c)).unwrap().len() as u64;
+    let agg_rows =
+        execute(&cache_a, &ExecContext::new(&c), &ExecOptions::default()).unwrap().len() as u64;
     let base = PhysPlan::new(PhysNode::Base { name: "T".into(), span: span() }, span());
-    let records: Vec<i64> =
-        execute(&base, &ExecContext::new(&c)).unwrap().iter().map(|r| r.0).collect();
+    let records: Vec<i64> = execute(&base, &ExecContext::new(&c), &ExecOptions::default())
+        .unwrap()
+        .iter()
+        .map(|r| r.0)
+        .collect();
     let found: u64 = span()
         .positions()
         .map(|o| records.iter().filter(|&&p| o - 7 <= p && p <= o).count() as u64)
@@ -120,12 +121,14 @@ fn profiling_is_invisible_on_the_batch_path() {
     let plan = plan();
     let c_plain = catalog(11);
     let ctx_plain = ExecContext::new(&c_plain);
-    let plain = execute_batched_with(&plan, &ctx_plain, 64).unwrap();
+    let plain =
+        execute(&plan, &ctx_plain, &ExecOptions { batch_size: 64, ..Default::default() }).unwrap();
 
     let c_prof = catalog(11);
     let mut ctx_prof = ExecContext::new(&c_prof);
     let profile = ctx_prof.enable_profiling(&plan);
-    let profiled = execute_batched_with(&plan, &ctx_prof, 64).unwrap();
+    let profiled =
+        execute(&plan, &ctx_prof, &ExecOptions { batch_size: 64, ..Default::default() }).unwrap();
 
     assert_eq!(plain, profiled);
     assert_eq!(ctx_plain.stats.snapshot(), ctx_prof.stats.snapshot());
@@ -137,16 +140,16 @@ fn profiling_is_invisible_on_the_batch_path() {
 #[test]
 fn profiling_is_invisible_on_the_parallel_path() {
     let plan = plan();
-    let config = ParallelConfig { workers: 3, batch_size: 64, morsel_positions: 0 };
+    let config = ExecOptions { workers: 3, batch_size: 64, morsel_positions: 0 };
 
     let c_plain = catalog(11);
     let ctx_plain = ExecContext::new(&c_plain);
-    let plain = execute_parallel_with(&plan, &ctx_plain, config).unwrap();
+    let plain = execute(&plan, &ctx_plain, &config).unwrap();
 
     let c_prof = catalog(11);
     let mut ctx_prof = ExecContext::new(&c_prof);
     let profile = ctx_prof.enable_profiling(&plan);
-    let profiled = execute_parallel_with(&plan, &ctx_prof, config).unwrap();
+    let profiled = execute(&plan, &ctx_prof, &config).unwrap();
 
     assert_eq!(plain, profiled);
     // Parallel counter totals are deterministic even though interleaving is
@@ -186,22 +189,24 @@ fn root_rows_out_matches_output_records_across_paths() {
     let c = catalog(23);
     let mut ctx = ExecContext::new(&c);
     let p_one = ctx.enable_profiling(&plan);
-    let rows_one = execute_batched_with(&plan, &ctx, 1).unwrap();
+    let rows_one =
+        execute(&plan, &ctx, &ExecOptions { batch_size: 1, ..Default::default() }).unwrap();
     assert_eq!(p_one.root_rows_out(), rows_one.len() as u64);
     assert_eq!(p_one.root_rows_out(), ctx.stats.snapshot().output_records);
 
     let c = catalog(23);
     let mut ctx = ExecContext::new(&c);
     let p_batch = ctx.enable_profiling(&plan);
-    let rows_batch = execute_batched_with(&plan, &ctx, 64).unwrap();
+    let rows_batch =
+        execute(&plan, &ctx, &ExecOptions { batch_size: 64, ..Default::default() }).unwrap();
     assert_eq!(p_batch.root_rows_out(), rows_batch.len() as u64);
     assert_eq!(p_batch.root_rows_out(), ctx.stats.snapshot().output_records);
 
     let c = catalog(23);
     let mut ctx = ExecContext::new(&c);
     let p_par = ctx.enable_profiling(&plan);
-    let config = ParallelConfig { workers: 4, batch_size: 64, morsel_positions: 97 };
-    let rows_par = execute_parallel_with(&plan, &ctx, config).unwrap();
+    let config = ExecOptions { workers: 4, batch_size: 64, morsel_positions: 97 };
+    let rows_par = execute(&plan, &ctx, &config).unwrap();
     assert_eq!(p_par.root_rows_out(), rows_par.len() as u64);
     assert_eq!(p_par.root_rows_out(), ctx.stats.snapshot().output_records);
 
@@ -214,13 +219,13 @@ fn parallel_worker_morsels_sum_to_sequential_morsel_count() {
     let plan = plan();
     let range = plan.range.intersect(&plan.root.span());
     for workers in [2usize, 4] {
-        let config = ParallelConfig { workers, batch_size: 64, morsel_positions: 128 };
+        let config = ExecOptions { workers, batch_size: 64, morsel_positions: 128 };
         let planned = plan_morsels(range, config.batch_size, workers, config.morsel_positions);
 
         let c = catalog(11);
         let mut ctx = ExecContext::new(&c);
         let profile = ctx.enable_profiling(&plan);
-        execute_parallel_with(&plan, &ctx, config).unwrap();
+        execute(&plan, &ctx, &config).unwrap();
 
         let claimed: u64 = profile.worker_reports().iter().map(|w| w.morsels).sum();
         assert_eq!(claimed, planned.len() as u64, "workers={workers}");
@@ -234,7 +239,7 @@ fn per_operator_exec_counters_sum_to_global_totals() {
     let c = catalog(11);
     let mut ctx = ExecContext::new(&c);
     let profile = ctx.enable_profiling(&plan);
-    execute_batched_with(&plan, &ctx, 64).unwrap();
+    execute(&plan, &ctx, &ExecOptions { batch_size: 64, ..Default::default() }).unwrap();
 
     let total = profile.total_exec();
     let global = ctx.stats.snapshot();

@@ -19,8 +19,8 @@
 
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
 use seq_exec::{
-    execute, execute_batched_with, execute_parallel, AggStrategy, ExecContext, JoinStrategy,
-    PhysNode, PhysPlan, ValueOffsetStrategy, DEFAULT_BATCH_SIZE,
+    execute, AggStrategy, ExecContext, ExecOptions, JoinStrategy, PhysNode, PhysPlan,
+    ValueOffsetStrategy, DEFAULT_BATCH_SIZE,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -274,8 +274,8 @@ fn run(node: &PhysNode, mode: &str, batch_size: usize) -> Run {
     let mut ctx = ExecContext::new(&cat);
     let profile = ctx.enable_profiling(&plan);
     let rows = match mode {
-        "batch" => execute_batched_with(&plan, &ctx, batch_size).unwrap(),
-        "parallel" => execute_parallel(&plan, &ctx, 3).unwrap(),
+        "batch" => execute(&plan, &ctx, &ExecOptions { batch_size, ..Default::default() }).unwrap(),
+        "parallel" => execute(&plan, &ctx, &ExecOptions::with_workers(3)).unwrap(),
         other => unreachable!("unknown mode {other}"),
     };
     Run {
@@ -291,7 +291,7 @@ fn run(node: &PhysNode, mode: &str, batch_size: usize) -> Run {
 fn full_decode_bytes() -> u64 {
     let plan = PhysPlan::new(*base(), span());
     let cat = catalog(17);
-    execute(&plan, &ExecContext::new(&cat)).unwrap();
+    execute(&plan, &ExecContext::new(&cat), &ExecOptions::default()).unwrap();
     cat.stats().snapshot().bytes_decoded
 }
 

@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use seq_core::{record, schema, AttrType, BaseSequence, Span};
 use seq_exec::{
-    execute, execute_batched_with, execute_parallel_with, AggStrategy, ExecContext,
-    MetricsSnapshot, ParallelConfig, PhysNode, PhysPlan, SessionMetrics,
+    execute, AggStrategy, ExecContext, ExecOptions, MetricsSnapshot, PhysNode, PhysPlan,
+    SessionMetrics,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::Catalog;
@@ -85,8 +85,8 @@ fn windowed_plan() -> PhysPlan {
 /// pages): genuinely multi-morsel on the 600-position span (default morsel
 /// sizing would degenerate to one morsel and the batch path), and
 /// page-aligned per the catalog's layout so page folds stay exact.
-fn par_config(workers: usize) -> ParallelConfig {
-    ParallelConfig { workers, batch_size: 32, morsel_positions: 160 }
+fn par_config(workers: usize) -> ExecOptions {
+    ExecOptions { workers, batch_size: 32, morsel_positions: 160 }
 }
 
 fn invariant(snap: &MetricsSnapshot) -> [(&'static str, u64); 6] {
@@ -112,8 +112,10 @@ fn paths_fold_identical_mode_invariant_counters() {
         let mut ctx = ExecContext::new(&catalog);
         ctx.share_telemetry(&metrics);
         let rows = match batch_size {
-            Some(n) => execute_batched_with(&plan, &ctx, n).unwrap(),
-            None => execute_parallel_with(&plan, &ctx, par_config(4)).unwrap(),
+            Some(n) => {
+                execute(&plan, &ctx, &ExecOptions { batch_size: n, ..Default::default() }).unwrap()
+            }
+            None => execute(&plan, &ctx, &par_config(4)).unwrap(),
         };
         (rows, metrics.snapshot())
     };
@@ -149,14 +151,14 @@ fn telemetry_is_on_by_default_and_detachable() {
 
     let ctx = ExecContext::new(&catalog);
     let metrics = ctx.telemetry.clone().expect("telemetry must be on by default");
-    let rows = execute(&plan, &ctx).unwrap();
+    let rows = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
     let snap = metrics.snapshot();
     assert_eq!(snap.queries, 1);
     assert_eq!(snap.rows_out, rows.len() as u64);
 
     let mut ctx = ExecContext::new(&catalog);
     ctx.telemetry = None;
-    let detached = execute(&plan, &ctx).unwrap();
+    let detached = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
     assert_eq!(rows, detached, "detaching telemetry must not change results");
 }
 
@@ -168,13 +170,13 @@ fn shared_registry_accumulates_across_paths_and_queries() {
 
     let mut ctx = ExecContext::new(&catalog);
     ctx.share_telemetry(&metrics);
-    let rows = execute(&plan, &ctx).unwrap();
+    let rows = execute(&plan, &ctx, &ExecOptions::default()).unwrap();
     let mut ctx = ExecContext::new(&catalog);
     ctx.share_telemetry(&metrics);
-    execute_batched_with(&plan, &ctx, 64).unwrap();
+    execute(&plan, &ctx, &ExecOptions { batch_size: 64, ..Default::default() }).unwrap();
     let mut ctx = ExecContext::new(&catalog);
     ctx.share_telemetry(&metrics);
-    execute_parallel_with(&plan, &ctx, par_config(4)).unwrap();
+    execute(&plan, &ctx, &par_config(4)).unwrap();
 
     let snap = metrics.snapshot();
     assert_eq!(snap.queries, 3);
@@ -189,7 +191,7 @@ fn shared_registry_accumulates_across_paths_and_queries() {
     let missing = PhysPlan::new(PhysNode::Base { name: "NOPE".into(), span }, span);
     let mut ctx = ExecContext::new(&catalog);
     ctx.share_telemetry(&metrics);
-    assert!(execute(&missing, &ctx).is_err());
+    assert!(execute(&missing, &ctx, &ExecOptions::default()).is_err());
     let snap = metrics.snapshot();
     assert_eq!(snap.queries, 4);
     assert_eq!(snap.queries_failed, 1);
@@ -204,7 +206,7 @@ fn exports_remain_valid_after_mixed_traffic() {
     for workers in [1usize, 4] {
         let mut ctx = ExecContext::new(&catalog);
         ctx.share_telemetry(&metrics);
-        execute_parallel_with(&plan, &ctx, par_config(workers)).unwrap();
+        execute(&plan, &ctx, &par_config(workers)).unwrap();
     }
     let trace = metrics.trace_to_chrome_json();
     assert!(trace.contains("\"traceEvents\""));

@@ -13,7 +13,7 @@
 //! the per-group outputs in positional order.
 
 use seq_core::{BaseSequence, Record, Result, Span};
-use seq_exec::{execute, ExecContext};
+use seq_exec::ExecContext;
 use seq_ops::QueryGraph;
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_storage::Catalog;
@@ -49,7 +49,7 @@ pub fn correlated_join(
         cfg.range = range;
         let optimized = optimize(&template(), &CatalogRef(&catalog), &cfg)?;
         let ctx = ExecContext::new(&catalog);
-        for (pos, rec) in execute(&optimized.plan, &ctx)?.into_rows() {
+        for (pos, rec) in optimized.execute(&ctx)?.into_rows() {
             out.push((key.to_string(), pos, rec));
         }
     }
@@ -144,7 +144,7 @@ mod tests {
                 .unwrap();
         catalog.reset_measurement();
         let ctx = ExecContext::new(&catalog);
-        execute(&optimized.plan, &ctx).unwrap();
+        optimized.execute(&ctx).unwrap();
         let snap = catalog.stats().snapshot();
         assert_eq!(snap.probes, 0, "stream access only");
         assert_eq!(snap.scans_opened, 2, "one scan per member");

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use seq_core::{BaseSequence, Record, Result, Schema, SeqError, Sequence, Span};
-use seq_exec::{execute, ExecContext};
+use seq_exec::ExecContext;
 use seq_ops::QueryGraph;
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_storage::Catalog;
@@ -94,7 +94,7 @@ impl SequenceGroup {
             cfg.range = range;
             let optimized = optimize(&query, &CatalogRef(&catalog), &cfg)?;
             let ctx = ExecContext::new(&catalog);
-            for (pos, rec) in execute(&optimized.plan, &ctx)?.into_rows() {
+            for (pos, rec) in optimized.execute(&ctx)?.into_rows() {
                 out.push((key.clone(), pos, rec));
             }
         }

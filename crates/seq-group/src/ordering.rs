@@ -254,7 +254,7 @@ mod tests {
     fn collapsed_sequence_queries_like_any_other() {
         // The §5.1 use case end to end: weekly average computed by collapsing
         // then queried with the ordinary algebra.
-        use seq_exec::{execute, ExecContext};
+        use seq_exec::ExecContext;
         use seq_ops::{Expr, SeqQuery};
         use seq_opt::{optimize, CatalogRef, OptimizerConfig};
         use seq_storage::Catalog;
@@ -265,7 +265,7 @@ mod tests {
         let q = SeqQuery::base("WeeklyAvg").select(Expr::attr("close").gt(Expr::lit(30.0))).build();
         let optimized =
             optimize(&q, &CatalogRef(&catalog), &OptimizerConfig::new(Span::new(0, 3))).unwrap();
-        let rows = execute(&optimized.plan, &ExecContext::new(&catalog)).unwrap();
+        let rows = optimized.execute(&ExecContext::new(&catalog)).unwrap();
         let weeks: Vec<i64> = rows.iter().map(|r| r.0).collect();
         assert_eq!(weeks, vec![1, 3]); // avgs 45 and 60
     }

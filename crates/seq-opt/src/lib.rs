@@ -10,7 +10,8 @@
 //! 5. block-wise plan generation — [`selinger`] (Selinger-style DP over
 //!    positional-join orders with the §4.1 cost model in [`cost`]);
 //! 6. plan selection — [`planner::optimize`] returns the cheapest
-//!    stream-access plan as an executable [`seq_exec::PhysPlan`].
+//!    stream-access plan as an executable [`seq_exec::PhysPlan`], which
+//!    [`Optimized::execute`] runs through [`seq_exec::execute`].
 //!
 //! Every technique is independently toggleable via
 //! [`planner::OptimizerConfig`] so experiments can ablate exactly one.

@@ -1,25 +1,26 @@
-//! Execution-mode lowering: which executor entry point runs the plan.
+//! Execution-mode lowering: how many workers the plan runs with.
 //!
-//! Both execution paths produce identical results, so this is a purely
+//! Every execution path produces identical results, so this is a purely
 //! physical decision made after plan selection (Step 6) — and a structural
-//! one: nothing here is priced. The paper's costed physical choice is the
-//! access mode (stream vs. probed, §3.3/§4.1), which the Step-5 DP has
-//! already fixed in the plan's strategies. Which nodes then run a batch
+//! one: nothing here is priced. The executor's run policy
+//! ([`seq_exec::run_policy`]) makes it; this module labels it. The paper's
+//! costed physical choice is the access mode (stream vs. probed,
+//! §3.3/§4.1), which the Step-5 DP has already fixed in the plan's
+//! strategies. Which nodes then run a batch
 //! kernel, which are walked over their own probes, and where a filter's
 //! selection vector is densified all follow from the plan's shape and live
 //! in one place, `seq-exec`'s lowering ([`PhysNode::open_batch`], mirrored
 //! by [`PhysNode::exec_mode_labels`]).
 
 use seq_core::Span;
-use seq_exec::PhysNode;
+use seq_exec::{run_policy, ExecOptions, PhysNode, Run};
 
-/// Which executor entry point a plan should use.
+/// The execution path a plan is lowered onto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Sequential batch kernels ([`seq_exec::execute`]).
+    /// One sequential batch pipeline ([`seq_exec::Run::Sequential`]).
     Batched,
-    /// Morsel-driven parallel batch pipelines
-    /// ([`seq_exec::execute_parallel`]).
+    /// Morsel-driven parallel batch pipelines ([`seq_exec::Run::Morsels`]).
     Parallel {
         /// Worker thread count (always `>= 2` when selected).
         workers: usize,
@@ -35,20 +36,12 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// Decide the execution mode for a selected plan.
-///
-/// Parallel wins when the user asked for more than one worker *and* the
-/// plan can be evaluated morsel-by-morsel: every operator position-
-/// partitionable and the materialized range bounded (morsels are contiguous
-/// position intervals). Otherwise the sequential batch path runs the plan.
+/// Label the run policy's answer at `parallelism` workers: parallel
+/// whenever the plan splits into morsels at all, even if its range is one.
 pub fn choose_exec_mode(root: &PhysNode, parallelism: usize, range: Span) -> ExecMode {
-    if parallelism > 1
-        && root.is_position_partitionable()
-        && range.intersect(&root.span()).is_bounded()
-    {
-        ExecMode::Parallel { workers: parallelism }
-    } else {
-        ExecMode::Batched
+    match run_policy(root, range, &ExecOptions::with_workers(parallelism)) {
+        Run::Sequential => ExecMode::Batched,
+        _ => ExecMode::Parallel { workers: parallelism },
     }
 }
 

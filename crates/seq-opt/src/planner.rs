@@ -125,12 +125,11 @@ pub struct Optimized {
 }
 
 impl Optimized {
-    /// Run the selected plan on the execution path Step 6 chose.
+    /// Run the selected plan with the worker count Step 6 chose; the
+    /// driver's run policy ([`seq_exec::run_policy`]) picks the path.
     pub fn execute(&self, ctx: &seq_exec::ExecContext<'_>) -> Result<seq_core::ResultSet> {
-        match self.exec_mode {
-            ExecMode::Parallel { workers } => seq_exec::execute_parallel(&self.plan, ctx, workers),
-            ExecMode::Batched => seq_exec::execute(&self.plan, ctx),
-        }
+        let workers = if let ExecMode::Parallel { workers } = self.exec_mode { workers } else { 1 };
+        seq_exec::execute(&self.plan, ctx, &seq_exec::ExecOptions::with_workers(workers))
     }
 }
 
@@ -261,7 +260,7 @@ mod tests {
     use super::*;
     use crate::info::CatalogRef;
     use seq_core::{record, schema, AttrType, BaseSequence, Record, Row, Schema, Value};
-    use seq_exec::{execute, ExecContext};
+    use seq_exec::ExecContext;
     use seq_ops::{AggFunc, Expr, SeqQuery, Window};
     use seq_storage::Catalog;
 
@@ -309,7 +308,7 @@ mod tests {
         assert!(opt.explain.contains("Step 6"));
 
         let ctx = ExecContext::new(&c);
-        let out = execute(&opt.plan, &ctx).unwrap();
+        let out = opt.execute(&ctx).unwrap();
         assert!(!out.is_empty());
         // Every output is within the restricted span [200, 350].
         assert!(out.iter().all(|Row(p, _)| (200..=350).contains(&p)));
@@ -333,8 +332,8 @@ mod tests {
         let naive = optimize(&q, &info, &OptimizerConfig::naive(range)).unwrap();
 
         let ctx = ExecContext::new(&c);
-        let a = execute(&full.plan, &ctx).unwrap();
-        let b = execute(&naive.plan, &ctx).unwrap();
+        let a = full.execute(&ctx).unwrap();
+        let b = naive.execute(&ctx).unwrap();
         assert_eq!(a, b);
     }
 
@@ -355,12 +354,12 @@ mod tests {
 
         c.reset_measurement();
         let ctx = ExecContext::new(&c);
-        let out_with = execute(&plan_with.plan, &ctx).unwrap();
+        let out_with = plan_with.execute(&ctx).unwrap();
         let snap_with = c.stats().snapshot();
 
         c.reset_measurement();
         let ctx = ExecContext::new(&c);
-        let out_without = execute(&plan_without.plan, &ctx).unwrap();
+        let out_without = plan_without.execute(&ctx).unwrap();
         let snap_without = c.stats().snapshot();
 
         assert_eq!(out_with.len(), out_without.len());
@@ -381,7 +380,7 @@ mod tests {
         let opt = optimize(&q, &info, &OptimizerConfig::new(Span::new(200, 505))).unwrap();
         assert_eq!(opt.block_count, 1);
         let ctx = ExecContext::new(&c);
-        let out = execute(&opt.plan, &ctx).unwrap();
+        let out = opt.execute(&ctx).unwrap();
         assert!(!out.is_empty());
         // Spot-check one window: positions 200..=205 hold records except
         // multiples of 20: 201..=205 (200 is dropped). Sum at 205 of
@@ -410,7 +409,7 @@ mod tests {
         assert!(opt.plan.render().contains("IncrementalCacheB"));
 
         let ctx = ExecContext::new(&c);
-        let out = execute(&opt.plan, &ctx).unwrap();
+        let out = opt.execute(&ctx).unwrap();
         assert!(!out.is_empty());
         assert_eq!(out.iter().next().unwrap().1.arity(), 6);
 
@@ -418,7 +417,7 @@ mod tests {
         let naive = optimize(&q, &info, &OptimizerConfig::naive(Span::new(1, 350))).unwrap();
         assert!(naive.plan.render().contains("NaiveProbe"));
         let ctx2 = ExecContext::new(&c);
-        let out2 = execute(&naive.plan, &ctx2).unwrap();
+        let out2 = naive.execute(&ctx2).unwrap();
         assert_eq!(out, out2);
     }
 
@@ -452,7 +451,7 @@ mod tests {
             .build();
         let opt = optimize(&q, &info, &OptimizerConfig::new(Span::all())).unwrap();
         let ctx = ExecContext::new(&c);
-        let out = execute(&opt.plan, &ctx).unwrap();
+        let out = opt.execute(&ctx).unwrap();
         assert!(!out.is_empty());
         for Row(_, r) in &out {
             assert!(r.value(1).unwrap().as_f64().unwrap() > 300.0);
@@ -471,7 +470,7 @@ mod tests {
             .build();
         let opt = optimize(&q, &info, &OptimizerConfig::new(Span::all())).unwrap();
         let ctx = ExecContext::new(&c);
-        let out = execute(&opt.plan, &ctx).unwrap();
+        let out = opt.execute(&ctx).unwrap();
         assert!(!out.is_empty());
         for Row(p, r) in &out {
             assert_eq!(r.arity(), 2);
@@ -500,7 +499,7 @@ mod tests {
                 opt.plan.render()
             );
             let ctx = ExecContext::new(&c);
-            let out = execute(&opt.plan, &ctx).unwrap();
+            let out = opt.execute(&ctx).unwrap();
             assert_eq!(out.len(), 285); // |IBM ∩ HP| in [200,500]: 301 − 16 multiples of 20
         }
     }

@@ -22,9 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use seq_core::{record, schema, AttrType, BaseSequence, Record, ResultSet, Sequence, Span};
-use seq_exec::{
-    execute_batched_with, execute_parallel_with, ExecContext, ParallelConfig, PhysPlan,
-};
+use seq_exec::{execute, ExecContext, ExecOptions, PhysPlan};
 use seq_ops::{Expr, QueryGraph, ReferenceEvaluator, SeqQuery};
 use seq_opt::{optimize, CatalogRef, OptimizerConfig};
 use seq_storage::{Catalog, StatsSnapshot};
@@ -130,11 +128,13 @@ fn drive(plan: &PhysPlan, seed: u64, path: &str) -> Run {
     let c = catalog(seed);
     let ctx = ExecContext::new(&c);
     let rows = match path {
-        "one" => execute_batched_with(plan, &ctx, 1).unwrap(),
-        "batch" => execute_batched_with(plan, &ctx, 48).unwrap(),
+        "one" => execute(plan, &ctx, &ExecOptions { batch_size: 1, ..Default::default() }).unwrap(),
+        "batch" => {
+            execute(plan, &ctx, &ExecOptions { batch_size: 48, ..Default::default() }).unwrap()
+        }
         "parallel" => {
-            let config = ParallelConfig { workers: 4, batch_size: 48, morsel_positions: 96 };
-            execute_parallel_with(plan, &ctx, config).unwrap()
+            let config = ExecOptions { workers: 4, batch_size: 48, morsel_positions: 96 };
+            execute(plan, &ctx, &config).unwrap()
         }
         other => panic!("unknown path {other}"),
     };

@@ -38,6 +38,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use seq_core::{Row, Sequence, Span};
+use seq_exec::ExecOptions;
 
 use crate::engine::{Engine, SessionConfig};
 
@@ -464,13 +465,11 @@ fn dispatch(
 fn session_set(arg: &str, config: &mut SessionConfig) -> Reply {
     let mut parts = arg.split_whitespace();
     match (parts.next(), parts.next()) {
-        (Some("parallelism"), Some(n)) => match n.parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                config.parallelism = n;
-                Ok(vec![format!("parallelism {n}")])
-            }
-            _ => Err(("proto", "parallelism must be >= 1".to_string())),
-        },
+        (Some("parallelism"), Some(n)) => {
+            let n = ExecOptions::parse_workers(n).map_err(|e| ("proto", e))?;
+            config.parallelism = n;
+            Ok(vec![format!("parallelism {n}")])
+        }
         (Some("pushdown"), Some(v)) => match v {
             "on" => {
                 config.pushdown = true;

@@ -308,6 +308,32 @@ fn oversized_window_width_is_a_query_error_and_the_worker_survives() {
 }
 
 #[test]
+fn out_of_range_parallelism_gets_err_proto_and_the_session_still_answers() {
+    // 2^62 workers once wrapped the morsel arithmetic to a division by zero
+    // on the only worker thread; more workers than cores spawned that many
+    // threads per query. Both are refused at `\set`, and the session keeps
+    // its sequential config.
+    let mut cfg = ServerConfig::local(Span::new(1, 750));
+    cfg.workers = 1;
+    let handle = serve(engine(1), &cfg).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for n in ["4611686018427387904".to_string(), (cores + 1).to_string(), "0".to_string()] {
+        let reply = client.send(&format!("\\set parallelism {n}")).unwrap();
+        assert!(reply.is_err_code("proto"), "parallelism {n}: {reply:?}");
+        let Response::Ok(lines) = client.send("(agg sum close (trailing 2) (base HP))").unwrap()
+        else {
+            panic!("the next query after parallelism {n} was not answered");
+        };
+        assert!(lines.last().unwrap().contains("| batched |"), "{lines:?}");
+    }
+    let reply = client.send(&format!("\\set parallelism {cores}")).unwrap();
+    assert!(matches!(reply, Response::Ok(v) if v == [format!("parallelism {cores}")]));
+    drop(client);
+    handle.join();
+}
+
+#[test]
 fn oversized_line_gets_err_proto_and_the_connection_closes() {
     use std::io::{BufRead, BufReader, Write};
     let handle = serve(engine(1), &ServerConfig::local(Span::new(1, 750))).unwrap();

@@ -68,7 +68,7 @@ fn main() -> Result<(), SeqError> {
     }
 
     // Cross-check against batch evaluation.
-    let batch = execute(&optimized.plan, &ExecContext::new(&catalog))?;
+    let batch = optimized.execute(&ExecContext::new(&catalog))?;
     assert_eq!(batch.len(), fired);
     println!("\nbatch evaluation agrees: {} outputs", batch.len());
     Ok(())

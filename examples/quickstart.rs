@@ -38,7 +38,7 @@ fn main() -> Result<(), SeqError> {
 
     // 4. Execute with the stream-access Start operator.
     let ctx = ExecContext::new(&catalog);
-    let rows = execute(&optimized.plan, &ctx)?;
+    let rows = optimized.execute(&ctx)?;
     println!("== {} momentum days ==", rows.len());
     for Row(day, row) in rows.iter().take(8) {
         println!(

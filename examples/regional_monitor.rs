@@ -92,7 +92,7 @@ fn main() -> Result<(), SeqError> {
     use seqproc::seq_core::Sequence;
     let weekly_span = weekly.meta().span;
     let optimized = optimize(&q, &CatalogRef(&catalog), &OptimizerConfig::new(weekly_span))?;
-    let bad_weeks = execute(&optimized.plan, &ExecContext::new(&catalog))?;
+    let bad_weeks = optimized.execute(&ExecContext::new(&catalog))?;
     println!("weeks with a quake above 8.9: {}", bad_weeks.len());
     for Row(week, rec) in bad_weeks.iter().take(3) {
         println!(

@@ -30,10 +30,10 @@ fn main() -> Result<(), SeqError> {
     println!("\n== Figure 3: DEC where IBM.close > HP.close ==");
     println!("-- with span propagation --\n{}", with.plan.render());
     catalog.reset_measurement();
-    let rows_with = execute(&with.plan, &ExecContext::new(&catalog))?;
+    let rows_with = with.execute(&ExecContext::new(&catalog))?;
     let s_with = catalog.stats().snapshot();
     catalog.reset_measurement();
-    let rows_without = execute(&without.plan, &ExecContext::new(&catalog))?;
+    let rows_without = without.execute(&ExecContext::new(&catalog))?;
     let s_without = catalog.stats().snapshot();
     assert_eq!(rows_with, rows_without);
     println!("answers: {}", rows_with.len());
@@ -56,11 +56,11 @@ fn main() -> Result<(), SeqError> {
 
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    let a = execute(&cached.plan, &ctx)?;
+    let a = cached.execute(&ctx)?;
     let s_cached = catalog.stats().snapshot();
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    let b = execute(&naive.plan, &ctx)?;
+    let b = naive.execute(&ctx)?;
     let s_naive = catalog.stats().snapshot();
     assert_eq!(a, b);
     println!("outputs: {}", a.len());
@@ -79,12 +79,12 @@ fn main() -> Result<(), SeqError> {
 
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    let a = execute(&cache_b.plan, &ctx)?;
+    let a = cache_b.execute(&ctx)?;
     let exec_a = ctx.stats.snapshot();
     let s_b = catalog.stats().snapshot();
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    let bb = execute(&naive_b.plan, &ctx)?;
+    let bb = naive_b.execute(&ctx)?;
     let exec_b = ctx.stats.snapshot();
     let s_naive_b = catalog.stats().snapshot();
     assert_eq!(a, bb);

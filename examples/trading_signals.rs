@@ -31,7 +31,7 @@ fn main() -> Result<(), SeqError> {
     println!("\n== plan ==\n{}", optimized.plan.render());
 
     let ctx = ExecContext::new(&catalog);
-    let rows = execute(&optimized.plan, &ctx)?;
+    let rows = optimized.execute(&ctx)?;
 
     // Compress runs of consecutive signal days into entry points.
     let mut entries = Vec::new();

@@ -32,7 +32,7 @@ fn main() -> Result<(), SeqError> {
 
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    let rows = execute(&optimized.plan, &ctx)?;
+    let rows = optimized.execute(&ctx)?;
     let seq_stats = catalog.stats().snapshot();
     println!("answers: {} eruptions", rows.len());
     for Row(pos, row) in rows.iter().take(5) {

@@ -34,7 +34,8 @@
 //! - `\limit N` — cap printed rows (default 20);
 //! - `\range LO HI` — set the query template's position range;
 //! - `\set parallelism N` — worker threads for morsel-driven parallel
-//!   execution of partitionable plans (default 1 = sequential);
+//!   execution of partitionable plans, 1 to the host's cores (default 1 =
+//!   sequential);
 //! - `\set pushdown on|off` — fuse eligible selections into base scans so
 //!   zone maps can skip refuted pages (default on; `\stats` and `\analyze`
 //!   report the resulting `pages_skipped`);
@@ -144,12 +145,12 @@ impl Shell {
                 }
             }
             Some("set") => match (parts.next(), parts.next()) {
-                (Some("parallelism"), Some(v)) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
+                (Some("parallelism"), Some(v)) => match ExecOptions::parse_workers(v) {
+                    Ok(n) => {
                         self.parallelism = n;
                         println!("parallelism: {n} worker{}", if n == 1 { "" } else { "s" });
                     }
-                    _ => println!("usage: \\set parallelism N  (N >= 1)"),
+                    Err(e) => println!("usage: \\set parallelism N  ({e})"),
                 },
                 (Some("pushdown"), Some(v @ ("on" | "off"))) => {
                     self.pushdown = v == "on";

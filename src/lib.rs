@@ -31,7 +31,7 @@
 //! let cfg = OptimizerConfig::new(Span::new(1, 30));
 //! let optimized = optimize(&query, &CatalogRef(&catalog), &cfg).unwrap();
 //! let ctx = ExecContext::new(&catalog);
-//! let rows = execute(&optimized.plan, &ctx).unwrap();
+//! let rows = optimized.execute(&ctx).unwrap();
 //! assert!(!rows.is_empty());
 //! ```
 //!
@@ -60,10 +60,9 @@ pub mod prelude {
         SeqError, SeqMeta, Sequence, Span, Value,
     };
     pub use seq_exec::{
-        execute, execute_batched_with, execute_parallel, execute_parallel_with, probe_positions,
-        AggStrategy, ExecContext, ExecStats, HistogramSnapshot, JoinStrategy, LatencyHistogram,
-        MetricsSnapshot, ParallelConfig, Phase, PhysNode, PhysPlan, QueryPath, QueryProfile,
-        SessionMetrics, ValueOffsetStrategy,
+        execute, probe_positions, AggStrategy, ExecContext, ExecOptions, ExecStats,
+        HistogramSnapshot, JoinStrategy, LatencyHistogram, MetricsSnapshot, Phase, PhysNode,
+        PhysPlan, QueryPath, QueryProfile, SessionMetrics, ValueOffsetStrategy,
     };
     pub use seq_ops::{
         AggFunc, BinOp, Expr, QueryGraph, ReferenceEvaluator, SeqOperator, SeqQuery, Window,

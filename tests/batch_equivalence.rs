@@ -8,7 +8,7 @@ mod common;
 
 use common::*;
 use seqproc::prelude::*;
-use seqproc::seq_exec::{execute_batched_with, DEFAULT_BATCH_SIZE};
+use seqproc::seq_exec::{execute, ExecOptions, DEFAULT_BATCH_SIZE};
 use seqproc::seq_opt::ExecMode;
 use seqproc::seq_workload::Rng;
 
@@ -32,13 +32,17 @@ fn check_seed(seed: u64, depth: u32, batch_size: Option<usize>) -> bool {
 
     let ctx = ExecContext::new(&world.catalog);
     let batch_size = batch_size.unwrap_or(DEFAULT_BATCH_SIZE);
-    let batch_path = match execute_batched_with(&optimized.plan, &ctx, batch_size) {
-        Ok(rows) => rows,
-        Err(SeqError::Unsupported(_)) => return false,
-        Err(e) => {
-            panic!("seed {seed}: batched execution failed: {e}\nplan:\n{}", optimized.plan.render())
-        }
-    };
+    let batch_path =
+        match execute(&optimized.plan, &ctx, &ExecOptions { batch_size, ..Default::default() }) {
+            Ok(rows) => rows,
+            Err(SeqError::Unsupported(_)) => return false,
+            Err(e) => {
+                panic!(
+                    "seed {seed}: batched execution failed: {e}\nplan:\n{}",
+                    optimized.plan.render()
+                )
+            }
+        };
     assert_rows_equal(&reference, &batch_path, &format!("seed {seed}"));
 
     // The planner-chosen mode must round-trip through the dispatcher too.

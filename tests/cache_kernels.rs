@@ -168,7 +168,9 @@ fn check_plan(
     let mut full_stores = charges.cache_stores;
     for bs in BATCH_SIZES {
         let ctx = ExecContext::new(&world.catalog);
-        let rows = execute_batched_with(plan, &ctx, bs).unwrap().into_rows();
+        let rows = execute(plan, &ctx, &ExecOptions { batch_size: bs, ..Default::default() })
+            .unwrap()
+            .into_rows();
         assert_bit_identical(&rows, reference, &format!("{label} batch {bs}"));
         let snap = ctx.stats.snapshot();
         let stores = *full_stores.get_or_insert_with(|| {

@@ -156,7 +156,7 @@ pub fn optimized_rows(
         Err(e) => panic!("optimization failed: {e}"),
     };
     let ctx = ExecContext::new(&world.catalog);
-    match execute(&optimized.plan, &ctx) {
+    match optimized.execute(&ctx) {
         Ok(rows) => Some(rows),
         Err(SeqError::Unsupported(_)) => None,
         Err(e) => panic!("execution failed: {e}\nplan:\n{}", optimized.plan.render()),

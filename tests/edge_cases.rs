@@ -17,7 +17,7 @@ fn world_with(entries: Vec<(i64, f64)>) -> Catalog {
 
 fn run(catalog: &Catalog, q: QueryGraph, range: Span) -> Vec<(i64, Record)> {
     let optimized = optimize(&q, &CatalogRef(catalog), &OptimizerConfig::new(range)).unwrap();
-    execute(&optimized.plan, &ExecContext::new(catalog)).unwrap().into_rows()
+    optimized.execute(&ExecContext::new(catalog)).unwrap().into_rows()
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn deep_operator_chain() {
     let optimized =
         optimize(&q, &CatalogRef(&catalog), &OptimizerConfig::new(Span::new(1, 220))).unwrap();
     assert_eq!(optimized.block_count, 5);
-    let rows = execute(&optimized.plan, &ExecContext::new(&catalog)).unwrap();
+    let rows = optimized.execute(&ExecContext::new(&catalog)).unwrap();
     assert!(!rows.is_empty());
 }
 

@@ -17,7 +17,7 @@ fn run_world(seed: u64, n_quakes: usize, n_volcanos: usize) {
     let optimized = optimize(&query, &CatalogRef(&catalog), &OptimizerConfig::new(span)).unwrap();
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    let rows = execute(&optimized.plan, &ctx).unwrap();
+    let rows = optimized.execute(&ctx).unwrap();
     let seq_stats = catalog.stats().snapshot();
 
     // Relational baselines.
@@ -116,7 +116,7 @@ fn example11_threshold_sweep_consistency() {
         )
         .unwrap();
         let ctx = ExecContext::new(&catalog);
-        let rows = execute(&optimized.plan, &ctx).unwrap();
+        let rows = optimized.execute(&ctx).unwrap();
         let stats = RelStats::new();
         let rel = nested_subquery_plan(&volcanos, &quakes, threshold, &stats).unwrap();
         assert_eq!(rows.len(), rel.len(), "threshold {threshold}");

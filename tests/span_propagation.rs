@@ -51,10 +51,10 @@ fn span_restriction_cuts_accesses_and_cost_estimate() {
     assert!(with.est_cost < without.est_cost);
 
     catalog.reset_measurement();
-    let a = execute(&with.plan, &ExecContext::new(&catalog)).unwrap();
+    let a = with.execute(&ExecContext::new(&catalog)).unwrap();
     let s_with = catalog.stats().snapshot();
     catalog.reset_measurement();
-    let b = execute(&without.plan, &ExecContext::new(&catalog)).unwrap();
+    let b = without.execute(&ExecContext::new(&catalog)).unwrap();
     let s_without = catalog.stats().snapshot();
 
     assert_eq!(a, b, "restriction must not change the answer");
@@ -78,7 +78,7 @@ fn narrow_query_ranges_propagate_to_leaves() {
         rendered.contains("span=[300, 310]"),
         "leaf scans should be clamped to the requested range:\n{rendered}"
     );
-    let rows = execute(&opt.plan, &ExecContext::new(&catalog)).unwrap();
+    let rows = opt.execute(&ExecContext::new(&catalog)).unwrap();
     assert!(rows.iter().all(|r| (300..=310).contains(&r.0)));
 }
 
@@ -90,7 +90,7 @@ fn disjoint_spans_yield_empty_plans_cheaply() {
     let info = CatalogRef(&catalog);
     let opt = optimize(&query, &info, &OptimizerConfig::new(Span::new(1, 100))).unwrap();
     catalog.reset_measurement();
-    let rows = execute(&opt.plan, &ExecContext::new(&catalog)).unwrap();
+    let rows = opt.execute(&ExecContext::new(&catalog)).unwrap();
     assert!(rows.is_empty());
     assert_eq!(catalog.stats().snapshot().page_reads, 0, "no I/O for an empty range");
 }

@@ -26,7 +26,7 @@ fn assert_stream_access(catalog: &Catalog, query: &QueryGraph, range: Span) {
     let opt = optimize(query, &CatalogRef(catalog), &OptimizerConfig::new(range)).unwrap();
     catalog.reset_measurement();
     let ctx = ExecContext::new(catalog);
-    let rows = execute(&opt.plan, &ctx).unwrap();
+    let rows = opt.execute(&ctx).unwrap();
     assert!(!rows.is_empty(), "query produced no data — vacuous check");
     let snap = catalog.stats().snapshot();
     assert_eq!(snap.probes, 0, "stream-access plans never probe\n{}", opt.plan.render());
@@ -80,7 +80,7 @@ fn lockstep_join_is_single_scan() {
     let opt = optimize(&q, &CatalogRef(&catalog), &cfg).unwrap();
     catalog.reset_measurement();
     let ctx = ExecContext::new(&catalog);
-    execute(&opt.plan, &ctx).unwrap();
+    opt.execute(&ctx).unwrap();
     let snap = catalog.stats().snapshot();
     assert_eq!(snap.probes, 0);
     assert_eq!(snap.scans_opened, 2, "exactly one scan per base sequence");
@@ -111,7 +111,7 @@ fn cache_sizes_are_constant_in_the_data() {
         let opt = optimize(&q, &CatalogRef(&catalog), &OptimizerConfig::new(Span::new(1, n + 7)))
             .unwrap();
         let ctx = ExecContext::new(&catalog);
-        execute(&opt.plan, &ctx).unwrap();
+        opt.execute(&ctx).unwrap();
         (opt.plan.render(), ctx.stats.snapshot().cache_stores)
     };
     let (plan_small, stores_small) = run(1_000);
