@@ -178,7 +178,7 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
     }
     let workers = profile.get("workers").and_then(Json::as_array).unwrap_or(&[]);
     for (i, w) in workers.iter().enumerate() {
-        for key in ["worker", "morsels", "rows", "busy_ms", "claim_wait_ms"] {
+        for key in ["worker", "morsels", "rows", "busy_ms"] {
             if w.get(key).and_then(Json::as_f64).is_none() {
                 return Err(format!("worker {i} missing numeric {key:?}"));
             }

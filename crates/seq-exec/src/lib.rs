@@ -27,9 +27,9 @@
 //!   It returns a [`seq_core::ResultSet`]: the root's batches, kept
 //!   columnar, with no rows built unless the caller asks for them;
 //! - [`parallel`] — the morsels: tiling a bounded range and running a
-//!   position-partitionable plan over worker threads with an
-//!   order-preserving bounded merge that moves each morsel's batches into
-//!   the result;
+//!   position-partitionable plan on the calling thread plus scoped helpers,
+//!   which claim morsels from one atomic counter; the caller then moves
+//!   each morsel's batches into the result in morsel order;
 //! - [`profile`] — seq-trace: opt-in per-operator/per-worker instrumentation
 //!   ([`profile::QueryProfile`]) with hand-rolled JSON export;
 //! - [`telemetry`] — the always-on side of seq-trace: the session metrics
@@ -55,7 +55,10 @@ pub use aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
 pub use batch::{BatchCursor, FusedBaseBatchCursor, ProbeWalkBatchCursor, DEFAULT_BATCH_SIZE};
 pub use cache::OpCache;
 pub use compose::{LockStepJoinBatch, StreamProbeJoinBatch, StreamSide};
-pub use exec::{execute, materialize_into, probe_positions, run_policy, ExecOptions, Run};
+pub use exec::{
+    default_parallelism, execute, materialize_into, probe_positions, run_policy, run_workers,
+    ExecOptions, Run, MIN_SPLIT_MORSELS,
+};
 pub use incremental::{replay, Emission, TriggerEngine};
 pub use offset::ValueOffsetBatchCursor;
 pub use parallel::plan_morsels;

@@ -137,7 +137,7 @@ pub struct OpReport {
 /// Per-worker measurements from one morsel-parallel execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerProfile {
-    /// Worker index in `0..degree`.
+    /// Worker index in `0..degree`; 0 is the calling thread.
     pub worker: usize,
     /// Morsels this worker claimed and ran.
     pub morsels: u64,
@@ -145,9 +145,6 @@ pub struct WorkerProfile {
     pub rows: u64,
     /// Time spent evaluating morsels.
     pub busy: Duration,
-    /// Time spent blocked claiming morsels (bounded merge window full, or
-    /// waiting for the run to end).
-    pub claim_wait: Duration,
 }
 
 /// Per-operator, per-worker metrics registry for one query execution.
@@ -250,7 +247,8 @@ impl QueryProfile {
         self.morsels_planned.load(Ordering::Relaxed)
     }
 
-    /// Time the merge thread spent waiting on workers.
+    /// Time the calling thread waited to join the helper threads after its
+    /// last morsel.
     pub fn merge_wait(&self) -> Duration {
         Duration::from_nanos(self.merge_wait_nanos.load(Ordering::Relaxed))
     }
@@ -337,9 +335,9 @@ impl QueryProfile {
         self.morsels_planned.store(n, Ordering::Relaxed);
     }
 
-    /// Add merge-thread wait time.
-    pub(crate) fn record_merge_wait(&self, nanos: u64) {
-        self.merge_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
+    /// Add the caller's join wait.
+    pub(crate) fn record_merge_wait(&self, wait: Duration) {
+        self.merge_wait_nanos.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Deliver one worker's measurements at the end of a parallel run.
@@ -385,28 +383,35 @@ impl QueryProfile {
             }
             let _ = writeln!(out);
         }
+        self.render_workers(&mut out);
+        out
+    }
+
+    /// The per-worker lines of a parallel run (nothing for a sequential
+    /// one), shared by [`QueryProfile::render`] and EXPLAIN ANALYZE.
+    pub fn render_workers(&self, out: &mut String) {
+        use std::fmt::Write;
         let workers = self.worker_reports();
-        if !workers.is_empty() {
+        if workers.is_empty() {
+            return;
+        }
+        let _ = writeln!(
+            out,
+            "parallel: {} morsels over {} workers, merge wait {:.3}ms",
+            self.morsels_planned(),
+            workers.len(),
+            self.merge_wait().as_secs_f64() * 1e3
+        );
+        for w in &workers {
             let _ = writeln!(
                 out,
-                "parallel: {} morsels over {} workers, merge wait {:.3}ms",
-                self.morsels_planned(),
-                workers.len(),
-                self.merge_wait().as_secs_f64() * 1e3
+                "  worker {}: morsels={} rows={} busy={:.3}ms",
+                w.worker,
+                w.morsels,
+                w.rows,
+                w.busy.as_secs_f64() * 1e3
             );
-            for w in &workers {
-                let _ = writeln!(
-                    out,
-                    "  worker {}: morsels={} rows={} busy={:.3}ms claim_wait={:.3}ms",
-                    w.worker,
-                    w.morsels,
-                    w.rows,
-                    w.busy.as_secs_f64() * 1e3,
-                    w.claim_wait.as_secs_f64() * 1e3
-                );
-            }
         }
-        out
     }
 
     /// Machine-readable JSON export (hand-rolled; no serde). The shape is
@@ -456,8 +461,7 @@ impl QueryProfile {
             w.field_num("worker", wk.worker as f64);
             w.field_num("morsels", wk.morsels as f64);
             w.field_num("rows", wk.rows as f64);
-            w.field_num("busy_ms", wk.busy.as_secs_f64() * 1e3);
-            w.last_field_num("claim_wait_ms", wk.claim_wait.as_secs_f64() * 1e3);
+            w.last_field_num("busy_ms", wk.busy.as_secs_f64() * 1e3);
             w.raw("}");
         }
         if self.worker_reports().is_empty() {

@@ -245,7 +245,7 @@ impl Phase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryPath {
     /// One sequential batch pipeline ([`crate::Run::Sequential`] and
-    /// [`crate::Run::OneMorsel`]).
+    /// [`crate::Run::FewMorsels`]).
     Batch,
     /// Morsel-driven parallel workers ([`crate::Run::Morsels`]).
     Parallel,

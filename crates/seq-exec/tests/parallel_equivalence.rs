@@ -419,6 +419,9 @@ fn run_policy_decision_table() {
     let ranges = [
         ("multi-morsel", span),
         ("one-morsel", Span::new(100, 150)),
+        // 128 positions at batch 64 and 4 workers: two one-batch morsels,
+        // under MIN_SPLIT_MORSELS.
+        ("two-morsel", Span::new(100, 227)),
         ("empty", Span::new(N + 100, N + 200)),
     ];
     for (plan_name, node, splits) in &plans {
@@ -440,8 +443,8 @@ fn run_policy_decision_table() {
                         );
                         true
                     }
-                    (true, "one-morsel") => {
-                        assert_eq!(run, Run::OneMorsel, "{label}");
+                    (true, "one-morsel" | "two-morsel") => {
+                        assert_eq!(run, Run::FewMorsels, "{label}");
                         false
                     }
                     _ => {

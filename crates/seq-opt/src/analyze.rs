@@ -470,27 +470,7 @@ fn render(
         }
         let _ = writeln!(out);
     }
-    let workers = profile.worker_reports();
-    if !workers.is_empty() {
-        let _ = writeln!(
-            out,
-            "parallel: {} morsels over {} workers, merge wait {:.3}ms",
-            profile.morsels_planned(),
-            workers.len(),
-            profile.merge_wait().as_secs_f64() * 1e3
-        );
-        for w in &workers {
-            let _ = writeln!(
-                out,
-                "  worker {}: morsels={} rows={} busy={:.3}ms claim_wait={:.3}ms",
-                w.worker,
-                w.morsels,
-                w.rows,
-                w.busy.as_secs_f64() * 1e3,
-                w.claim_wait.as_secs_f64() * 1e3
-            );
-        }
-    }
+    profile.render_workers(&mut out);
     let actual_skipped = profile.total_storage().pages_skipped;
     if opt.est_pages_skipped > 0.0 || actual_skipped > 0 {
         let _ = writeln!(
@@ -525,7 +505,7 @@ mod tests {
 
     // Large enough that the parallel driver splits the range into several
     // default-sized morsels (each a batch-size multiple).
-    const N: i64 = 5_000;
+    const N: i64 = 10_000;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -632,10 +612,11 @@ mod tests {
         c.register("T", &base);
         let q =
             parse_query("(agg avg close cumulative (prev (compose (base S) (base T))))").unwrap();
-        let cfg = OptimizerConfig::new(Span::new(1, N));
+        let mut cfg = OptimizerConfig::new(Span::new(1, N));
+        cfg.parallelism = 2;
         let opt = optimize(&q, &CatalogRef(&c), &cfg).unwrap();
         // Not partitionable (value offset + cumulative agg), so the whole
-        // stack runs on the sequential vectorized path.
+        // stack runs on the sequential vectorized path, even at 2 workers.
         assert!(matches!(opt.exec_mode, crate::lowering::ExecMode::Batched));
         let mut ctx = ExecContext::new(&c);
         let report = explain_analyze(&opt, &mut ctx, &cfg.cost).unwrap();

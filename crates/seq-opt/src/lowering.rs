@@ -13,12 +13,13 @@
 //! by [`PhysNode::exec_mode_labels`]).
 
 use seq_core::Span;
-use seq_exec::{run_policy, ExecOptions, PhysNode, Run};
+use seq_exec::{run_workers, ExecOptions, PhysNode};
 
 /// The execution path a plan is lowered onto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One sequential batch pipeline ([`seq_exec::Run::Sequential`]).
+    /// One sequential batch pipeline ([`seq_exec::Run::Sequential`] or
+    /// [`seq_exec::Run::FewMorsels`]).
     Batched,
     /// Morsel-driven parallel batch pipelines ([`seq_exec::Run::Morsels`]).
     Parallel {
@@ -36,12 +37,13 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// Label the run policy's answer at `parallelism` workers: parallel
-/// whenever the plan splits into morsels at all, even if its range is one.
+/// Label the run policy's answer at `parallelism` workers with the threads
+/// that actually run the plan: `batched` for one pipeline (a range of one
+/// morsel included), else `parallel(min(parallelism, morsels))`.
 pub fn choose_exec_mode(root: &PhysNode, parallelism: usize, range: Span) -> ExecMode {
-    match run_policy(root, range, &ExecOptions::with_workers(parallelism)) {
-        Run::Sequential => ExecMode::Batched,
-        _ => ExecMode::Parallel { workers: parallelism },
+    match run_workers(root, range, &ExecOptions::with_workers(parallelism)) {
+        1 => ExecMode::Batched,
+        workers => ExecMode::Parallel { workers },
     }
 }
 
@@ -80,18 +82,25 @@ mod tests {
 
     #[test]
     fn parallel_mode_needs_partitionable_plan_and_bounded_range() {
-        let span = Span::new(1, 10);
-        let b = base();
+        let span = Span::new(1, 100_000);
+        let b = Box::new(PhysNode::Base { name: "A".into(), span });
         assert_eq!(choose_exec_mode(&b, 4, span), ExecMode::Parallel { workers: 4 });
         // Parallelism 1 is the sequential batch path.
         assert_eq!(choose_exec_mode(&b, 1, span), ExecMode::Batched);
+        // A range of one morsel runs as one pipeline, and says so.
+        assert_eq!(choose_exec_mode(&b, 4, Span::new(1, 10)), ExecMode::Batched);
+        assert_eq!(choose_exec_mode(&b, 4, Span::new(1, 4096)), ExecMode::Batched);
+        // Two morsels are too few to pay for a helper thread.
+        assert_eq!(choose_exec_mode(&b, 4, Span::new(1, 8192)), ExecMode::Batched);
+        // The label counts the threads that run: three morsels, three workers.
+        assert_eq!(choose_exec_mode(&b, 4, Span::new(1, 8193)), ExecMode::Parallel { workers: 3 });
         // Unbounded range: morsels are position intervals, so no parallel —
         // the single-threaded batch path still applies.
         let unbounded = PhysNode::Base { name: "A".into(), span: Span::all() };
         assert_eq!(choose_exec_mode(&unbounded, 4, Span::all()), ExecMode::Batched);
         // A non-partitionable root falls back to the sequential batch path.
         let voff = PhysNode::ValueOffset {
-            input: base(),
+            input: b.clone(),
             offset: -1,
             strategy: seq_exec::ValueOffsetStrategy::IncrementalCacheB,
             span,
@@ -99,8 +108,8 @@ mod tests {
         assert_eq!(choose_exec_mode(&voff, 4, span), ExecMode::Batched);
         // A partitionable lock-step join of bases parallelizes.
         let compose = PhysNode::Compose {
-            left: base(),
-            right: base(),
+            left: b.clone(),
+            right: b,
             predicate: None,
             strategy: JoinStrategy::LockStep,
             span,

@@ -73,7 +73,7 @@ impl OptimizerConfig {
             // drift in the last ULPs under add/remove).
             incremental_aggregates: false,
             pushdown: true,
-            parallelism: 1,
+            parallelism: seq_exec::default_parallelism(),
             cost: CostParams::default(),
         }
     }

@@ -44,9 +44,16 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Defaults matching the shell: full optimization, sequential, row cap.
+    /// Defaults matching the shell: full optimization, one worker per core,
+    /// row cap.
     pub fn new(range: Span) -> SessionConfig {
-        SessionConfig { range, parallelism: 1, pushdown: true, feedback: true, limit: 100 }
+        SessionConfig {
+            range,
+            parallelism: seq_exec::default_parallelism(),
+            pushdown: true,
+            feedback: true,
+            limit: 100,
+        }
     }
 }
 
@@ -347,5 +354,20 @@ impl Engine {
                 optimize(graph, &base, &cfg)
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallelism_defaults_to_the_cores_and_the_naive_baseline_to_one() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let range = Span::new(1, 10);
+        assert_eq!(SessionConfig::new(range).parallelism, cores);
+        assert_eq!(OptimizerConfig::new(range).parallelism, cores);
+        assert_eq!(OptimizerConfig::naive(range).parallelism, 1);
+        assert_eq!(seq_exec::ExecOptions::default().workers, 1);
     }
 }

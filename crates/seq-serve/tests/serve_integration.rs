@@ -312,7 +312,7 @@ fn out_of_range_parallelism_gets_err_proto_and_the_session_still_answers() {
     // 2^62 workers once wrapped the morsel arithmetic to a division by zero
     // on the only worker thread; more workers than cores spawned that many
     // threads per query. Both are refused at `\set`, and the session keeps
-    // its sequential config.
+    // its default config, under which a 750-position range is one morsel.
     let mut cfg = ServerConfig::local(Span::new(1, 750));
     cfg.workers = 1;
     let handle = serve(engine(1), &cfg).unwrap();
@@ -331,6 +331,33 @@ fn out_of_range_parallelism_gets_err_proto_and_the_session_still_answers() {
     assert!(matches!(reply, Response::Ok(v) if v == [format!("parallelism {cores}")]));
     drop(client);
     handle.join();
+}
+
+#[test]
+fn a_one_morsel_window_replies_batched_at_the_default_parallelism() {
+    // A serving window is one morsel: at the default parallelism (the
+    // host's cores) the query runs as one pipeline on the pool worker and
+    // says so, byte for byte the reply of a sequential session.
+    let query = "(select (> close 100.0) (compose (base IBM) (base HP)))";
+    let reply = |parallelism: Option<&str>| {
+        let handle = serve(engine(1), &ServerConfig::local(Span::new(1, 750))).unwrap();
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        assert!(matches!(client.send("\\range 200 327").unwrap(), Response::Ok(_)));
+        if let Some(n) = parallelism {
+            let set = client.send(&format!("\\set parallelism {n}")).unwrap();
+            assert!(matches!(set, Response::Ok(_)));
+        }
+        let Response::Ok(lines) = client.send(query).unwrap() else { panic!("{query} failed") };
+        let Response::Ok(metrics) = client.send("\\metrics").unwrap() else { panic!("metrics") };
+        drop(client);
+        handle.join();
+        (lines, metrics.join("\n"))
+    };
+    let (lines, metrics) = reply(None);
+    assert!(lines.last().unwrap().contains("| batched |"), "{lines:?}");
+    assert_eq!(lines, reply(Some("1")).0, "the default and a sequential session differ");
+    assert!(metrics.contains("\"paths\": {\"batch\": 1, \"parallel\": 0,"), "{metrics}");
+    assert!(metrics.contains("\"morsels\": 0,"), "{metrics}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! `ERR busy`, not unbounded latency).
 //!
 //! ```sh
-//! cargo run --release --bin seqd -- --world table1 --port 7878 --workers 4
+//! cargo run --release --bin seqd -- --world table1 --port 7878   # --workers: cores
 //! seqsh --connect 127.0.0.1:7878
 //! ```
 //!
@@ -26,7 +26,8 @@ fn main() {
     let mut world = "table1".to_string();
     let mut scale = 10i64;
     let mut port = 7878u16;
-    let mut workers = 4usize;
+    let default_workers = seqproc::seq_exec::default_parallelism();
+    let mut workers = default_workers;
     let mut queue_depth = 16usize;
     let mut cache_capacity = 256usize;
     let mut metrics_out: Option<PathBuf> = None;
@@ -47,7 +48,7 @@ fn main() {
                 i += 2;
             }
             "--workers" => {
-                workers = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(4);
+                workers = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(default_workers);
                 i += 2;
             }
             "--queue-depth" => {
@@ -69,7 +70,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument {other:?}; usage: seqd [--world table1|weather] \
-                     [--scale N] [--port P] [--workers N] [--queue-depth N] \
+                     [--scale N] [--port P] [--workers N (default: cores)] [--queue-depth N] \
                      [--cache-capacity N] [--metrics-out FILE] [--trace-out FILE]"
                 );
                 std::process::exit(2);

@@ -34,8 +34,8 @@
 //! - `\limit N` — cap printed rows (default 20);
 //! - `\range LO HI` — set the query template's position range;
 //! - `\set parallelism N` — worker threads for morsel-driven parallel
-//!   execution of partitionable plans, 1 to the host's cores (default 1 =
-//!   sequential);
+//!   execution of partitionable plans, 1 (sequential) to the host's cores
+//!   (default: the host's cores);
 //! - `\set pushdown on|off` — fuse eligible selections into base scans so
 //!   zone maps can skip refuted pages (default on; `\stats` and `\analyze`
 //!   report the resulting `pages_skipped`);
@@ -507,7 +507,7 @@ fn main() {
         catalog,
         range,
         limit: 20,
-        parallelism: 1,
+        parallelism: seqproc::seq_exec::default_parallelism(),
         pushdown: true,
         feedback: true,
         overlay: StatsOverlay::new(),

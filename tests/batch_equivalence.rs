@@ -97,7 +97,8 @@ fn planner_vectorizes_exactly_when_the_root_has_a_batch_kernel() {
     let range = Span::new(-5, 120);
     let filter = SeqQuery::base("S0").select(Expr::attr("close").gt(Expr::lit(10.0))).build();
 
-    let full = OptimizerConfig::new(range);
+    let mut full = OptimizerConfig::new(range);
+    full.parallelism = 1;
     let optimized = optimize(&filter, &CatalogRef(&world.catalog), &full).unwrap();
     assert_eq!(optimized.exec_mode, ExecMode::Batched);
     assert!(

@@ -65,8 +65,9 @@ fn every_template_lowers_structurally_and_matches_both_references() {
             let mut config = OptimizerConfig::new(range());
             config.parallelism = parallelism;
             let opt = optimize(&query, &CatalogRef(&world.catalog), &config).unwrap();
-            let parallel = matches!(opt.exec_mode, ExecMode::Parallel { .. });
-            assert_eq!(parallel, parallelism > 1 && opt.plan.root.is_position_partitionable());
+            // The 1 500-position range is one morsel: one pipeline at any
+            // parallelism, and labelled so.
+            assert_eq!(opt.exec_mode, ExecMode::Batched, "{label}");
 
             let positions: Vec<i64> = range().positions().collect();
             let ctx = ExecContext::new(&world.catalog);
