@@ -17,7 +17,7 @@ pub mod validate;
 pub use experiments::*;
 
 use seq_core::Span;
-use seq_exec::{execute, ExecContext, ExecOptions, ExecSnapshot, PhysPlan};
+use seq_exec::{execute, ExecContext, ExecOptions, PhysPlan};
 use seq_opt::CostParams;
 use seq_storage::{Catalog, StatsSnapshot};
 
@@ -26,21 +26,15 @@ use seq_storage::{Catalog, StatsSnapshot};
 pub struct Measured {
     pub rows: usize,
     pub storage: StatsSnapshot,
-    pub exec: ExecSnapshot,
+    pub exec: StatsSnapshot,
     pub wall: std::time::Duration,
 }
 
 impl Measured {
-    /// Convert the counters into cost-model units (a proxy: probes are priced
-    /// as random page I/Os, remaining page reads as sequential ones).
+    /// Convert the counters into cost-model units
+    /// ([`seq_opt::measured_model_cost`]).
     pub fn model_cost(&self, p: &CostParams) -> f64 {
-        let probe_pages = self.storage.probes.min(self.storage.page_reads);
-        let stream_pages = self.storage.page_reads - probe_pages;
-        stream_pages as f64 * p.seq_page_io
-            + self.storage.probes as f64 * p.rand_page_io
-            + self.storage.stream_records as f64 * p.record_cpu
-            + self.exec.predicate_evals as f64 * p.predicate_k
-            + (self.exec.cache_stores + self.exec.cache_probes) as f64 * p.cache_op
+        seq_opt::measured_model_cost(&(self.storage + self.exec), p)
     }
 
     /// Total record touches (the quantity Example 1.1 reasons about).

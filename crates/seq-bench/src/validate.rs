@@ -21,6 +21,9 @@
 //! checks live here so integration tests can validate in-process exports
 //! without shelling out.
 
+use seq_core::Counter;
+use seq_exec::MetricsSnapshot;
+
 use crate::json::{parse, Json};
 
 /// Parse `text` and validate it as whichever export kind its top-level keys
@@ -107,36 +110,40 @@ pub fn check_serve(doc: &Json) -> Result<String, String> {
             totals[0], totals[1], totals[2]
         ));
     }
-    // Hot-template visibility (optional for older artifacts): the top-N
-    // cached plan templates by hit count, each with its execute-latency
-    // digest. Rows must arrive hottest-first.
-    let mut n_templates = 0;
-    if let Some(templates) = doc.get("hot_templates") {
-        let rows = templates.as_array().ok_or("hot_templates is not an array")?;
-        let mut prev_hits = f64::INFINITY;
-        for (i, t) in rows.iter().enumerate() {
-            if t.get("template").and_then(Json::as_str).is_none() {
-                return Err(format!("hot_templates row {i} missing template text"));
-            }
-            for key in ["hits", "executes", "p50_us", "p99_us"] {
-                match t.get(key).and_then(Json::as_f64) {
-                    Some(n) if n >= 0.0 => {}
-                    _ => return Err(format!("hot_templates row {i} missing non-negative {key:?}")),
-                }
-            }
-            let hits = t.get("hits").and_then(Json::as_f64).unwrap_or(0.0);
-            if hits > prev_hits {
-                return Err(format!("hot_templates row {i} not sorted by descending hits"));
-            }
-            prev_hits = hits;
-        }
-        n_templates = rows.len();
-    }
+    // Hot-template visibility (optional for older artifacts).
+    let n_templates = check_hot_templates(doc)?;
     Ok(format!(
         "serve: {} client configs, hit_rate {hit_rate:.3}, {} shed, {n_templates} hot templates",
         clients.len(),
         totals[2]
     ))
+}
+
+/// Validate the optional `hot_templates` section (serve artifacts and
+/// serve-level metrics exports): the top-N cached plan templates by hit
+/// count, hottest first, each with its execute-latency digest. Returns the
+/// row count (0 when absent).
+fn check_hot_templates(doc: &Json) -> Result<usize, String> {
+    let Some(templates) = doc.get("hot_templates") else { return Ok(0) };
+    let rows = templates.as_array().ok_or("hot_templates is not an array")?;
+    let mut prev_hits = f64::INFINITY;
+    for (i, t) in rows.iter().enumerate() {
+        if t.get("template").and_then(Json::as_str).is_none() {
+            return Err(format!("hot_templates row {i} missing template text"));
+        }
+        for key in ["hits", "executes", "p50_us", "p99_us"] {
+            match t.get(key).and_then(Json::as_f64) {
+                Some(n) if n >= 0.0 => {}
+                _ => return Err(format!("hot_templates row {i} missing non-negative {key:?}")),
+            }
+        }
+        let hits = t.get("hits").and_then(Json::as_f64).unwrap_or(0.0);
+        if hits > prev_hits {
+            return Err(format!("hot_templates row {i} not sorted by descending hits"));
+        }
+        prev_hits = hits;
+    }
+    Ok(rows.len())
 }
 
 /// Validate a `QueryProfile` export or an EXPLAIN ANALYZE report embedding
@@ -153,9 +160,8 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
         return Err("empty operators array".into());
     }
     for (i, op) in ops.iter().enumerate() {
-        for key in
-            ["rows_out", "calls", "busy_ms", "page_reads", "predicate_evals", "bytes_decoded"]
-        {
+        let counters = Counter::ALL.iter().map(|c| c.name());
+        for key in ["rows_out", "calls", "busy_ms"].into_iter().chain(counters) {
             if op.get(key).and_then(Json::as_f64).is_none() {
                 return Err(format!("operator {i} missing numeric {key:?}"));
             }
@@ -258,29 +264,6 @@ pub fn check_profile(doc: &Json) -> Result<String, String> {
 /// The histogram names a metrics snapshot must carry, in order.
 const HISTOGRAM_NAMES: [&str; 4] = ["parse", "optimize", "execute", "morsel"];
 
-/// The counter keys a metrics snapshot must carry.
-const COUNTER_KEYS: [&str; 19] = [
-    "queries",
-    "queries_failed",
-    "rows_out",
-    "page_reads",
-    "page_hits",
-    "pages_skipped",
-    "probes",
-    "stream_records",
-    "bytes_decoded",
-    "columns_pruned",
-    "predicate_evals",
-    "selections_carried",
-    "slots_compacted",
-    "cache_probes",
-    "cache_stores",
-    "morsels",
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "plan_cache_invalidations",
-];
-
 /// Validate a `SessionMetrics` snapshot export (`metrics_version: 1`):
 /// window marker, counters, per-path counts, the four histograms (with
 /// null-vs-numeric percentile consistency and bucket-count reconciliation),
@@ -296,7 +279,7 @@ pub fn check_metrics(doc: &Json) -> Result<String, String> {
         }
     }
     let counters = doc.get("counters").ok_or("missing counters")?;
-    for key in COUNTER_KEYS {
+    for (key, _) in MetricsSnapshot::default().counter_entries() {
         if counters.get(key).and_then(Json::as_f64).is_none() {
             return Err(format!("counters missing numeric {key:?}"));
         }
@@ -395,26 +378,7 @@ pub fn check_metrics(doc: &Json) -> Result<String, String> {
     }
     // Serve-level exports splice in the hottest plan templates; bare
     // registry exports don't carry the section.
-    if let Some(templates) = doc.get("hot_templates") {
-        let rows = templates.as_array().ok_or("hot_templates is not an array")?;
-        let mut prev_hits = f64::INFINITY;
-        for (i, t) in rows.iter().enumerate() {
-            if t.get("template").and_then(Json::as_str).is_none() {
-                return Err(format!("hot_templates row {i} missing template text"));
-            }
-            for key in ["hits", "executes", "p50_us", "p99_us"] {
-                match t.get(key).and_then(Json::as_f64) {
-                    Some(n) if n >= 0.0 => {}
-                    _ => return Err(format!("hot_templates row {i} missing non-negative {key:?}")),
-                }
-            }
-            let hits = t.get("hits").and_then(Json::as_f64).unwrap_or(0.0);
-            if hits > prev_hits {
-                return Err(format!("hot_templates row {i} not sorted by descending hits"));
-            }
-            prev_hits = hits;
-        }
-    }
+    check_hot_templates(doc)?;
     Ok(format!("metrics: {queries} queries, {samples} histogram samples"))
 }
 
@@ -531,40 +495,88 @@ mod tests {
         assert!(check_document(&missing).unwrap_err().contains("executes"));
     }
 
+    /// A well-formed metrics document with one batch query: every counter
+    /// key the registry exports, except `drop`.
+    fn metrics_doc(paths: &str, p50: &str, drop: &str) -> String {
+        let counters: Vec<String> = MetricsSnapshot::default()
+            .counter_entries()
+            .filter(|&(key, _)| key != drop)
+            .map(|(key, _)| format!("\"{key}\": {}", u64::from(key == "queries")))
+            .collect();
+        format!(
+            r#"{{"metrics_version": 1,
+                "window": {{"resets": 0, "started_unix_ms": 1}},
+                "counters": {{{}}},
+                "paths": {paths},
+                "histograms": [
+                    {{"name": "parse", "count": 0, "p50_us": null, "p90_us": null,
+                      "p99_us": null, "max_us": null, "mean_us": null, "buckets": []}},
+                    {{"name": "optimize", "count": 0, "p50_us": null, "p90_us": null,
+                      "p99_us": null, "max_us": null, "mean_us": null, "buckets": []}},
+                    {{"name": "execute", "count": 1, "p50_us": {p50}, "p90_us": 1.0,
+                      "p99_us": 1.0, "max_us": 1.0, "mean_us": 1.0,
+                      "buckets": [[1023, 1]]}},
+                    {{"name": "morsel", "count": 0, "p50_us": null, "p90_us": null,
+                      "p99_us": null, "max_us": null, "mean_us": null, "buckets": []}}
+                ],
+                "buffer_pool": null,
+                "trace": {{"recorded": 1, "dropped": 0, "capacity": 4096}}}}"#,
+            counters.join(", ")
+        )
+    }
+
     #[test]
     fn metrics_checker_rejects_inconsistencies() {
-        let doc = |paths: &str, p50: &str| {
-            format!(
-                r#"{{"metrics_version": 1,
-                    "window": {{"resets": 0, "started_unix_ms": 1}},
-                    "counters": {{"queries": 1, "queries_failed": 0, "rows_out": 5,
-                        "page_reads": 0, "page_hits": 0, "pages_skipped": 0, "probes": 0,
-                        "stream_records": 0, "bytes_decoded": 0, "columns_pruned": 0,
-                        "predicate_evals": 0, "selections_carried": 0, "slots_compacted": 0,
-                        "cache_probes": 0, "cache_stores": 0, "morsels": 0,
-                        "plan_cache_hits": 0, "plan_cache_misses": 0,
-                        "plan_cache_invalidations": 0}},
-                    "paths": {paths},
-                    "histograms": [
-                        {{"name": "parse", "count": 0, "p50_us": null, "p90_us": null,
-                          "p99_us": null, "max_us": null, "mean_us": null, "buckets": []}},
-                        {{"name": "optimize", "count": 0, "p50_us": null, "p90_us": null,
-                          "p99_us": null, "max_us": null, "mean_us": null, "buckets": []}},
-                        {{"name": "execute", "count": 1, "p50_us": {p50}, "p90_us": 1.0,
-                          "p99_us": 1.0, "max_us": 1.0, "mean_us": 1.0,
-                          "buckets": [[1023, 1]]}},
-                        {{"name": "morsel", "count": 0, "p50_us": null, "p90_us": null,
-                          "p99_us": null, "max_us": null, "mean_us": null, "buckets": []}}
-                    ],
-                    "buffer_pool": null,
-                    "trace": {{"recorded": 1, "dropped": 0, "capacity": 4096}}}}"#
-            )
-        };
-        let good = doc(r#"{"batch": 1, "parallel": 0, "probe": 0}"#, "1.0");
+        let batch = r#"{"batch": 1, "parallel": 0, "probe": 0}"#;
+        let good = metrics_doc(batch, "1.0", "");
         assert!(check_document(&good).is_ok(), "{:?}", check_document(&good));
-        let bad_paths = doc(r#"{"batch": 0, "parallel": 0, "probe": 0}"#, "1.0");
+        let bad_paths = metrics_doc(r#"{"batch": 0, "parallel": 0, "probe": 0}"#, "1.0", "");
         assert!(check_document(&bad_paths).unwrap_err().contains("per-path"));
-        let bad_pct = doc(r#"{"batch": 1, "parallel": 0, "probe": 0}"#, "null");
+        let bad_pct = metrics_doc(batch, "null", "");
         assert!(check_document(&bad_pct).unwrap_err().contains("null with"));
+    }
+
+    /// Every entry of the counter table reaches every export: the registry
+    /// and profile JSON carry its key, the validator requires that key, and
+    /// a synthetic fold of `n` of it reads `n` in the half it folds into and
+    /// in the registry.
+    #[test]
+    fn no_export_drops_a_counter() {
+        use seq_core::{Half, Span, Stats};
+        use seq_exec::{PhysNode, PhysPlan, QueryPath, QueryProfile, SessionMetrics};
+
+        let metrics = SessionMetrics::new();
+        let plan = PhysPlan::new(
+            PhysNode::Base { name: "S".into(), span: Span::new(1, 8) },
+            Span::new(1, 8),
+        );
+        let profile = QueryProfile::for_plan(&plan);
+        let profile_json = parse(&profile.to_json()).unwrap();
+        let op = &profile_json.get("operators").and_then(Json::as_array).unwrap()[0];
+        let batch = r#"{"batch": 1, "parallel": 0, "probe": 0}"#;
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let key = c.name();
+            let n = 10 + i as u64;
+            assert!(op.get(key).is_some(), "profile JSON drops {key}");
+            let err = check_document(&metrics_doc(batch, "1.0", key)).unwrap_err();
+            assert!(err.contains(key), "check_metrics accepts a document without {key}: {err}");
+
+            let scope = Stats::new();
+            scope.add(c, n);
+            let (caller, catalog) = (Stats::new(), Stats::new());
+            caller.absorb(&scope, Half::Exec);
+            catalog.absorb(&scope, Half::Storage);
+            let folded = if c.half() == Half::Exec { &caller } else { &catalog };
+            assert_eq!(folded.get(c), n, "{key} folds into its half");
+            let before = metrics.snapshot().counters.get(c);
+            metrics.record_query(QueryPath::Batch, 0, std::time::Duration::ZERO, &scope);
+            assert_eq!(metrics.snapshot().counters.get(c) - before, n, "registry fold of {key}");
+        }
+        let registry = parse(&metrics.to_json(None)).unwrap();
+        let counters = registry.get("counters").unwrap();
+        for &c in Counter::ALL {
+            assert_eq!(counters.get(c.name()).and_then(Json::as_f64), Some((10 + c as u64) as f64));
+        }
+        assert!(check_document(&metrics.to_json(None)).is_ok());
     }
 }

@@ -11,7 +11,9 @@
 //! - [`sequence::Sequence`] — the probed/stream read interface, with
 //!   in-memory [`sequence::BaseSequence`] and [`sequence::ConstantSequence`];
 //! - [`batch::RecordBatch`] — columnar runs of records, and
-//!   [`result::ResultSet`] — a query's output kept as its root's batches.
+//!   [`result::ResultSet`] — a query's output kept as its root's batches;
+//! - [`stats::Counter`] — the counter table the cost formulas price, and
+//!   [`stats::Stats`] — one set of those counters.
 //!
 //! Positions are `i64`. A sequence is a function from positions to records or
 //! Null; empty positions are represented as `None` and never materialized.
@@ -24,6 +26,7 @@ pub mod result;
 pub mod schema;
 pub mod sequence;
 pub mod span;
+pub mod stats;
 pub mod value;
 
 pub use batch::{RecordBatch, RowRef, DEFAULT_BATCH_SIZE};
@@ -34,6 +37,7 @@ pub use result::{ResultSet, Row, Rows};
 pub use schema::{schema, Field, Schema};
 pub use sequence::{BaseSequence, ConstantSequence, Sequence};
 pub use span::{Span, NEG_INF, POS_INF};
+pub use stats::{Counter, Half, Stats, StatsSnapshot};
 pub use value::{AttrType, Value};
 
 #[cfg(test)]

@@ -24,12 +24,12 @@
 
 use std::collections::VecDeque;
 
-use seq_core::{Record, RecordBatch, Result, SeqError, Span, Value};
+use seq_core::{Counter, Record, RecordBatch, Result, SeqError, Span, Value};
 use seq_ops::{float_result, AggFold, AggFunc, Window};
 
 use crate::batch::BatchCursor;
 use crate::probe::PointAccess;
-use crate::stats::ExecStats;
+use crate::ExecStats;
 
 /// The window's value payload, beside its positions: typed while every
 /// value in the window has one numeric variant, generic once a column turns
@@ -597,7 +597,7 @@ impl PointAccess for AggProbe {
         }
         let mut values = Vec::new();
         for p in probe_span.positions() {
-            self.stats.record_naive_walk_step();
+            self.stats.add(Counter::NaiveWalkSteps, 1);
             if let Some(r) = self.input.get(p)? {
                 values.push(r.value(self.attr_index)?.clone());
             }

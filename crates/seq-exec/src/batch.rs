@@ -12,12 +12,12 @@
 //! (a `NaiveProbe` strategy choice, `Constant`) streams as a walk over its
 //! probed access ([`ProbeWalkBatchCursor`]).
 
-use seq_core::{RecordBatch, Result, Span, Value, NEG_INF, POS_INF};
+use seq_core::{Counter, RecordBatch, Result, Span, Value, NEG_INF, POS_INF};
 use seq_ops::{AggFunc, Expr};
 
 use crate::aggregate::SlidingAccumulator;
 use crate::probe::PointAccess;
-use crate::stats::ExecStats;
+use crate::ExecStats;
 
 pub use seq_core::DEFAULT_BATCH_SIZE;
 
@@ -188,14 +188,14 @@ impl SelectBatchCursor {
             }
             keep
         };
-        self.stats.record_predicate_evals(n as u64);
+        self.stats.fold(Counter::PredicateEvals, n as u64);
         // Everything passed: hand the batch through without copying.
         if keep.len() == n {
             return Ok(batch);
         }
         batch.select_logical(keep);
         if !batch.is_empty() {
-            self.stats.record_selection_carried();
+            self.stats.add(Counter::SelectionsCarried, 1);
         }
         Ok(batch)
     }
@@ -266,7 +266,7 @@ impl BatchCursor for FusedBaseBatchCursor {
         // refuted inside the encoded page or survives into the batch, so the
         // K-term accounting is identical to the decode-then-filter path.
         while let Some((b, scanned)) = self.scan.next_batch_selected(&self.terms)? {
-            self.stats.record_predicate_evals(scanned);
+            self.stats.fold(Counter::PredicateEvals, scanned);
             if !b.is_empty() {
                 return Ok(Some(b));
             }
@@ -301,7 +301,7 @@ impl CompactBatchCursor {
     fn densify(&self, batch: Option<RecordBatch>) -> Option<RecordBatch> {
         batch.map(|mut b| {
             let copied = b.compact();
-            self.stats.record_slots_compacted(copied as u64);
+            self.stats.add(Counter::SlotsCompacted, copied as u64);
             b
         })
     }
@@ -616,9 +616,9 @@ impl BatchCursor for WindowAggBatchCursor {
                 }
             }
         }
-        self.stats.record_cache_stores(stored);
+        self.stats.fold(Counter::CacheStores, stored);
         if self.reads_window {
-            self.stats.record_cache_probes(out.len() as u64);
+            self.stats.fold(Counter::CacheProbes, out.len() as u64);
         }
         if out.is_empty() {
             Ok(None)

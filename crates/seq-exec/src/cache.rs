@@ -18,9 +18,9 @@
 
 use std::collections::VecDeque;
 
-use seq_core::Record;
+use seq_core::{Counter, Record};
 
-use crate::stats::ExecStats;
+use crate::ExecStats;
 
 /// A bounded FIFO record cache with associative positional lookup.
 #[derive(Debug)]
@@ -58,7 +58,7 @@ impl OpCache {
     /// evicting FIFO-style when full.
     pub fn push(&mut self, pos: i64, rec: Record) {
         self.keep(pos, rec);
-        self.stats.record_cache_store();
+        self.stats.add(Counter::CacheStores, 1);
     }
 
     /// Insert like [`OpCache::push`] but without charging the store: a batch
@@ -78,7 +78,7 @@ impl OpCache {
 
     /// Charge `n` stores at once (see [`OpCache::keep`]).
     pub fn charge_stores(&self, n: u64) {
-        self.stats.record_cache_stores(n);
+        self.stats.fold(Counter::CacheStores, n);
     }
 
     /// Evict cached entries at positions strictly below `pos` (the window
@@ -91,7 +91,7 @@ impl OpCache {
 
     /// Associative lookup by exact position.
     pub fn get(&self, pos: i64) -> Option<&Record> {
-        self.stats.record_cache_probe();
+        self.stats.add(Counter::CacheProbes, 1);
         // Entries are position-sorted: binary search.
         self.entries.binary_search_by_key(&pos, |(p, _)| *p).ok().map(|i| &self.entries[i].1)
     }

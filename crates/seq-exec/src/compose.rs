@@ -19,12 +19,12 @@
 
 use std::cmp::Ordering;
 
-use seq_core::{Record, RecordBatch, Result, Value};
+use seq_core::{Counter, Record, RecordBatch, Result, Value};
 use seq_ops::Expr;
 
 use crate::batch::BatchCursor;
 use crate::probe::PointAccess;
-use crate::stats::ExecStats;
+use crate::ExecStats;
 
 /// Which input of the compose streams (the other is probed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ impl PointAccess for ComposeProbe {
         let Some(r) = self.right.get(pos)? else { return Ok(None) };
         let joined = l.compose(&r);
         if let Some(p) = &self.predicate {
-            self.stats.record_predicate_eval();
+            self.stats.add(Counter::PredicateEvals, 1);
             if !p.eval_predicate(&joined)? {
                 return Ok(None);
             }
@@ -263,7 +263,7 @@ impl LockStepJoinBatch {
                     Some(p) => {
                         let mut cand = RecordBatch::with_capacity(arity, lidx.len());
                         cand.extend_joined(lb, &lidx, rb, &ridx)?;
-                        self.stats.record_predicate_evals(lidx.len() as u64);
+                        self.stats.fold(Counter::PredicateEvals, lidx.len() as u64);
                         let mut keep: Vec<usize> = Vec::new();
                         for (k, row) in cand.rows().enumerate() {
                             if p.eval_predicate_row(&row)? {
@@ -395,7 +395,7 @@ impl StreamProbeJoinBatch {
                 dst.push_row(pos, values)?;
             }
         }
-        self.stats.record_predicate_evals(evals);
+        self.stats.fold(Counter::PredicateEvals, evals);
         Ok(out)
     }
 }

@@ -9,7 +9,7 @@
 //! evaluation of specific positions ([`probe_positions`]) covers the other
 //! query form the template supports ("records at (a) specific positions").
 
-use seq_core::{Record, RecordBatch, Result, ResultSet, SeqError, Span};
+use seq_core::{Counter, Record, RecordBatch, Result, ResultSet, SeqError, Span};
 
 use crate::parallel::{morsel_len, plan_morsels, run_parallel};
 use crate::plan::{ExecContext, PhysNode, PhysPlan};
@@ -138,26 +138,21 @@ pub fn run_workers(root: &PhysNode, range: Span, opts: &ExecOptions) -> usize {
 pub fn execute(plan: &PhysPlan, ctx: &ExecContext<'_>, opts: &ExecOptions) -> Result<ResultSet> {
     let run = run_policy(&plan.root, plan.range, opts);
     let path = if let Run::Morsels { .. } = run { QueryPath::Parallel } else { QueryPath::Batch };
-    instrument(
-        ctx,
-        path,
-        |rows: &ResultSet| rows.len() as u64,
-        || {
-            let mut out = ResultSet::new();
-            let Some(range) = materialized_range(plan)? else { return Ok(out) };
-            if let Some(p) = &ctx.profile {
-                p.set_op_modes(plan.root.exec_mode_labels());
+    instrument(ctx, path, |ctx| {
+        let mut out = ResultSet::new();
+        let Some(range) = materialized_range(plan)? else { return Ok(out) };
+        if let Some(p) = &ctx.profile {
+            p.set_op_modes(plan.root.exec_mode_labels());
+        }
+        let batch_size = opts.batch_size.max(1);
+        match run {
+            Run::Morsels { workers, morsels } => {
+                run_parallel(plan, ctx, &morsels, batch_size, workers, &mut out)?
             }
-            let batch_size = opts.batch_size.max(1);
-            match run {
-                Run::Morsels { workers, morsels } => {
-                    run_parallel(plan, ctx, &morsels, batch_size, workers, &mut out)?
-                }
-                _ => drain_batches(&plan.root, ctx, range, batch_size, |b| out.push(b))?,
-            }
-            Ok(out)
-        },
-    )
+            _ => drain_batches(&plan.root, ctx, range, batch_size, |b| out.push(b))?,
+        }
+        Ok(out)
+    })
 }
 
 /// The batch driver shared by the sequential path and each parallel morsel:
@@ -191,7 +186,7 @@ pub(crate) fn drain_batches(
             p.uncount_root_rows((before - batch.len()) as u64);
         }
         if !batch.is_empty() {
-            ctx.stats.record_outputs(batch.len() as u64);
+            ctx.stats.fold(Counter::OutputRecords, batch.len() as u64);
             sink(batch);
         }
         item = cursor.next_batch()?;
@@ -207,12 +202,7 @@ pub fn probe_positions(
     ctx: &ExecContext<'_>,
     positions: &[i64],
 ) -> Result<Vec<(i64, Option<Record>)>> {
-    instrument(
-        ctx,
-        QueryPath::Probe,
-        |rows: &Vec<(i64, Option<Record>)>| rows.iter().filter(|(_, r)| r.is_some()).count() as u64,
-        || probe_positions_inner(plan, ctx, positions),
-    )
+    instrument(ctx, QueryPath::Probe, |ctx| probe_positions_inner(plan, ctx, positions))
 }
 
 fn probe_positions_inner(
@@ -226,7 +216,7 @@ fn probe_positions_inner(
     for &pos in positions {
         let rec = if range.contains(pos) { probe.get(pos)? } else { None };
         if rec.is_some() {
-            ctx.stats.record_output();
+            ctx.stats.add(Counter::OutputRecords, 1);
         }
         out.push((pos, rec));
     }

@@ -48,7 +48,6 @@ pub mod parallel;
 pub mod plan;
 pub mod probe;
 pub mod profile;
-pub mod stats;
 pub mod telemetry;
 
 pub use aggregate::{CumulativeAggBatchCursor, WholeSpanAggBatchCursor};
@@ -65,8 +64,9 @@ pub use parallel::plan_morsels;
 pub use plan::{AggStrategy, ExecContext, JoinStrategy, PhysNode, PhysPlan, ValueOffsetStrategy};
 pub use probe::PointAccess;
 pub use profile::{OpReport, QueryProfile, WorkerProfile};
-pub use stats::{ExecSnapshot, ExecStats};
+/// The executor's name for [`seq_core::Stats`], one set of table counters.
+pub type ExecStats = seq_core::Stats;
 pub use telemetry::{
-    HistogramSnapshot, LatencyHistogram, MetricsSnapshot, Phase, QueryPath, SessionMetrics,
+    HistogramSnapshot, LatencyHistogram, MetricsSnapshot, Phase, QueryPath, SessionMetrics, Tally,
     TraceBuffer, TraceEvent,
 };

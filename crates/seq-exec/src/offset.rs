@@ -16,12 +16,12 @@
 //!   at the previous position if it is non-Null." The incremental algorithm
 //!   is not usable in conjunction with probed access (§4.1.2).
 
-use seq_core::{Record, RecordBatch, Result, Span, Value};
+use seq_core::{Counter, Record, RecordBatch, Result, Span, Value};
 
 use crate::batch::BatchCursor;
 use crate::cache::OpCache;
 use crate::probe::PointAccess;
-use crate::stats::ExecStats;
+use crate::ExecStats;
 
 /// Cache-Strategy-B: single input scan, |offset|-record FIFO cache.
 ///
@@ -321,7 +321,7 @@ impl PointAccess for ValueOffsetProbe {
             }
             let mut j = pos - 1;
             while j >= self.input_span.start() {
-                self.stats.record_naive_walk_step();
+                self.stats.add(Counter::NaiveWalkSteps, 1);
                 if let Some(rec) = self.input.get(j)? {
                     remaining -= 1;
                     if remaining == 0 {
@@ -338,7 +338,7 @@ impl PointAccess for ValueOffsetProbe {
             }
             let mut j = pos + 1;
             while j <= self.input_span.end() {
-                self.stats.record_naive_walk_step();
+                self.stats.add(Counter::NaiveWalkSteps, 1);
                 if let Some(rec) = self.input.get(j)? {
                     remaining -= 1;
                     if remaining == 0 {

@@ -15,8 +15,9 @@
 //!
 //! [`crate::run_policy`] decides when a plan runs this way; this module
 //! tiles the range and runs the morsels, with no runtime dependency.
-//! [`crate::stats::ExecStats`] and the storage counters are shared atomics,
-//! so the paper's accounting (§4.1.3) folds correctly across threads.
+//! Every morsel charges the query's one counter scope ([`crate::ExecStats`],
+//! relaxed atomics), so the paper's accounting (§4.1.3) folds exactly across
+//! threads.
 //! There is no merge window: [`crate::execute`] materializes the whole
 //! result, so every morsel's batches are resident at the end anyway, and
 //! memory follows the output, not the worker count. Nothing waits on a

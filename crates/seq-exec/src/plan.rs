@@ -24,7 +24,7 @@ use crate::compose::{ComposeProbe, LockStepJoinBatch, StreamProbeJoinBatch, Stre
 use crate::offset::{ValueOffsetBatchCursor, ValueOffsetProbe};
 use crate::probe::{BaseProbe, ConstProbe, PointAccess, PosOffsetProbe, ProjectProbe, SelectProbe};
 use crate::profile::QueryProfile;
-use crate::stats::ExecStats;
+use crate::ExecStats;
 use seq_storage::ColumnSet;
 
 /// How a compose is evaluated (§3.3).
@@ -741,7 +741,10 @@ impl PhysPlan {
 pub struct ExecContext<'a> {
     /// The catalog resolving base-sequence names.
     pub catalog: &'a seq_storage::Catalog,
-    /// Shared executor counters.
+    /// The caller's executor counters: each query run through this context
+    /// folds its executor half in when it ends. Inside a query (the context
+    /// the drivers and operators see) this is the query's own scope, which
+    /// every charge of the query lands in, storage included.
     pub stats: ExecStats,
     /// Per-operator instrumentation, when profiling is enabled
     /// ([`ExecContext::enable_profiling`]). `None` keeps the open and
@@ -753,20 +756,18 @@ pub struct ExecContext<'a> {
     /// queries via [`ExecContext::share_telemetry`]; benches measuring the
     /// uninstrumented baseline set it to `None`.
     pub telemetry: Option<std::sync::Arc<crate::telemetry::SessionMetrics>>,
+    /// Whether `stats` is a query's scope, so base sequences opened here
+    /// charge it rather than the catalog's counters.
+    in_query: bool,
 }
 
 impl<'a> ExecContext<'a> {
     /// A context over `catalog` with fresh executor counters.
     pub fn new(catalog: &'a seq_storage::Catalog) -> ExecContext<'a> {
-        ExecContext {
-            catalog,
-            stats: ExecStats::new(),
-            profile: None,
-            telemetry: Some(std::sync::Arc::new(crate::telemetry::SessionMetrics::new())),
-        }
+        ExecContext::with_stats(catalog, ExecStats::new())
     }
 
-    /// A context over `catalog` charging into existing executor counters
+    /// A context over `catalog` folding into existing executor counters
     /// (e.g. a shell session's cumulative stats).
     pub fn with_stats(catalog: &'a seq_storage::Catalog, stats: ExecStats) -> ExecContext<'a> {
         ExecContext {
@@ -774,6 +775,7 @@ impl<'a> ExecContext<'a> {
             stats,
             profile: None,
             telemetry: Some(std::sync::Arc::new(crate::telemetry::SessionMetrics::new())),
+            in_query: false,
         }
     }
 
@@ -786,36 +788,43 @@ impl<'a> ExecContext<'a> {
 
     /// Attach a fresh [`QueryProfile`] sized for `plan` and return it. Every
     /// subsequent open/execute of `plan` through this context is
-    /// instrumented per operator; the query-wide [`ExecContext::stats`] and
-    /// catalog storage counters still accumulate exactly as unprofiled
-    /// (scoped counters tee into them).
+    /// instrumented per operator; each operator's counters tee into the
+    /// query's scope, so profiled and unprofiled runs fold the same totals.
     pub fn enable_profiling(&mut self, plan: &PhysPlan) -> std::sync::Arc<QueryProfile> {
-        let profile = QueryProfile::for_plan(plan, &self.stats, self.catalog.stats());
+        let profile = QueryProfile::for_plan(plan);
         self.profile = Some(std::sync::Arc::clone(&profile));
         profile
     }
 
-    /// The executor counters operator `id` should charge: its profiling
-    /// scope when profiling, the shared query counters otherwise.
+    /// The context one query runs in: this one with a fresh counter scope.
+    pub(crate) fn query_scope(&self) -> ExecContext<'a> {
+        ExecContext {
+            catalog: self.catalog,
+            stats: ExecStats::new(),
+            profile: self.profile.clone(),
+            telemetry: self.telemetry.clone(),
+            in_query: true,
+        }
+    }
+
+    /// The counters operator `id` should charge: its profiling scope teeing
+    /// into this context's counters when profiling, those counters otherwise.
     fn op_stats(&self, id: usize) -> ExecStats {
         match &self.profile {
-            Some(p) => p.exec_stats(id),
+            Some(p) => p.op_stats(id).teeing_into(&self.stats),
             None => self.stats.clone(),
         }
     }
 
-    /// Resolve base sequence `name` for operator `id`, rebound to the
-    /// operator's scoped storage counters when profiling.
+    /// Resolve base sequence `name` for operator `id`; inside a query it is
+    /// rebound (in O(1)) to charge the operator's counters.
     fn base_store(
         &self,
         name: &str,
         id: usize,
     ) -> Result<std::sync::Arc<seq_storage::StoredSequence>> {
         let store = self.catalog.get(name)?;
-        Ok(match self.profile.as_ref().and_then(|p| p.storage_stats(id)) {
-            Some(scoped) => store.with_stats(scoped),
-            None => store,
-        })
+        Ok(if self.in_query { store.with_stats(self.op_stats(id)) } else { store })
     }
 }
 

@@ -7,10 +7,10 @@
 //! streams as a walk over its own probes
 //! ([`crate::batch::ProbeWalkBatchCursor`]).
 
-use seq_core::{Record, Result, Span};
+use seq_core::{Counter, Record, Result, Span};
 use seq_ops::Expr;
 
-use crate::stats::ExecStats;
+use crate::ExecStats;
 
 /// Probed access to a (base or derived) sequence.
 pub trait PointAccess {
@@ -80,7 +80,7 @@ impl SelectProbe {
 impl PointAccess for SelectProbe {
     fn get(&mut self, pos: i64) -> Result<Option<Record>> {
         let Some(r) = self.input.get(pos)? else { return Ok(None) };
-        self.stats.record_predicate_eval();
+        self.stats.add(Counter::PredicateEvals, 1);
         if self.predicate.eval_predicate(&r)? {
             Ok(Some(r))
         } else {

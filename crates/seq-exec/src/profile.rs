@@ -2,8 +2,8 @@
 //!
 //! The paper's experimental argument (§4) is made entirely from counted
 //! quantities — page accesses, predicate applications (the K term), cache
-//! traffic. The global [`crate::stats::ExecStats`] / storage counters total
-//! those per query; this module *attributes* them per physical operator,
+//! traffic. A query's counter scope ([`crate::ExecStats`]) totals those per
+//! query; this module *attributes* them per physical operator,
 //! per execution phase, and (on the parallel path) per worker.
 //!
 //! A [`QueryProfile`] is built for one [`PhysPlan`] and attached to the
@@ -18,10 +18,9 @@
 //! - rows and batches produced, and `next_batch`/`get` calls;
 //! - monotonic wall time spent inside the operator subtree (inclusive —
 //!   subtract the children's time for self time);
-//! - executor counters (cache probes/stores, predicate applications) via a
-//!   scoped [`ExecStats`] that tees into the query-global one;
-//! - storage counters (pages read/hit, probes, records streamed) via a
-//!   scoped [`seq_storage::AccessStats`] on each base-sequence access.
+//! - the table counters the operator charges (cache traffic, predicate
+//!   applications; pages, probes and records streamed at base accesses),
+//!   in an [`ExecStats`] set of its own that tees into the query's scope.
 //!
 //! The morsel-parallel driver additionally records per-worker morsel
 //! counts, rows, busy time and claim-wait time, plus the merge thread's
@@ -32,13 +31,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use seq_core::{Record, RecordBatch, Result, Span};
-use seq_storage::{AccessStats, StatsSnapshot};
+use seq_core::{Half, Record, RecordBatch, Result, Span, StatsSnapshot};
 
 use crate::batch::BatchCursor;
 use crate::plan::{PhysNode, PhysPlan};
 use crate::probe::PointAccess;
-use crate::stats::{ExecSnapshot, ExecStats};
+use crate::ExecStats;
 
 /// Per-operator instrumentation slot. Nodes are indexed by their pre-order
 /// position in the plan tree (root = 0, children follow their parent, left
@@ -57,8 +55,8 @@ pub struct OpProfile {
     batches_out: AtomicU64,
     calls: AtomicU64,
     busy_nanos: AtomicU64,
-    exec: ExecStats,
-    storage: Option<Arc<AccessStats>>,
+    counters: ExecStats,
+    touches_storage: bool,
 }
 
 impl OpProfile {
@@ -93,9 +91,9 @@ impl OpProfile {
             batches_out: self.batches_out.load(Ordering::Relaxed),
             calls: self.calls.load(Ordering::Relaxed),
             busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            exec: self.exec.snapshot(),
-            storage: self.storage.as_ref().map(|s| s.snapshot()).unwrap_or_default(),
-            touches_storage: self.storage.is_some(),
+            exec: self.counters.snapshot_half(Half::Exec),
+            storage: self.counters.snapshot_half(Half::Storage),
+            touches_storage: self.touches_storage,
         }
     }
 }
@@ -127,11 +125,39 @@ pub struct OpReport {
     /// across workers on the parallel path).
     pub busy: Duration,
     /// Executor counters attributed to this operator.
-    pub exec: ExecSnapshot,
+    pub exec: StatsSnapshot,
     /// Storage counters attributed to this operator (base accesses only).
     pub storage: StatsSnapshot,
     /// Whether this node accesses storage directly (base scans/probes).
     pub touches_storage: bool,
+}
+
+impl OpReport {
+    /// The one writer of an operator's lines: its label, span and mode;
+    /// `note` (EXPLAIN ANALYZE's estimate line) when not empty; then its
+    /// rows, calls, time and batches with every counter it charged.
+    pub fn render_into(&self, out: &mut String, pad: &str, note: &str) {
+        use std::fmt::Write;
+        let _ = writeln!(out, "{pad}{} span={} mode={}", self.label, self.span, self.mode);
+        if !note.is_empty() {
+            let _ = writeln!(out, "{pad}  {note}");
+        }
+        let _ = write!(
+            out,
+            "{pad}  rows={} calls={} time={:.3}ms",
+            self.rows_out,
+            self.calls,
+            self.busy.as_secs_f64() * 1e3
+        );
+        if self.batches_out > 0 {
+            let _ = write!(out, " batches={}", self.batches_out);
+        }
+        let counters = self.exec + self.storage;
+        if counters.iter().any(|(_, n)| n > 0) {
+            let _ = write!(out, " {}", counters.display(|_, n| n > 0));
+        }
+        let _ = writeln!(out);
+    }
 }
 
 /// Per-worker measurements from one morsel-parallel execution.
@@ -166,15 +192,11 @@ pub struct QueryProfile {
 
 impl QueryProfile {
     /// Build the registry for `plan`: one slot per node in pre-order, each
-    /// with an [`ExecStats`] scope teeing into `exec_stats` and (for base
-    /// accesses) an [`AccessStats`] scope teeing into `storage_stats`.
-    pub fn for_plan(
-        plan: &PhysPlan,
-        exec_stats: &ExecStats,
-        storage_stats: &Arc<AccessStats>,
-    ) -> Arc<QueryProfile> {
+    /// with its own counters, which the node's cursors charge through a
+    /// handle teeing into the running query's scope.
+    pub fn for_plan(plan: &PhysPlan) -> Arc<QueryProfile> {
         let mut ops = Vec::with_capacity(plan.root.subtree_size());
-        collect_ops(&plan.root, 0, exec_stats, storage_stats, &mut ops);
+        collect_ops(&plan.root, 0, &mut ops);
         Arc::new(QueryProfile {
             ops,
             modes: Mutex::new(Vec::new()),
@@ -254,53 +276,21 @@ impl QueryProfile {
     }
 
     /// Executor counters summed over all operators.
-    pub fn total_exec(&self) -> ExecSnapshot {
-        let mut t = ExecSnapshot::default();
-        for op in &self.ops {
-            let s = op.exec.snapshot();
-            t.output_records += s.output_records;
-            t.cache_stores += s.cache_stores;
-            t.cache_probes += s.cache_probes;
-            t.predicate_evals += s.predicate_evals;
-            t.naive_walk_steps += s.naive_walk_steps;
-            t.stat_folds += s.stat_folds;
-            t.selections_carried += s.selections_carried;
-            t.slots_compacted += s.slots_compacted;
-        }
-        t
+    pub fn total_exec(&self) -> StatsSnapshot {
+        self.ops.iter().map(|op| op.counters.snapshot_half(Half::Exec)).sum()
     }
 
     /// Storage counters summed over all operators (all storage traffic is
     /// attributed at the base accesses).
     pub fn total_storage(&self) -> StatsSnapshot {
-        let mut t = StatsSnapshot::default();
-        for op in &self.ops {
-            if let Some(s) = &op.storage {
-                let s = s.snapshot();
-                t.page_reads += s.page_reads;
-                t.page_hits += s.page_hits;
-                t.pages_skipped += s.pages_skipped;
-                t.probes += s.probes;
-                t.stream_records += s.stream_records;
-                t.scans_opened += s.scans_opened;
-                t.stat_folds += s.stat_folds;
-                t.bytes_decoded += s.bytes_decoded;
-                t.columns_pruned += s.columns_pruned;
-            }
-        }
-        t
+        self.ops.iter().map(|op| op.counters.snapshot_half(Half::Storage)).sum()
     }
 
     // ---- hooks for the open/execute paths -------------------------------
 
-    /// The scoped executor counters for node `id`.
-    pub(crate) fn exec_stats(&self, id: usize) -> ExecStats {
-        self.ops[id].exec.clone()
-    }
-
-    /// The scoped storage counters for node `id` (base nodes only).
-    pub(crate) fn storage_stats(&self, id: usize) -> Option<Arc<AccessStats>> {
-        self.ops[id].storage.clone()
+    /// Node `id`'s own counters.
+    pub(crate) fn op_stats(&self, id: usize) -> &ExecStats {
+        &self.ops[id].counters
     }
 
     /// Wrap a batch cursor in the instrumenting shim for node `id`.
@@ -350,38 +340,9 @@ impl QueryProfile {
     /// Plain-text per-operator rendering (the EXPLAIN ANALYZE layer in
     /// `seq-opt` adds estimated-vs-actual annotations on top of this).
     pub fn render(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         for op in self.op_reports() {
-            let pad = "  ".repeat(op.depth);
-            let _ = writeln!(out, "{pad}{} span={} mode={}", op.label, op.span, op.mode);
-            let _ = write!(
-                out,
-                "{pad}  rows={} calls={} time={:.3}ms",
-                op.rows_out,
-                op.calls,
-                op.busy.as_secs_f64() * 1e3
-            );
-            if op.batches_out > 0 {
-                let _ = write!(out, " batches={}", op.batches_out);
-            }
-            if op.exec.predicate_evals > 0 {
-                let _ = write!(out, " preds={}", op.exec.predicate_evals);
-            }
-            if op.exec.cache_probes + op.exec.cache_stores > 0 {
-                let _ = write!(out, " cache={}p/{}s", op.exec.cache_probes, op.exec.cache_stores);
-            }
-            if op.touches_storage {
-                let _ = write!(
-                    out,
-                    " pages={}r/{}h probes={}",
-                    op.storage.page_reads, op.storage.page_hits, op.storage.probes
-                );
-                if op.storage.pages_skipped > 0 {
-                    let _ = write!(out, " skipped={}", op.storage.pages_skipped);
-                }
-            }
-            let _ = writeln!(out);
+            op.render_into(&mut out, &"  ".repeat(op.depth), "");
         }
         self.render_workers(&mut out);
         out
@@ -439,17 +400,10 @@ impl QueryProfile {
             w.field_num("rows_out", op.rows_out as f64);
             w.field_num("batches_out", op.batches_out as f64);
             w.field_num("calls", op.calls as f64);
-            w.field_num("busy_ms", op.busy.as_secs_f64() * 1e3);
-            w.field_num("cache_probes", op.exec.cache_probes as f64);
-            w.field_num("cache_stores", op.exec.cache_stores as f64);
-            w.field_num("predicate_evals", op.exec.predicate_evals as f64);
-            w.field_num("naive_walk_steps", op.exec.naive_walk_steps as f64);
-            w.field_num("page_reads", op.storage.page_reads as f64);
-            w.field_num("page_hits", op.storage.page_hits as f64);
-            w.field_num("pages_skipped", op.storage.pages_skipped as f64);
-            w.field_num("probes", op.storage.probes as f64);
-            w.field_num("stream_records", op.storage.stream_records as f64);
-            w.last_field_num("bytes_decoded", op.storage.bytes_decoded as f64);
+            for (c, n) in (op.exec + op.storage).iter() {
+                w.field_num(c.name(), n as f64);
+            }
+            w.last_field_num("busy_ms", op.busy.as_secs_f64() * 1e3);
             w.raw("}");
         }
         w.raw("\n  ],\n  \"workers\": [");
@@ -476,21 +430,9 @@ impl QueryProfile {
     }
 }
 
-/// Pre-order walk of the plan assigning ids and creating the scoped stats.
-fn collect_ops(
-    node: &PhysNode,
-    depth: usize,
-    exec_stats: &ExecStats,
-    storage_stats: &Arc<AccessStats>,
-    out: &mut Vec<OpProfile>,
-) {
+/// Pre-order walk of the plan assigning ids and creating the counters.
+fn collect_ops(node: &PhysNode, depth: usize, out: &mut Vec<OpProfile>) {
     let id = out.len();
-    let storage = match node {
-        PhysNode::Base { .. } | PhysNode::FusedScan { .. } => {
-            Some(AccessStats::scoped(storage_stats))
-        }
-        _ => None,
-    };
     out.push(OpProfile {
         label: node.label(),
         span: node.span(),
@@ -500,13 +442,13 @@ fn collect_ops(
         batches_out: AtomicU64::new(0),
         calls: AtomicU64::new(0),
         busy_nanos: AtomicU64::new(0),
-        exec: ExecStats::scoped(exec_stats),
-        storage,
+        counters: ExecStats::new(),
+        touches_storage: matches!(node, PhysNode::Base { .. } | PhysNode::FusedScan { .. }),
     });
     for child in node.children() {
         let child_id = out.len();
         out[id].children.push(child_id);
-        collect_ops(child, depth + 1, exec_stats, storage_stats, out);
+        collect_ops(child, depth + 1, out);
     }
 }
 
@@ -618,7 +560,7 @@ fn fmt_num(v: f64) -> String {
 }
 
 /// Escape a string for a JSON literal.
-pub(crate) fn escape_json_into(s: &str, out: &mut String) {
+pub fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -684,9 +626,7 @@ mod tests {
             },
             span,
         );
-        let stats = ExecStats::new();
-        let storage = AccessStats::new();
-        let profile = QueryProfile::for_plan(&plan, &stats, &storage);
+        let profile = QueryProfile::for_plan(&plan);
         let ops = profile.op_reports();
         assert_eq!(ops.len(), 4);
         assert!(ops[0].label.starts_with("Compose"));

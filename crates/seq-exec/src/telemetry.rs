@@ -4,15 +4,16 @@
 //! "what did this one plan do". This module answers "what has this session
 //! been doing", cheaply enough to stay on by default:
 //!
-//! - a lock-free **metrics registry** ([`SessionMetrics`]): monotonic
-//!   counters (queries per execution path, rows, pages, bytes, predicate and
-//!   cache traffic) and log-bucketed latency **histograms**
+//! - a lock-free **metrics registry** ([`SessionMetrics`]): the counter
+//!   table ([`seq_core::Counter`]) folded per query, its own [`Tally`]s
+//!   (queries per execution path, failures, morsels, plan-cache traffic)
+//!   and log-bucketed latency **histograms**
 //!   ([`LatencyHistogram`], p50/p90/p99/max) for the query lifecycle phases
 //!   parse → optimize → execute plus per-morsel worker latency. Everything
 //!   is relaxed atomics; batch, parallel and probe paths fold into the same
 //!   slots, and per-worker recordings tee into the shared buckets exactly
-//!   (bucket adds commute), mirroring how PR 3's pre-order ids fold morsel
-//!   cursor trees into one profile;
+//!   (bucket adds commute), as pre-order ids fold morsel cursor trees into
+//!   one profile;
 //! - a bounded **trace ring buffer** ([`TraceBuffer`]): begin/end spans per
 //!   lifecycle phase, per query, and (on profiled runs) per operator,
 //!   recorded as complete spans and exportable as Chrome `trace_event` JSON
@@ -23,24 +24,25 @@
 //!   counters, histograms, buffer-pool per-stripe hit/miss/contention, and
 //!   ring-buffer occupancy, validated by `profile_check` in CI.
 //!
-//! The cost per query is two `Instant` reads, four counter snapshots, and a
-//! dozen relaxed atomic adds — O(1), independent of row count — so the
-//! always-on default stays under the <5% overhead budget the headline batch
-//! bench records in `BENCH_telemetry.json` (it measures well under 1%).
-//! Per-row and per-batch work is never charged here; the registry folds the
-//! deltas of the existing shared counters at query end instead of adding
-//! new charges to the hot loops.
+//! Each query charges a counter scope of its own ([`ExecContext`]'s
+//! `stats` inside the query); it folds once, at query end, into the
+//! caller's counters, the catalog's and this registry. The cost per query is
+//! that scope, two `Instant` reads and one relaxed add per non-zero counter
+//! per destination — O(1), independent of row count — so the always-on
+//! default stays under the <5% overhead budget the headline batch bench
+//! records in `BENCH_telemetry.json`. Per-row and per-batch work is never
+//! charged here, and a query never folds another's traffic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use seq_core::Result;
-use seq_storage::{BufferPool, StatsSnapshot};
+use seq_core::{Counter, Half, Result, StatsSnapshot};
+use seq_storage::BufferPool;
 
 use crate::plan::ExecContext;
 use crate::profile::{escape_json_into, QueryProfile};
-use crate::stats::ExecSnapshot;
+use crate::ExecStats;
 
 /// Histogram bucket count: bucket 0 holds exact zeros, bucket `b >= 1`
 /// holds values in `[2^(b-1), 2^b - 1]`, and the last bucket saturates at
@@ -263,13 +265,8 @@ impl QueryPath {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            QueryPath::Batch => 0,
-            QueryPath::Parallel => 1,
-            QueryPath::Probe => 2,
-        }
-    }
+    /// Every path, in [`MetricsSnapshot::path_counts`] order.
+    pub const ALL: [QueryPath; 3] = [QueryPath::Batch, QueryPath::Parallel, QueryPath::Probe];
 }
 
 /// One completed span in the trace ring buffer. Start/duration are relative
@@ -350,6 +347,76 @@ impl TraceBuffer {
     }
 }
 
+seq_core::counter_table! {
+    /// A tally the registry keeps beside the counter table: counts of
+    /// queries and of serving events rather than of work.
+    pub enum Tally;
+
+    /// Point-in-time copy of a [`SessionMetrics`] registry. Its table
+    /// counters read through `Deref` (`snap.page_reads`).
+    #[derive(Debug, Clone, Default)]
+    pub struct MetricsSnapshot {
+        /// The counter table, folded once per successful query.
+        pub counters: StatsSnapshot,
+        /// Rows successful queries returned: `counters.output_records`, under
+        /// the key the metrics export has always carried.
+        pub rows_out: u64,
+        /// Per-path query counts, in [`QueryPath::ALL`] order.
+        pub path_counts: [u64; 3],
+        /// Measurement-window resets so far.
+        pub resets: u64,
+        /// Unix milliseconds at which the current window started.
+        pub window_started_unix_ms: u64,
+        /// Parse-phase latency.
+        pub parse: HistogramSnapshot,
+        /// Optimize-phase latency.
+        pub optimize: HistogramSnapshot,
+        /// Execute-phase latency (per query, all paths).
+        pub execute: HistogramSnapshot,
+        /// Per-morsel worker latency (parallel path).
+        pub morsel: HistogramSnapshot,
+        /// Trace spans pushed in this window.
+        pub trace_recorded: u64,
+        /// Trace spans evicted by the ring bound.
+        pub trace_dropped: u64,
+        /// Trace ring capacity.
+        pub trace_capacity: usize,
+    }
+
+    /// Queries executed (successes and failures).
+    Queries queries;
+    /// Queries that returned an error.
+    QueriesFailed queries_failed;
+    /// Morsels run by parallel workers.
+    Morsels morsels;
+    /// Normalized-plan-cache hits (parse + optimize skipped).
+    PlanCacheHits plan_cache_hits;
+    /// Normalized-plan-cache misses (full pipeline paid).
+    PlanCacheMisses plan_cache_misses;
+    /// Plan-cache entries dropped for a stale epoch or statistics revision.
+    PlanCacheInvalidations plan_cache_invalidations;
+}
+
+impl std::ops::Deref for MetricsSnapshot {
+    type Target = StatsSnapshot;
+
+    fn deref(&self) -> &StatsSnapshot {
+        &self.counters
+    }
+}
+
+impl MetricsSnapshot {
+    /// The `counters` object of the metrics export, as `(key, value)`: the
+    /// tallies, `rows_out`, then the counter table.
+    pub fn counter_entries(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Tally::ALL
+            .iter()
+            .map(|&t| (t.name(), self.get(t)))
+            .chain([("rows_out", self.rows_out)])
+            .chain(self.counters.iter().map(|(c, n)| (c.name(), n)))
+    }
+}
+
 /// The always-on session metrics registry.
 ///
 /// Every [`ExecContext`] carries one (fresh by default; a shell or server
@@ -360,26 +427,9 @@ impl TraceBuffer {
 #[derive(Debug)]
 pub struct SessionMetrics {
     epoch: Instant,
-    queries: AtomicU64,
-    queries_failed: AtomicU64,
+    counters: ExecStats,
+    tallies: [AtomicU64; Tally::ALL.len()],
     path_counts: [AtomicU64; 3],
-    rows_out: AtomicU64,
-    page_reads: AtomicU64,
-    page_hits: AtomicU64,
-    pages_skipped: AtomicU64,
-    probes: AtomicU64,
-    stream_records: AtomicU64,
-    bytes_decoded: AtomicU64,
-    columns_pruned: AtomicU64,
-    predicate_evals: AtomicU64,
-    selections_carried: AtomicU64,
-    slots_compacted: AtomicU64,
-    cache_probes: AtomicU64,
-    cache_stores: AtomicU64,
-    morsels: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_invalidations: AtomicU64,
     /// Measurement-window marker: how many times the registry was reset…
     resets: AtomicU64,
     /// …and when the current window started (unix milliseconds).
@@ -414,26 +464,9 @@ impl SessionMetrics {
     pub fn with_trace_capacity(trace_capacity: usize) -> SessionMetrics {
         SessionMetrics {
             epoch: Instant::now(),
-            queries: AtomicU64::new(0),
-            queries_failed: AtomicU64::new(0),
+            counters: ExecStats::new(),
+            tallies: std::array::from_fn(|_| AtomicU64::new(0)),
             path_counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            rows_out: AtomicU64::new(0),
-            page_reads: AtomicU64::new(0),
-            page_hits: AtomicU64::new(0),
-            pages_skipped: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            stream_records: AtomicU64::new(0),
-            bytes_decoded: AtomicU64::new(0),
-            columns_pruned: AtomicU64::new(0),
-            predicate_evals: AtomicU64::new(0),
-            selections_carried: AtomicU64::new(0),
-            slots_compacted: AtomicU64::new(0),
-            cache_probes: AtomicU64::new(0),
-            cache_stores: AtomicU64::new(0),
-            morsels: AtomicU64::new(0),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_invalidations: AtomicU64::new(0),
             resets: AtomicU64::new(0),
             window_started_unix_ms: AtomicU64::new(unix_ms()),
             parse_latency: LatencyHistogram::new(),
@@ -441,6 +474,12 @@ impl SessionMetrics {
             execute_latency: LatencyHistogram::new(),
             morsel_latency: LatencyHistogram::new(),
             trace: TraceBuffer::new(trace_capacity),
+        }
+    }
+
+    fn tally(&self, tally: Tally, n: u64) {
+        if n > 0 {
+            self.tallies[tally as usize].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -497,36 +536,24 @@ impl SessionMetrics {
         });
     }
 
-    /// Fold one successful query into the registry: the execute-phase
-    /// latency, the per-path query count, and the deltas of the shared
-    /// executor/storage counters accumulated while it ran. Called once per
-    /// query by the execute entry points; the deltas make the fold exact on
-    /// every path (workers already share the underlying atomics).
+    /// Fold one successful query into the registry: its path, its execute
+    /// latency, and every counter its own scope charged (`scope` is the
+    /// query's alone, so concurrent queries never fold each other's work).
+    /// The rows it returned are the `output_records` it charged.
     pub fn record_query(
         &self,
         path: QueryPath,
         start_nanos: u64,
         dur: Duration,
-        rows: u64,
-        exec: &ExecSnapshot,
-        storage: &StatsSnapshot,
+        scope: &ExecStats,
     ) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.path_counts[path.index()].fetch_add(1, Ordering::Relaxed);
-        self.rows_out.fetch_add(rows, Ordering::Relaxed);
-        self.page_reads.fetch_add(storage.page_reads, Ordering::Relaxed);
-        self.page_hits.fetch_add(storage.page_hits, Ordering::Relaxed);
-        self.pages_skipped.fetch_add(storage.pages_skipped, Ordering::Relaxed);
-        self.probes.fetch_add(storage.probes, Ordering::Relaxed);
-        self.stream_records.fetch_add(storage.stream_records, Ordering::Relaxed);
-        self.bytes_decoded.fetch_add(storage.bytes_decoded, Ordering::Relaxed);
-        self.columns_pruned.fetch_add(storage.columns_pruned, Ordering::Relaxed);
-        self.predicate_evals.fetch_add(exec.predicate_evals, Ordering::Relaxed);
-        self.selections_carried.fetch_add(exec.selections_carried, Ordering::Relaxed);
-        self.slots_compacted.fetch_add(exec.slots_compacted, Ordering::Relaxed);
-        self.cache_probes.fetch_add(exec.cache_probes, Ordering::Relaxed);
-        self.cache_stores.fetch_add(exec.cache_stores, Ordering::Relaxed);
+        self.tally(Tally::Queries, 1);
+        self.path_counts[path as usize].fetch_add(1, Ordering::Relaxed);
+        for half in Half::BOTH {
+            self.counters.absorb(scope, half);
+        }
         self.execute_latency.record(dur);
+        let rows = scope.get(Counter::OutputRecords);
         self.record_span(
             path.label().to_string(),
             "query",
@@ -541,44 +568,32 @@ impl SessionMetrics {
     /// (failures are part of the latency distribution a server reports), but
     /// no counters fold and the failure is tallied separately.
     pub fn record_query_error(&self, path: QueryPath, start_nanos: u64, dur: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.queries_failed.fetch_add(1, Ordering::Relaxed);
-        self.path_counts[path.index()].fetch_add(1, Ordering::Relaxed);
+        self.tally(Tally::Queries, 1);
+        self.tally(Tally::QueriesFailed, 1);
+        self.path_counts[path as usize].fetch_add(1, Ordering::Relaxed);
         self.execute_latency.record(dur);
-        self.record_span(
-            path.label().to_string(),
-            "query",
-            start_nanos,
-            dur,
-            0,
-            vec![("failed", 1)],
-        );
+        let args = vec![("failed", 1)];
+        self.record_span(path.label().to_string(), "query", start_nanos, dur, 0, args);
     }
 
     /// Tally one normalized-plan-cache lookup: a hit skipped parse+optimize
     /// for the query, a miss paid the full pipeline. Recorded by servers
     /// (`seq-serve`) that front the optimizer with a template cache.
     pub fn record_plan_cache_lookup(&self, hit: bool) {
-        if hit {
-            self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        self.tally(if hit { Tally::PlanCacheHits } else { Tally::PlanCacheMisses }, 1);
     }
 
     /// Tally plan-cache entries dropped because their catalog epoch or
     /// statistics revision went stale.
     pub fn record_plan_cache_invalidations(&self, n: u64) {
-        if n > 0 {
-            self.plan_cache_invalidations.fetch_add(n, Ordering::Relaxed);
-        }
+        self.tally(Tally::PlanCacheInvalidations, n);
     }
 
     /// Record one morsel's worker-side latency (parallel path). Workers call
     /// this concurrently; the histogram buckets are shared atomics, so the
     /// per-worker recordings fold into the session slot exactly.
     pub fn record_morsel(&self, dur: Duration) {
-        self.morsels.fetch_add(1, Ordering::Relaxed);
+        self.tally(Tally::Morsels, 1);
         self.morsel_latency.record(dur);
     }
 
@@ -600,27 +615,11 @@ impl SessionMetrics {
 
     /// Point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries: self.queries.load(Ordering::Relaxed),
-            queries_failed: self.queries_failed.load(Ordering::Relaxed),
+        let counters = self.counters.snapshot();
+        let mut snap = MetricsSnapshot {
+            counters,
+            rows_out: counters.output_records,
             path_counts: std::array::from_fn(|i| self.path_counts[i].load(Ordering::Relaxed)),
-            rows_out: self.rows_out.load(Ordering::Relaxed),
-            page_reads: self.page_reads.load(Ordering::Relaxed),
-            page_hits: self.page_hits.load(Ordering::Relaxed),
-            pages_skipped: self.pages_skipped.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            stream_records: self.stream_records.load(Ordering::Relaxed),
-            bytes_decoded: self.bytes_decoded.load(Ordering::Relaxed),
-            columns_pruned: self.columns_pruned.load(Ordering::Relaxed),
-            predicate_evals: self.predicate_evals.load(Ordering::Relaxed),
-            selections_carried: self.selections_carried.load(Ordering::Relaxed),
-            slots_compacted: self.slots_compacted.load(Ordering::Relaxed),
-            cache_probes: self.cache_probes.load(Ordering::Relaxed),
-            cache_stores: self.cache_stores.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            plan_cache_invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
             resets: self.resets.load(Ordering::Relaxed),
             window_started_unix_ms: self.window_started_unix_ms.load(Ordering::Relaxed),
             parse: self.parse_latency.snapshot(),
@@ -630,7 +629,12 @@ impl SessionMetrics {
             trace_recorded: self.trace.recorded(),
             trace_dropped: self.trace.dropped(),
             trace_capacity: self.trace.capacity(),
+            ..Default::default()
+        };
+        for &t in Tally::ALL {
+            *snap.get_mut(t) = self.tallies[t as usize].load(Ordering::Relaxed);
         }
+        snap
     }
 
     /// Start a new measurement window: zero every counter and histogram,
@@ -638,32 +642,18 @@ impl SessionMetrics {
     /// start time. Callers resetting legacy counters (`\stats reset`) must
     /// reset through here too, so both views share one window.
     pub fn reset(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.queries_failed.store(0, Ordering::Relaxed);
-        for slot in &self.path_counts {
+        self.counters.reset();
+        for slot in self.tallies.iter().chain(&self.path_counts) {
             slot.store(0, Ordering::Relaxed);
         }
-        self.rows_out.store(0, Ordering::Relaxed);
-        self.page_reads.store(0, Ordering::Relaxed);
-        self.page_hits.store(0, Ordering::Relaxed);
-        self.pages_skipped.store(0, Ordering::Relaxed);
-        self.probes.store(0, Ordering::Relaxed);
-        self.stream_records.store(0, Ordering::Relaxed);
-        self.bytes_decoded.store(0, Ordering::Relaxed);
-        self.columns_pruned.store(0, Ordering::Relaxed);
-        self.predicate_evals.store(0, Ordering::Relaxed);
-        self.selections_carried.store(0, Ordering::Relaxed);
-        self.slots_compacted.store(0, Ordering::Relaxed);
-        self.cache_probes.store(0, Ordering::Relaxed);
-        self.cache_stores.store(0, Ordering::Relaxed);
-        self.morsels.store(0, Ordering::Relaxed);
-        self.plan_cache_hits.store(0, Ordering::Relaxed);
-        self.plan_cache_misses.store(0, Ordering::Relaxed);
-        self.plan_cache_invalidations.store(0, Ordering::Relaxed);
-        self.parse_latency.reset();
-        self.optimize_latency.reset();
-        self.execute_latency.reset();
-        self.morsel_latency.reset();
+        for h in [
+            &self.parse_latency,
+            &self.optimize_latency,
+            &self.execute_latency,
+            &self.morsel_latency,
+        ] {
+            h.reset();
+        }
         self.trace.clear();
         self.resets.fetch_add(1, Ordering::Relaxed);
         self.window_started_unix_ms.store(unix_ms(), Ordering::Relaxed);
@@ -729,42 +719,17 @@ impl SessionMetrics {
             snap.resets, snap.window_started_unix_ms
         );
         out.push_str("  \"counters\": {");
-        for (i, (key, value)) in [
-            ("queries", snap.queries),
-            ("queries_failed", snap.queries_failed),
-            ("rows_out", snap.rows_out),
-            ("page_reads", snap.page_reads),
-            ("page_hits", snap.page_hits),
-            ("pages_skipped", snap.pages_skipped),
-            ("probes", snap.probes),
-            ("stream_records", snap.stream_records),
-            ("bytes_decoded", snap.bytes_decoded),
-            ("columns_pruned", snap.columns_pruned),
-            ("predicate_evals", snap.predicate_evals),
-            ("selections_carried", snap.selections_carried),
-            ("slots_compacted", snap.slots_compacted),
-            ("cache_probes", snap.cache_probes),
-            ("cache_stores", snap.cache_stores),
-            ("morsels", snap.morsels),
-            ("plan_cache_hits", snap.plan_cache_hits),
-            ("plan_cache_misses", snap.plan_cache_misses),
-            ("plan_cache_invalidations", snap.plan_cache_invalidations),
-        ]
-        .iter()
-        .enumerate()
-        {
+        for (i, (key, value)) in snap.counter_entries().enumerate() {
             let _ = write!(out, "{}\n    \"{key}\": {value}", if i > 0 { "," } else { "" });
         }
         out.push_str("\n  },\n  \"paths\": {");
-        for (i, path) in
-            [QueryPath::Batch, QueryPath::Parallel, QueryPath::Probe].into_iter().enumerate()
-        {
+        for (i, path) in QueryPath::ALL.into_iter().enumerate() {
             let _ = write!(
                 out,
                 "{}\"{}\": {}",
                 if i > 0 { ", " } else { "" },
                 path.label(),
-                snap.path_counts[path.index()]
+                snap.path_counts[path as usize]
             );
         }
         out.push_str("},\n  \"histograms\": [");
@@ -840,104 +805,34 @@ impl SessionMetrics {
     }
 }
 
-/// Point-in-time copy of a [`SessionMetrics`] registry.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Queries executed (successes and failures).
-    pub queries: u64,
-    /// Queries that returned an error.
-    pub queries_failed: u64,
-    /// Per-path query counts, in [`QueryPath`] order (batch, parallel,
-    /// probe).
-    pub path_counts: [u64; 3],
-    /// Rows produced at plan roots.
-    pub rows_out: u64,
-    /// Storage counter folds (deltas summed per query).
-    pub page_reads: u64,
-    /// Pages served from the buffer pool.
-    pub page_hits: u64,
-    /// Pages skipped by zone maps.
-    pub pages_skipped: u64,
-    /// Point probes issued.
-    pub probes: u64,
-    /// Records streamed out of scans.
-    pub stream_records: u64,
-    /// Bytes decoded from encoded columns.
-    pub bytes_decoded: u64,
-    /// Column slots left un-decoded by scan-level pruning.
-    pub columns_pruned: u64,
-    /// Predicate applications (the paper's K term).
-    pub predicate_evals: u64,
-    /// Batches handed downstream with a selection vector still attached.
-    pub selections_carried: u64,
-    /// Rows copied when a selection was densified at a batch boundary.
-    pub slots_compacted: u64,
-    /// Operator-cache lookups.
-    pub cache_probes: u64,
-    /// Operator-cache insertions.
-    pub cache_stores: u64,
-    /// Morsels run by parallel workers.
-    pub morsels: u64,
-    /// Normalized-plan-cache hits (parse+optimize skipped).
-    pub plan_cache_hits: u64,
-    /// Normalized-plan-cache misses (full pipeline paid).
-    pub plan_cache_misses: u64,
-    /// Plan-cache entries dropped for a stale epoch or statistics revision.
-    pub plan_cache_invalidations: u64,
-    /// Measurement-window resets so far.
-    pub resets: u64,
-    /// Unix milliseconds at which the current window started.
-    pub window_started_unix_ms: u64,
-    /// Parse-phase latency.
-    pub parse: HistogramSnapshot,
-    /// Optimize-phase latency.
-    pub optimize: HistogramSnapshot,
-    /// Execute-phase latency (per query, all paths).
-    pub execute: HistogramSnapshot,
-    /// Per-morsel worker latency (parallel path).
-    pub morsel: HistogramSnapshot,
-    /// Trace spans pushed in this window.
-    pub trace_recorded: u64,
-    /// Trace spans evicted by the ring bound.
-    pub trace_dropped: u64,
-    /// Trace ring capacity.
-    pub trace_capacity: usize,
-}
-
-/// Wrap one execute entry point: time it, and on completion fold the query
-/// into the context's registry (no-op when telemetry is detached). Exactly
-/// one `record_query` per top-level query, on the path the run policy
-/// picked.
+/// Run one query in a counter scope of its own, then fold the scope once:
+/// its executor half into `ctx.stats`, its storage half into the catalog's
+/// counters, and — for a query that succeeded, when telemetry is attached —
+/// all of it into the registry with the query's path and latency. Morsel
+/// helpers share the scope; concurrent queries each fold only their own.
+/// Exactly one registry record per top-level query, on the path the run
+/// policy picked.
 pub(crate) fn instrument<T>(
     ctx: &ExecContext<'_>,
     path: QueryPath,
-    rows_of: impl Fn(&T) -> u64,
-    f: impl FnOnce() -> Result<T>,
+    f: impl FnOnce(&ExecContext<'_>) -> Result<T>,
 ) -> Result<T> {
-    let Some(metrics) = &ctx.telemetry else { return f() };
-    let exec_before = ctx.stats.snapshot();
-    let storage_before = ctx.catalog.stats().snapshot();
-    let start_nanos = metrics.now_nanos();
-    let started = Instant::now();
-    let out = f();
-    let dur = started.elapsed();
-    match &out {
-        Ok(value) => {
-            let exec_delta = ctx.stats.snapshot().since(&exec_before);
-            let storage_delta = ctx.catalog.stats().snapshot().since(&storage_before);
-            metrics.record_query(
-                path,
-                start_nanos,
-                dur,
-                rows_of(value),
-                &exec_delta,
-                &storage_delta,
-            );
-            if let Some(profile) = &ctx.profile {
-                metrics.record_operator_spans(profile, start_nanos);
+    let scope = ctx.query_scope();
+    let timing = ctx.telemetry.as_ref().map(|m| (m, m.now_nanos(), Instant::now()));
+    let out = f(&scope);
+    ctx.stats.absorb(&scope.stats, Half::Exec);
+    ctx.catalog.stats().absorb(&scope.stats, Half::Storage);
+    if let Some((metrics, start_nanos, started)) = timing {
+        let dur = started.elapsed();
+        match &out {
+            Ok(_) => {
+                metrics.record_query(path, start_nanos, dur, &scope.stats);
+                if let Some(profile) = &ctx.profile {
+                    metrics.record_operator_spans(profile, start_nanos);
+                }
             }
+            Err(_) => metrics.record_query_error(path, start_nanos, dur),
         }
-        Err(_) => metrics.record_query_error(path, start_nanos, dur),
     }
     out
 }
@@ -1092,14 +987,9 @@ mod tests {
         let m = SessionMetrics::new();
         let t0 = m.now_nanos();
         m.record_phase(Phase::Parse, t0, Duration::from_micros(120));
-        m.record_query(
-            QueryPath::Batch,
-            t0 + 1_000,
-            Duration::from_micros(400),
-            42,
-            &ExecSnapshot::default(),
-            &StatsSnapshot::default(),
-        );
+        let scope = ExecStats::new();
+        scope.add(Counter::OutputRecords, 42);
+        m.record_query(QueryPath::Batch, t0 + 1_000, Duration::from_micros(400), &scope);
         let json = m.trace_to_chrome_json();
         assert!(json.contains("\"traceEvents\": ["));
         assert!(json.contains("\"ph\": \"X\""));
@@ -1113,14 +1003,11 @@ mod tests {
     #[test]
     fn metrics_json_is_balanced_and_reset_stamps_marker() {
         let m = SessionMetrics::new();
-        m.record_query(
-            QueryPath::Batch,
-            0,
-            Duration::from_micros(10),
-            7,
-            &ExecSnapshot { predicate_evals: 3, ..Default::default() },
-            &StatsSnapshot { page_reads: 2, ..Default::default() },
-        );
+        let scope = ExecStats::new();
+        scope.add(Counter::OutputRecords, 7);
+        scope.add(Counter::PredicateEvals, 3);
+        scope.add(Counter::PageReads, 2);
+        m.record_query(QueryPath::Batch, 0, Duration::from_micros(10), &scope);
         let snap = m.snapshot();
         assert_eq!(snap.queries, 1);
         assert_eq!(snap.rows_out, 7);

@@ -15,8 +15,8 @@ use seq_core::{
     record, schema, AttrType, BaseSequence, Record, Result, ResultSet, Row, SeqError, Span, Value,
 };
 use seq_exec::{
-    execute, probe_positions, run_policy, AggStrategy, ExecContext, ExecOptions, ExecSnapshot,
-    JoinStrategy, PhysNode, PhysPlan, Run, SessionMetrics, ValueOffsetStrategy,
+    execute, probe_positions, run_policy, AggStrategy, ExecContext, ExecOptions, JoinStrategy,
+    PhysNode, PhysPlan, Run, SessionMetrics, ValueOffsetStrategy,
 };
 use seq_ops::{AggFunc, Expr, Window};
 use seq_storage::{Catalog, StatsSnapshot};
@@ -368,7 +368,7 @@ fn stat_folding_is_identical_across_drives() {
 fn run_counted(
     plan: &PhysPlan,
     workers: usize,
-) -> (Result<ResultSet>, ExecSnapshot, StatsSnapshot, [u64; 3]) {
+) -> (Result<ResultSet>, StatsSnapshot, StatsSnapshot, [u64; 3]) {
     let c = dense_catalog(4096);
     let metrics = Arc::new(SessionMetrics::new());
     let mut ctx = ExecContext::new(&c);

@@ -7,8 +7,8 @@
 //! probe-walked node) and the morsel-parallel path:
 //!
 //! 1. profiled results == unprofiled results (bit-identical);
-//! 2. profiled global `ExecStats`/`AccessStats` == unprofiled (tee, not
-//!    divert);
+//! 2. profiled caller `ExecStats` and catalog counters == unprofiled (tee,
+//!    not divert);
 //! 3. the plan root's `rows_out` == `ExecStats::output_records` (the Start
 //!    operator's clamp is uncounted from the root slot);
 //! 4. per-operator storage counters sum to the catalog's global counters;

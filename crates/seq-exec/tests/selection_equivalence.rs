@@ -263,7 +263,7 @@ fn cases() -> Vec<Case> {
 struct Run {
     rows: seq_core::ResultSet,
     storage: seq_storage::StatsSnapshot,
-    exec: seq_exec::ExecSnapshot,
+    exec: seq_storage::StatsSnapshot,
     /// `slots_compacted` per pre-order operator id.
     compacted_by_op: Vec<u64>,
 }

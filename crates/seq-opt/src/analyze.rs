@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use seq_core::{Result, SeqMeta};
+use seq_core::{Result, SeqMeta, StatsSnapshot};
 use seq_exec::{ExecContext, PhysNode, QueryProfile};
 use seq_ops::Window;
 
@@ -184,7 +184,8 @@ pub fn explain_analyze_with(
     ctx.profile = None;
     let rows = result?;
 
-    let measured_cost = measured_model_cost(&profile, params);
+    let totals = profile.total_exec() + profile.total_storage();
+    let measured_cost = measured_model_cost(&totals, params);
     let per_op: Vec<OpAnalysis> = profile
         .op_reports()
         .iter()
@@ -202,7 +203,7 @@ pub fn explain_analyze_with(
         })
         .collect();
 
-    let actual_pages_skipped = profile.total_storage().pages_skipped;
+    let actual_pages_skipped = totals.pages_skipped;
     let text = render(opt, &profile, &per_op, rows.len(), wall, measured_cost);
     Ok(AnalyzeReport {
         rows,
@@ -322,18 +323,18 @@ fn collect_preorder<'a>(node: &'a PhysNode, out: &mut Vec<&'a PhysNode>) {
     }
 }
 
-/// Price the measured counters with the §4.1 cost model (same formula the
-/// benchmark harness uses for estimate-vs-measured comparisons).
-fn measured_model_cost(profile: &QueryProfile, p: &CostParams) -> f64 {
-    let st = profile.total_storage();
-    let ex = profile.total_exec();
-    let probe_pages = st.probes.min(st.page_reads);
-    let stream_pages = st.page_reads - probe_pages;
+/// Price measured counters with the §4.1 cost model: probes as random
+/// page I/Os, the remaining page reads as sequential ones, plus the record,
+/// predicate (K) and cache CPU terms. The one formula EXPLAIN ANALYZE and
+/// the experiment harness compare estimates against.
+pub fn measured_model_cost(s: &StatsSnapshot, p: &CostParams) -> f64 {
+    let probe_pages = s.probes.min(s.page_reads);
+    let stream_pages = s.page_reads - probe_pages;
     stream_pages as f64 * p.seq_page_io
-        + st.probes as f64 * p.rand_page_io
-        + st.stream_records as f64 * p.record_cpu
-        + ex.predicate_evals as f64 * p.predicate_k
-        + (ex.cache_stores + ex.cache_probes) as f64 * p.cache_op
+        + s.probes as f64 * p.rand_page_io
+        + s.stream_records as f64 * p.record_cpu
+        + s.predicate_evals as f64 * p.predicate_k
+        + (s.cache_stores + s.cache_probes) as f64 * p.cache_op
 }
 
 /// Bottom-up per-node output meta-data over the *physical* tree, mirroring
@@ -432,43 +433,9 @@ fn render(
     );
     let _ = writeln!(out, "Start range={}", opt.plan.range);
     for (op, a) in profile.op_reports().iter().zip(per_op) {
-        let pad = "  ".repeat(op.depth + 1);
-        let _ = writeln!(out, "{pad}{} span={} mode={}", op.label, op.span, a.mode);
         let flag = if a.divergent { "  << divergent" } else { "" };
-        let _ = write!(
-            out,
-            "{pad}  est rows={:.1}  actual rows={}{flag}\n{pad}  time={:.3}ms calls={}",
-            a.est_rows,
-            a.actual_rows,
-            op.busy.as_secs_f64() * 1e3,
-            op.calls
-        );
-        if op.batches_out > 0 {
-            let _ = write!(out, " batches={}", op.batches_out);
-        }
-        if op.exec.predicate_evals > 0 {
-            let _ = write!(out, " preds={}", op.exec.predicate_evals);
-        }
-        if op.exec.cache_probes + op.exec.cache_stores > 0 {
-            let _ = write!(out, " cache={}p/{}s", op.exec.cache_probes, op.exec.cache_stores);
-        }
-        if op.exec.naive_walk_steps > 0 {
-            let _ = write!(out, " naive_steps={}", op.exec.naive_walk_steps);
-        }
-        if op.touches_storage {
-            let _ = write!(
-                out,
-                " pages={}r/{}h probes={} stream_recs={}",
-                op.storage.page_reads,
-                op.storage.page_hits,
-                op.storage.probes,
-                op.storage.stream_records
-            );
-            if op.storage.pages_skipped > 0 {
-                let _ = write!(out, " skipped={}", op.storage.pages_skipped);
-            }
-        }
-        let _ = writeln!(out);
+        let note = format!("est rows={:.1}  actual rows={}{flag}", a.est_rows, a.actual_rows);
+        op.render_into(&mut out, &"  ".repeat(op.depth + 1), &note);
     }
     profile.render_workers(&mut out);
     let actual_skipped = profile.total_storage().pages_skipped;

@@ -28,8 +28,8 @@ pub mod selinger;
 pub mod transform;
 
 pub use analyze::{
-    absorb_feedback, explain_analyze, explain_analyze_with, AnalyzeReport, OpAnalysis,
-    DIVERGENCE_FACTOR,
+    absorb_feedback, explain_analyze, explain_analyze_with, measured_model_cost, AnalyzeReport,
+    OpAnalysis, DIVERGENCE_FACTOR,
 };
 pub use annotate::{annotate, Annotated};
 pub use blocks::{identify_blocks, Block, Blocks, InputSource, JoinBlock, NonUnitBlock};

@@ -107,8 +107,9 @@ pub struct Engine {
     pub cache: PlanCache,
     /// Pooled telemetry registry shared by every session's contexts.
     pub metrics: Arc<SessionMetrics>,
-    /// Server-cumulative executor counters (clones share the same totals).
-    exec_stats: ExecStats,
+    /// Server-cumulative executor counters: every query folds its executor
+    /// half in when it ends (clones share the same totals).
+    pub exec_stats: ExecStats,
     /// Per-template serving history behind the plan cache.
     templates: Mutex<HashMap<String, TemplateEntry>>,
 }
@@ -218,18 +219,7 @@ impl Engine {
                 json.push(',');
             }
             json.push_str("\n    {\"template\": \"");
-            for c in t.template.chars() {
-                match c {
-                    '"' => json.push_str("\\\""),
-                    '\\' => json.push_str("\\\\"),
-                    '\n' => json.push_str("\\n"),
-                    '\t' => json.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        json.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => json.push(c),
-                }
-            }
+            seq_exec::profile::escape_json_into(&t.template, &mut json);
             json.push_str(&format!(
                 "\", \"hits\": {}, \"executes\": {}, \"p50_us\": {:.3}, \"p99_us\": {:.3}}}",
                 t.hits, t.executes, t.p50_us, t.p99_us

@@ -160,7 +160,7 @@ impl BufferPool {
 
     /// Drop all resident pages and zero the stripe counters (between
     /// measurements — the pool's counters share the measurement window of
-    /// [`crate::AccessStats`], reset together by `Catalog::reset_measurement`).
+    /// [`crate::Stats`], reset together by `Catalog::reset_measurement`).
     pub fn clear(&self) {
         for (stripe, counters) in self.stripes.iter().zip(&self.counters) {
             let mut inner = stripe.lock().unwrap();

@@ -4,15 +4,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use seq_core::{BaseSequence, Result, SeqError, SeqMeta, Sequence};
+use seq_core::{BaseSequence, Result, SeqError, SeqMeta, Sequence, Stats};
 
 use crate::buffer::BufferPool;
-use crate::stats::AccessStats;
 use crate::store::{StoredSequence, DEFAULT_PAGE_CAPACITY};
 
 /// A named collection of stored sequences sharing one statistics context.
 pub struct Catalog {
-    stats: Arc<AccessStats>,
+    stats: Stats,
     buffer: Option<Arc<BufferPool>>,
     page_capacity: usize,
     seqs: HashMap<String, Arc<StoredSequence>>,
@@ -23,7 +22,7 @@ impl Catalog {
     /// A catalog with no buffer pool: every page touch is charged as a read.
     pub fn new() -> Catalog {
         Catalog {
-            stats: AccessStats::new(),
+            stats: Stats::new(),
             buffer: None,
             page_capacity: DEFAULT_PAGE_CAPACITY,
             seqs: HashMap::new(),
@@ -90,7 +89,7 @@ impl Catalog {
     }
 
     /// The shared access counters.
-    pub fn stats(&self) -> &Arc<AccessStats> {
+    pub fn stats(&self) -> &Stats {
         &self.stats
     }
 

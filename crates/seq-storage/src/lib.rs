@@ -9,7 +9,7 @@
 //! - **probed** access via [`seq_core::Sequence::get`], touching the one page
 //!   that can hold the requested position;
 //!
-//! with every page touch charged against shared [`stats::AccessStats`]
+//! with every page touch charged against shared [`seq_core::Stats`]
 //! counters, optionally filtered through an LRU [`buffer::BufferPool`].
 //! These counters are what the benchmark harness reports: the paper's
 //! optimizations (span restriction, access-mode selection, caching) all
@@ -21,7 +21,6 @@ pub mod column;
 pub mod filter;
 pub mod index;
 pub mod page;
-pub mod stats;
 pub mod store;
 
 pub use buffer::{BufferPool, PageAccess, StoreId, StripeStats};
@@ -30,5 +29,5 @@ pub use column::{strict_eq, ColumnData, PosData};
 pub use filter::ScanFilter;
 pub use index::SparseIndex;
 pub use page::{ColumnSet, DecodedRows, DictMasks, Page, PageId, ZoneEntry};
-pub use stats::{AccessStats, StatsSnapshot};
+pub use seq_core::{Stats, StatsSnapshot};
 pub use store::{OwnedBatchScan, OwnedScan, StoredSequence, DEFAULT_PAGE_CAPACITY};

@@ -2,21 +2,21 @@
 //!
 //! [`StoredSequence`] is the physical representation of a base sequence:
 //! records packed into fixed-capacity pages in position order, a sparse
-//! position index for probed access, and shared [`AccessStats`] counters
+//! position index for probed access, and shared [`Stats`] counters
 //! charged on every page touch. An optional [`BufferPool`] decides whether a
 //! page touch is a (cheap) hit or a (charged) read.
 
 use std::sync::Arc;
 
 use seq_core::{
-    BaseSequence, CmpOp, Record, RecordBatch, Result, Schema, SeqMeta, Sequence, Span, Value,
+    BaseSequence, CmpOp, Counter, Record, RecordBatch, Result, Schema, SeqMeta, Sequence, Span,
+    Stats, Value,
 };
 
 use crate::buffer::{BufferPool, PageAccess, StoreId};
 use crate::filter::ScanFilter;
 use crate::index::SparseIndex;
 use crate::page::{ColumnSet, DecodedRows, DictMasks, Page, PageId};
-use crate::stats::AccessStats;
 
 /// Default number of records per page. With ~16-byte records this models a
 /// small page; experiments that care set their own capacity.
@@ -105,30 +105,34 @@ impl CompressionStats {
     }
 }
 
-/// A physically stored base sequence.
+/// A physically stored base sequence: its immutable stored form, shared
+/// by every view of it, and the counters this view charges.
 pub struct StoredSequence {
+    body: Arc<StoredBody>,
+    stats: Stats,
+}
+
+/// The immutable part of a [`StoredSequence`].
+struct StoredBody {
     store_id: StoreId,
     name: String,
     schema: Schema,
     meta: SeqMeta,
-    /// Shared behind an `Arc` so a re-statted view of the same physical
-    /// pages ([`StoredSequence::with_stats`]) costs no page copies.
-    pages: Arc<[Page]>,
+    pages: Vec<Page>,
     index: SparseIndex,
     record_count: u64,
     compression: CompressionStats,
-    stats: Arc<AccessStats>,
     buffer: Option<Arc<BufferPool>>,
 }
 
 impl std::fmt::Debug for StoredSequence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoredSequence")
-            .field("name", &self.name)
-            .field("store_id", &self.store_id)
-            .field("pages", &self.pages.len())
-            .field("records", &self.record_count)
-            .field("meta", &self.meta)
+            .field("name", &self.body.name)
+            .field("store_id", &self.body.store_id)
+            .field("pages", &self.body.pages.len())
+            .field("records", &self.body.record_count)
+            .field("meta", &self.body.meta)
             .finish()
     }
 }
@@ -141,7 +145,7 @@ impl StoredSequence {
         name: impl Into<String>,
         base: &BaseSequence,
         page_capacity: usize,
-        stats: Arc<AccessStats>,
+        stats: Stats,
         buffer: Option<Arc<BufferPool>>,
     ) -> StoredSequence {
         assert!(page_capacity > 0, "page capacity must be positive");
@@ -152,74 +156,62 @@ impl StoredSequence {
         }
         let index = SparseIndex::build(&pages);
         let compression = CompressionStats::from_pages(&pages, base.schema().arity());
-        StoredSequence {
+        let body = StoredBody {
             store_id,
             name: name.into(),
             schema: base.schema().clone(),
             meta: base.meta().clone(),
-            pages: pages.into(),
+            pages,
             index,
             record_count: entries.len() as u64,
             compression,
-            stats,
             buffer,
-        }
+        };
+        StoredSequence { body: Arc::new(body), stats }
     }
 
-    /// A view of the same physical sequence charging a different statistics
-    /// context. Pages and buffer pool are shared (same `store_id`, so
-    /// hit/miss behavior is unchanged); only the counters charged differ.
-    /// Combined with [`AccessStats::scoped`], this is how a profiler
-    /// attributes page traffic to the one operator scanning this store.
-    pub fn with_stats(self: &Arc<Self>, stats: Arc<AccessStats>) -> Arc<StoredSequence> {
-        Arc::new(StoredSequence {
-            store_id: self.store_id,
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            meta: self.meta.clone(),
-            pages: Arc::clone(&self.pages),
-            index: self.index.clone(),
-            record_count: self.record_count,
-            compression: self.compression.clone(),
-            stats,
-            buffer: self.buffer.clone(),
-        })
+    /// A view of the same physical sequence charging `stats` instead: the
+    /// stored form is shared, not copied (same `store_id`, so buffer-pool
+    /// hits and misses are unchanged). This is how a query charges its own
+    /// scope and a profiler attributes page traffic to one operator.
+    pub fn with_stats(&self, stats: Stats) -> Arc<StoredSequence> {
+        Arc::new(StoredSequence { body: Arc::clone(&self.body), stats })
     }
 
     /// Catalog name of the sequence.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// Identifier within the shared buffer pool.
     pub fn store_id(&self) -> StoreId {
-        self.store_id
+        self.body.store_id
     }
 
     /// Number of pages the sequence occupies.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.body.pages.len()
     }
 
     /// The counters this store charges.
-    pub fn stats(&self) -> &Arc<AccessStats> {
+    pub fn stats(&self) -> &Stats {
         &self.stats
     }
 
     /// Compression summary of the stored pages (build-time metadata).
     pub fn compression(&self) -> &CompressionStats {
-        &self.compression
+        &self.body.compression
     }
 
     /// Charge one page touch against the statistics (and the buffer pool,
     /// when attached).
     fn touch_page(&self, page: PageId) {
-        match &self.buffer {
-            Some(pool) => match pool.access(self.store_id, page) {
-                PageAccess::Hit => self.stats.record_page_hit(),
-                PageAccess::Miss => self.stats.record_page_read(),
+        match &self.body.buffer {
+            Some(pool) => match pool.access(self.body.store_id, page) {
+                PageAccess::Hit => self.stats.add(Counter::PageHits, 1),
+                PageAccess::Miss => self.stats.add(Counter::PageReads, 1),
             },
-            None => self.stats.record_page_read(),
+            None => self.stats.add(Counter::PageReads, 1),
         }
     }
 
@@ -241,7 +233,7 @@ impl StoredSequence {
             return PageEntry::Exhausted;
         }
         if filter.is_some_and(|f| !f.page_may_match(page)) {
-            self.stats.record_page_skipped();
+            self.stats.add(Counter::PagesSkipped, 1);
             return PageEntry::Skip;
         }
         self.touch_page(page.id());
@@ -261,28 +253,28 @@ enum PageEntry {
 
 impl Sequence for StoredSequence {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.body.schema
     }
 
     fn meta(&self) -> &SeqMeta {
-        &self.meta
+        &self.body.meta
     }
 
     fn get(&self, pos: i64) -> Option<Record> {
-        self.stats.record_probe();
-        let page_id = self.index.page_for(pos)?;
+        self.stats.add(Counter::Probes, 1);
+        let page_id = self.body.index.page_for(pos)?;
         self.touch_page(page_id);
-        let (rec, bytes) = self.pages[page_id as usize].find(pos)?;
-        self.stats.record_bytes_decoded(bytes as u64);
+        let (rec, bytes) = self.body.pages[page_id as usize].find(pos)?;
+        self.stats.add(Counter::BytesDecoded, bytes as u64);
         Some(rec)
     }
 
     fn scan(&self, span: Span) -> Box<dyn Iterator<Item = (i64, Record)> + '_> {
-        self.stats.record_scan_opened();
+        self.stats.add(Counter::ScansOpened, 1);
         if span.is_empty() {
             return Box::new(std::iter::empty());
         }
-        let start_page = self.index.first_page_at_or_after(span.start());
+        let start_page = self.body.index.first_page_at_or_after(span.start());
         Box::new(StoredScan {
             store: self,
             page_idx: start_page,
@@ -294,7 +286,7 @@ impl Sequence for StoredSequence {
     }
 
     fn record_count(&self) -> u64 {
-        self.record_count
+        self.body.record_count
     }
 }
 
@@ -315,11 +307,11 @@ impl StoredSequence {
         span: Span,
         filter: Option<ScanFilter>,
     ) -> OwnedScan {
-        self.stats.record_scan_opened();
+        self.stats.add(Counter::ScansOpened, 1);
         let (page_idx, start, end) = if span.is_empty() {
             (usize::MAX, 1, 0)
         } else {
-            (self.index.first_page_at_or_after(span.start()), span.start(), span.end())
+            (self.body.index.first_page_at_or_after(span.start()), span.start(), span.end())
         };
         OwnedScan { store: Arc::clone(self), page_idx, slot: None, rows: None, start, end, filter }
     }
@@ -341,11 +333,11 @@ impl StoredSequence {
         batch_size: usize,
         filter: Option<ScanFilter>,
     ) -> OwnedBatchScan {
-        self.stats.record_scan_opened();
+        self.stats.add(Counter::ScansOpened, 1);
         let (page_idx, start, end) = if span.is_empty() {
             (usize::MAX, 1, 0)
         } else {
-            (self.index.first_page_at_or_after(span.start()), span.start(), span.end())
+            (self.body.index.first_page_at_or_after(span.start()), span.start(), span.end())
         };
         OwnedBatchScan {
             store: Arc::clone(self),
@@ -368,17 +360,18 @@ impl StoredSequence {
     /// page-aligned boundaries mean no page is entered by two workers for
     /// the same scan.
     pub fn partition_spans(&self, span: Span, parts: usize) -> Vec<Span> {
-        let span = span.intersect(&self.meta.span);
+        let span = span.intersect(&self.body.meta.span);
         if span.is_empty() {
             return Vec::new();
         }
-        let first = self.index.first_page_at_or_after(span.start());
+        let first = self.body.index.first_page_at_or_after(span.start());
         let last = self
+            .body
             .pages
             .iter()
             .rposition(|p| p.first_pos().is_some_and(|fp| fp <= span.end()))
             .unwrap_or(first);
-        if first >= self.pages.len() || last < first {
+        if first >= self.body.pages.len() || last < first {
             return Vec::new();
         }
         let pages = last - first + 1;
@@ -394,7 +387,7 @@ impl StoredSequence {
             } else {
                 // End just before the next chunk's first position so the
                 // sub-spans tile the span without overlap.
-                self.pages[chunk_last + 1].first_pos().expect("pages are non-empty") - 1
+                self.body.pages[chunk_last + 1].first_pos().expect("pages are non-empty") - 1
             };
             if hi >= lo {
                 out.push(Span::new(lo, hi));
@@ -456,7 +449,7 @@ impl OwnedBatchScan {
     fn charge_pruned(&self, arity: usize) {
         let pruned = self.columns.pruned_of(arity);
         if pruned > 0 {
-            self.store.stats.record_columns_pruned(pruned as u64);
+            self.store.stats.add(Counter::ColumnsPruned, pruned as u64);
         }
     }
     /// Next run of up to `batch_size` in-span records, or `None` when the
@@ -465,7 +458,7 @@ impl OwnedBatchScan {
         let arity = self.store.schema().arity();
         let mut batch = RecordBatch::with_capacity(arity, self.batch_size);
         while batch.len() < self.batch_size {
-            let Some(page) = self.store.pages.get(self.page_idx) else { break };
+            let Some(page) = self.store.body.pages.get(self.page_idx) else { break };
             let slot = match self.slot {
                 Some(s) => s,
                 // Entry (exhaustion check, zone-map skip, touch charging) is
@@ -493,7 +486,7 @@ impl OwnedBatchScan {
             let in_span = page.upper_bound(self.end);
             let take = (self.batch_size - batch.len()).min(in_span.saturating_sub(slot));
             let bytes = page.append_range_into_cols(&mut batch, slot, take, &self.columns);
-            self.store.stats.record_bytes_decoded(bytes as u64);
+            self.store.stats.add(Counter::BytesDecoded, bytes as u64);
             let slot = slot + take;
             if slot >= page.len() {
                 self.page_idx += 1;
@@ -510,7 +503,7 @@ impl OwnedBatchScan {
         if batch.is_empty() {
             None
         } else {
-            self.store.stats.record_stream_records(batch.len() as u64);
+            self.store.stats.fold(Counter::StreamRecords, batch.len() as u64);
             Some(batch)
         }
     }
@@ -533,7 +526,7 @@ impl OwnedBatchScan {
         let mut batch = RecordBatch::with_capacity(arity, self.batch_size.min(64));
         let mut scanned = 0usize;
         while scanned < self.batch_size {
-            let Some(page) = self.store.pages.get(self.page_idx) else { break };
+            let Some(page) = self.store.body.pages.get(self.page_idx) else { break };
             let slot = match self.slot {
                 Some(s) => s,
                 None => {
@@ -569,7 +562,7 @@ impl OwnedBatchScan {
                 // only scattered survivors pay the per-slot gather.
                 let bytes = page.append_slot_runs_into_cols(&mut batch, &survivors, &self.columns);
                 self.survivors = survivors;
-                self.store.stats.record_bytes_decoded(bytes as u64);
+                self.store.stats.add(Counter::BytesDecoded, bytes as u64);
                 scanned += take;
             }
             let slot = slot + take;
@@ -588,7 +581,7 @@ impl OwnedBatchScan {
         if scanned == 0 {
             Ok(None)
         } else {
-            self.store.stats.record_stream_records(scanned as u64);
+            self.store.stats.fold(Counter::StreamRecords, scanned as u64);
             Ok(Some((batch, scanned as u64)))
         }
     }
@@ -599,7 +592,7 @@ impl OwnedBatchScan {
         if lower > self.start {
             self.start = lower;
             if let Some(slot) = self.slot {
-                if let Some(page) = self.store.pages.get(self.page_idx) {
+                if let Some(page) = self.store.body.pages.get(self.page_idx) {
                     if page.last_pos().map(|lp| lp < lower).unwrap_or(true) {
                         self.page_idx += 1;
                         self.slot = None;
@@ -630,7 +623,7 @@ impl OwnedScan {
     /// Next non-empty position, or `None` when the span is exhausted.
     pub fn next_record(&mut self) -> Option<(i64, Record)> {
         loop {
-            let page = self.store.pages.get(self.page_idx)?;
+            let page = self.store.body.pages.get(self.page_idx)?;
             let slot = match self.slot {
                 Some(s) => s,
                 // Same shared entry decision as the batched scan, so both
@@ -640,7 +633,7 @@ impl OwnedScan {
                     match self.store.enter_page(page, self.start, self.end, self.filter.as_ref()) {
                         PageEntry::Enter(s) => {
                             let rows = page.decode_rows();
-                            self.store.stats.record_bytes_decoded(rows.byte_size() as u64);
+                            self.store.stats.add(Counter::BytesDecoded, rows.byte_size() as u64);
                             self.rows = Some(rows);
                             s
                         }
@@ -663,7 +656,7 @@ impl OwnedScan {
                     return None;
                 }
                 self.slot = Some(slot + 1);
-                self.store.stats.record_stream_record();
+                self.store.stats.add(Counter::StreamRecords, 1);
                 return Some((pos, rows.record(slot)));
             }
             self.page_idx = self.page_idx.wrapping_add(1);
@@ -682,7 +675,7 @@ impl OwnedScan {
             if let Some(slot) = self.slot {
                 // Stay on the current page if it may still hold positions
                 // >= lower; otherwise re-enter pages forward.
-                if let Some(page) = self.store.pages.get(self.page_idx) {
+                if let Some(page) = self.store.body.pages.get(self.page_idx) {
                     if page.last_pos().map(|lp| lp < lower).unwrap_or(true) {
                         self.page_idx += 1;
                         self.slot = None;
@@ -722,7 +715,7 @@ impl Iterator for StoredScan<'_> {
 
     fn next(&mut self) -> Option<(i64, Record)> {
         loop {
-            let page = self.store.pages.get(self.page_idx)?;
+            let page = self.store.body.pages.get(self.page_idx)?;
             let slot = match self.slot {
                 Some(s) => s,
                 None => {
@@ -731,7 +724,7 @@ impl Iterator for StoredScan<'_> {
                     // entry.
                     self.store.touch_page(page.id());
                     let rows = page.decode_rows();
-                    self.store.stats.record_bytes_decoded(rows.byte_size() as u64);
+                    self.store.stats.add(Counter::BytesDecoded, rows.byte_size() as u64);
                     self.rows = Some(rows);
                     page.lower_bound(self.start)
                 }
@@ -743,7 +736,7 @@ impl Iterator for StoredScan<'_> {
                     return None;
                 }
                 self.slot = Some(slot + 1);
-                self.store.stats.record_stream_record();
+                self.store.stats.add(Counter::StreamRecords, 1);
                 return Some((pos, rows.record(slot)));
             }
             // Page exhausted; move on.
@@ -773,8 +766,8 @@ mod tests {
         .unwrap()
     }
 
-    fn stored(n: i64, step: i64, cap: usize) -> (StoredSequence, Arc<AccessStats>) {
-        let stats = AccessStats::new();
+    fn stored(n: i64, step: i64, cap: usize) -> (StoredSequence, Stats) {
+        let stats = Stats::new();
         let s = StoredSequence::from_base(0, "t", &base(n, step), cap, stats.clone(), None);
         (s, stats)
     }
@@ -827,7 +820,7 @@ mod tests {
 
     #[test]
     fn buffer_pool_absorbs_repeat_probes() {
-        let stats = AccessStats::new();
+        let stats = Stats::new();
         let pool = Arc::new(BufferPool::new(8));
         let s = StoredSequence::from_base(0, "t", &base(100, 1), 16, stats.clone(), Some(pool));
         s.get(10);
@@ -874,10 +867,10 @@ mod owned_scan_tests {
     use super::*;
     use seq_core::{record, schema, AttrType};
 
-    fn stored(n: i64, step: i64, cap: usize) -> (Arc<StoredSequence>, Arc<AccessStats>) {
+    fn stored(n: i64, step: i64, cap: usize) -> (Arc<StoredSequence>, Stats) {
         let entries = (0..n).map(|i| (1 + i * step, record![1 + i * step])).collect();
         let base = BaseSequence::from_entries(schema(&[("x", AttrType::Int)]), entries).unwrap();
-        let stats = AccessStats::new();
+        let stats = Stats::new();
         let s = Arc::new(StoredSequence::from_base(0, "t", &base, cap, stats.clone(), None));
         (s, stats)
     }
@@ -1049,7 +1042,7 @@ mod owned_scan_tests {
     #[test]
     fn with_stats_view_shares_pages_and_tees_charges() {
         let (s, global) = stored(100, 1, 16);
-        let scope = AccessStats::scoped(&global);
+        let scope = Stats::new().teeing_into(&global);
         let view = s.with_stats(scope.clone());
         assert_eq!(view.store_id(), s.store_id());
         assert_eq!(view.page_count(), s.page_count());
@@ -1094,7 +1087,7 @@ mod owned_scan_tests {
     fn shared_storage_types_are_sync() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<StoredSequence>();
-        assert_sync::<AccessStats>();
+        assert_sync::<Stats>();
         assert_sync::<OwnedBatchScan>();
     }
 }
@@ -1106,10 +1099,10 @@ mod filtered_scan_tests {
     use seq_core::{record, schema, AttrType, CmpOp, Value};
 
     /// Positions 1..=n, column 0 equal to the position (clustered values).
-    fn stored(n: i64, cap: usize) -> (Arc<StoredSequence>, Arc<AccessStats>) {
+    fn stored(n: i64, cap: usize) -> (Arc<StoredSequence>, Stats) {
         let entries = (1..=n).map(|p| (p, record![p])).collect();
         let base = BaseSequence::from_entries(schema(&[("x", AttrType::Int)]), entries).unwrap();
-        let stats = AccessStats::new();
+        let stats = Stats::new();
         let s = Arc::new(StoredSequence::from_base(0, "t", &base, cap, stats.clone(), None));
         (s, stats)
     }
@@ -1267,7 +1260,7 @@ mod filtered_scan_tests {
 
     /// Positions 1..=n with three columns: position, a wide string, and a
     /// low-cardinality dict-encodable label.
-    fn stored_wide(n: i64, cap: usize) -> (Arc<StoredSequence>, Arc<AccessStats>) {
+    fn stored_wide(n: i64, cap: usize) -> (Arc<StoredSequence>, Stats) {
         let entries = (1..=n)
             .map(|p| (p, record![p, "a-reasonably-wide-payload", ["lo", "hi"][(p % 2) as usize]]))
             .collect();
@@ -1276,7 +1269,7 @@ mod filtered_scan_tests {
             entries,
         )
         .unwrap();
-        let stats = AccessStats::new();
+        let stats = Stats::new();
         let s = Arc::new(StoredSequence::from_base(0, "w", &base, cap, stats.clone(), None));
         (s, stats)
     }

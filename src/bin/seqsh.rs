@@ -54,6 +54,7 @@ use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
 use seqproc::prelude::*;
+use seqproc::seq_exec::Tally;
 use seqproc::seq_lang::parse_query;
 use seqproc::seq_workload::{table1_catalog, weather_catalog, WeatherSpec};
 
@@ -195,8 +196,8 @@ impl Shell {
                         "window:   #{} since unix_ms {}",
                         snap.resets, snap.window_started_unix_ms
                     );
-                    println!("executor: {}", self.exec_stats.snapshot());
-                    println!("storage:  {}", self.catalog.stats().snapshot());
+                    let counters = self.exec_stats.snapshot() + self.catalog.stats().snapshot();
+                    print_halves(&counters);
                     for (name, h) in [
                         ("parse", &snap.parse),
                         ("optimize", &snap.optimize),
@@ -238,32 +239,12 @@ impl Shell {
     fn print_metrics(&self) {
         let snap = self.metrics.snapshot();
         println!("window #{} since unix_ms {}", snap.resets, snap.window_started_unix_ms);
-        println!(
-            "queries: {} ({} failed) | batch {} parallel {} probe {}",
-            snap.queries,
-            snap.queries_failed,
-            snap.path_counts[0],
-            snap.path_counts[1],
-            snap.path_counts[2],
-        );
-        println!(
-            "rows_out {} | page_reads {} (hits {}) | pages_skipped {} | probes {} | \
-             bytes_decoded {}",
-            snap.rows_out,
-            snap.page_reads,
-            snap.page_hits,
-            snap.pages_skipped,
-            snap.probes,
-            snap.bytes_decoded,
-        );
-        println!(
-            "predicate_evals {} | cache {}p/{}s | morsels {}",
-            snap.predicate_evals, snap.cache_probes, snap.cache_stores, snap.morsels
-        );
-        println!(
-            "selections_carried {} | slots_compacted {} | columns_pruned {}",
-            snap.selections_carried, snap.slots_compacted, snap.columns_pruned
-        );
+        let tallies = Tally::ALL.iter().map(|&t| format!("{}={}", t.name(), snap.get(t)));
+        let paths = QueryPath::ALL
+            .iter()
+            .map(|&p| format!("{}={}", p.label(), snap.path_counts[p as usize]));
+        println!("tallies:  {}", tallies.chain(paths).collect::<Vec<_>>().join(" "));
+        print_halves(&snap.counters);
         for (name, h) in [
             ("parse", &snap.parse),
             ("optimize", &snap.optimize),
@@ -331,7 +312,9 @@ impl Shell {
     }
 
     fn execute(&mut self, optimized: &Optimized) -> Result<(), SeqError> {
-        let storage_before = self.catalog.stats().snapshot();
+        let counters =
+            |shell: &Shell| shell.exec_stats.snapshot() + shell.catalog.stats().snapshot();
+        let before = counters(self);
         let mut ctx = ExecContext::with_stats(&self.catalog, self.exec_stats.clone());
         ctx.share_telemetry(&self.metrics);
         let started = std::time::Instant::now();
@@ -355,7 +338,7 @@ impl Shell {
             elapsed.as_secs_f64() * 1e3,
             optimized.est_cost,
             optimized.exec_mode,
-            self.catalog.stats().snapshot().since(&storage_before)
+            counters(self).since(&before).display(|_, n| n > 0)
         );
         Ok(())
     }
@@ -612,6 +595,14 @@ fn run_remote(addr: &str, inline: &[String]) {
                 break;
             }
         }
+    }
+}
+
+/// One `name=value` line per half of the counter table.
+fn print_halves(counters: &seqproc::seq_core::StatsSnapshot) {
+    use seqproc::seq_core::Half;
+    for (label, half) in [("executor:", Half::Exec), ("storage: ", Half::Storage)] {
+        println!("{label} {}", counters.display(|c, _| c.half() == half));
     }
 }
 

@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 
 use common::*;
 use seqproc::prelude::*;
-use seqproc::seq_exec::ExecSnapshot;
+use seqproc::seq_core::StatsSnapshot;
 use seqproc::seq_workload::Rng;
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
@@ -120,7 +120,7 @@ fn skipping_drain(
     world: &World,
     plan: &PhysPlan,
     batch_size: usize,
-) -> [(Vec<(i64, Record)>, ExecSnapshot); 2] {
+) -> [(Vec<(i64, Record)>, StatsSnapshot); 2] {
     let (ctx_b, ctx_1) = (ExecContext::new(&world.catalog), ExecContext::new(&world.catalog));
     let mut batches = plan.root.open_batch(&ctx_b, batch_size).unwrap();
     let mut ones = plan.root.open_batch(&ctx_1, 1).unwrap();
