@@ -866,7 +866,7 @@ pub mod e14_profile {
     /// predicate compares two derived aggregates, so its selectivity
     /// estimate falls back to the default comparison guess — a deliberate
     /// stress on the Step-2.a estimator.
-    pub fn run(scale: i64) -> (AnalyzeReport, String) {
+    pub fn run(scale: i64) -> AnalyzeReport {
         let catalog = table1_catalog(scale, 42, 64);
         let query = queries::golden_cross("IBM", 4, 16, 0.0);
         let range = catalog.meta("IBM").expect("registered").span;
@@ -874,21 +874,20 @@ pub mod e14_profile {
         let opt = optimize(&query, &CatalogRef(&catalog), &cfg).unwrap();
         catalog.reset_measurement();
         let mut ctx = ExecContext::new(&catalog);
-        let report = explain_analyze(&opt, &mut ctx, &cfg.cost).unwrap();
-        (report, opt.exec_mode.to_string())
+        explain_analyze(&opt, &mut ctx, &cfg.cost).unwrap()
     }
 
     /// Print the annotated plan and write the JSON export next to the other
     /// `BENCH_*.json` artifacts.
     pub fn run_and_print() {
-        let (report, exec_mode) = run(40);
+        let report = run(40);
         println!(
             "\nE14 — seq-trace: per-operator estimate vs. actual (golden cross, table1 scale 40)"
         );
         println!("expectation: dense uniform inputs estimate well; the compose predicate over two derived\naggregates falls back to the default comparison selectivity (1/3) and under-estimates —\nthe per-operator counters localize the error to the cardinality guess, not the cost weights\n");
         print!("{}", report.text);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../PROFILE_e14.json");
-        std::fs::write(path, report.to_json(&exec_mode)).expect("write PROFILE_e14.json");
+        std::fs::write(path, report.to_json()).expect("write PROFILE_e14.json");
         println!("wrote {path}");
     }
 }

@@ -1,21 +1,16 @@
 //! Schema validation for the harness's hand-rolled JSON exports.
 //!
-//! Four document kinds, dispatched by [`check_document`] on their
+//! Three document kinds, dispatched by [`check_document`] on their
 //! distinguishing top-level keys:
 //!
 //! - **profiles** — bare `QueryProfile` exports or EXPLAIN ANALYZE reports
 //!   embedding one ([`check_profile`]);
 //! - **metrics snapshots** — `SessionMetrics::to_json` output,
-//!   `metrics_version: 1` ([`check_metrics`]);
+//!   `metrics_version: 1`, with the hottest plan templates and their
+//!   latency digests when a serving engine wrote it ([`check_metrics`]);
 //! - **Chrome traces** — `SessionMetrics::trace_to_chrome_json` output, a
 //!   `traceEvents` array of complete (`"ph": "X"`) events
 //!   ([`check_trace`]);
-//! - **serve benchmarks** — the `serve_throughput` artifact
-//!   (`BENCH_serve.json`, `serve_version: 1`): per-client-count QPS and
-//!   latency rows, plan-cache counters with a consistent hit rate, the
-//!   cached-vs-uncached latency comparison, the load-shed accounting, and
-//!   (when present) the hottest plan templates with their latency digests
-//!   ([`check_serve`]).
 //!
 //! The `profile_check` binary is a thin CLI over [`check_document`]; the
 //! checks live here so integration tests can validate in-process exports
@@ -34,93 +29,13 @@ pub fn check_document(text: &str) -> Result<String, String> {
         check_trace(&doc)
     } else if doc.get("metrics_version").is_some() {
         check_metrics(&doc)
-    } else if doc.get("serve_version").is_some() {
-        check_serve(&doc)
     } else {
         check_profile(&doc)
     }
 }
 
-/// Validate a `serve_throughput` benchmark artifact (`serve_version: 1`):
-/// the per-client-count sweep, plan-cache counters (hit rate must equal
-/// hits / (hits + misses)), the cached-vs-uncached latency pair, and the
-/// load-shed accounting (`submitted == completed + shed`).
-pub fn check_serve(doc: &Json) -> Result<String, String> {
-    if doc.get("serve_version").and_then(Json::as_f64) != Some(1.0) {
-        return Err("missing or unexpected serve_version".into());
-    }
-    for key in ["host_cores", "workers", "queue_depth"] {
-        if doc.get(key).and_then(Json::as_f64).is_none() {
-            return Err(format!("missing numeric {key:?}"));
-        }
-    }
-    let clients = doc.get("clients").and_then(Json::as_array).ok_or("missing clients array")?;
-    if clients.is_empty() {
-        return Err("empty clients array".into());
-    }
-    for (i, row) in clients.iter().enumerate() {
-        for key in ["clients", "queries", "shed", "qps", "p50_us", "p99_us"] {
-            match row.get(key).and_then(Json::as_f64) {
-                Some(n) if n >= 0.0 => {}
-                _ => return Err(format!("clients row {i} missing non-negative {key:?}")),
-            }
-        }
-        let (p50, p99) = (
-            row.get("p50_us").and_then(Json::as_f64).unwrap_or(0.0),
-            row.get("p99_us").and_then(Json::as_f64).unwrap_or(0.0),
-        );
-        if p99 < p50 {
-            return Err(format!("clients row {i}: p99 {p99} below p50 {p50}"));
-        }
-    }
-    let cache = doc.get("plan_cache").ok_or("missing plan_cache")?;
-    let mut counts = [0.0; 3];
-    for (slot, key) in counts.iter_mut().zip(["hits", "misses", "invalidations"]) {
-        match cache.get(key).and_then(Json::as_f64) {
-            Some(n) if n >= 0.0 => *slot = n,
-            _ => return Err(format!("plan_cache missing non-negative {key:?}")),
-        }
-    }
-    let hit_rate = cache.get("hit_rate").and_then(Json::as_f64).ok_or("missing hit_rate")?;
-    let expected = match counts[0] + counts[1] {
-        t if t > 0.0 => counts[0] / t,
-        _ => 0.0,
-    };
-    if (hit_rate - expected).abs() > 1e-6 {
-        return Err(format!("hit_rate {hit_rate} inconsistent with hits/misses ({expected})"));
-    }
-    let latency = doc.get("latency").ok_or("missing latency comparison")?;
-    for key in ["cached_p50_us", "uncached_p50_us"] {
-        match latency.get(key).and_then(Json::as_f64) {
-            Some(n) if n >= 0.0 => {}
-            _ => return Err(format!("latency missing non-negative {key:?}")),
-        }
-    }
-    let shed = doc.get("load_shed").ok_or("missing load_shed")?;
-    let mut totals = [0.0; 3];
-    for (slot, key) in totals.iter_mut().zip(["submitted", "completed", "shed"]) {
-        match shed.get(key).and_then(Json::as_f64) {
-            Some(n) if n >= 0.0 => *slot = n,
-            _ => return Err(format!("load_shed missing non-negative {key:?}")),
-        }
-    }
-    if totals[0] != totals[1] + totals[2] {
-        return Err(format!(
-            "load_shed submitted {} != completed {} + shed {}",
-            totals[0], totals[1], totals[2]
-        ));
-    }
-    // Hot-template visibility (optional for older artifacts).
-    let n_templates = check_hot_templates(doc)?;
-    Ok(format!(
-        "serve: {} client configs, hit_rate {hit_rate:.3}, {} shed, {n_templates} hot templates",
-        clients.len(),
-        totals[2]
-    ))
-}
-
-/// Validate the optional `hot_templates` section (serve artifacts and
-/// serve-level metrics exports): the top-N cached plan templates by hit
+/// Validate the optional `hot_templates` section of a serving engine's
+/// metrics export: the top-N cached plan templates by hit
 /// count, hottest first, each with its execute-latency digest. Returns the
 /// row count (0 when absent).
 fn check_hot_templates(doc: &Json) -> Result<usize, String> {
@@ -378,8 +293,10 @@ pub fn check_metrics(doc: &Json) -> Result<String, String> {
     }
     // Serve-level exports splice in the hottest plan templates; bare
     // registry exports don't carry the section.
-    check_hot_templates(doc)?;
-    Ok(format!("metrics: {queries} queries, {samples} histogram samples"))
+    let templates = check_hot_templates(doc)?;
+    Ok(format!(
+        "metrics: {queries} queries, {samples} histogram samples, {templates} hot templates"
+    ))
 }
 
 /// Validate a Chrome `trace_event` JSON export: a `traceEvents` array of
@@ -442,45 +359,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_checker_enforces_consistency() {
-        let doc = |hit_rate: &str, shed: &str| {
-            format!(
-                r#"{{"benchmark": "serve_throughput", "serve_version": 1,
-                    "host_cores": 1, "workers": 2, "queue_depth": 4,
-                    "clients": [
-                        {{"clients": 1, "queries": 100, "shed": 0, "qps": 5000.0,
-                          "p50_us": 120.0, "p99_us": 400.0}},
-                        {{"clients": 4, "queries": 350, "shed": 0, "qps": 9000.0,
-                          "p50_us": 300.0, "p99_us": 900.0}}
-                    ],
-                    "plan_cache": {{"hits": 90, "misses": 10, "invalidations": 2,
-                                    "hit_rate": {hit_rate}}},
-                    "latency": {{"cached_p50_us": 100.0, "uncached_p50_us": 350.0}},
-                    "load_shed": {shed}}}"#
-            )
-        };
-        let good = doc("0.9", r#"{"submitted": 10, "completed": 7, "shed": 3}"#);
-        assert!(check_document(&good).is_ok(), "{:?}", check_document(&good));
-        let bad_rate = doc("0.5", r#"{"submitted": 10, "completed": 7, "shed": 3}"#);
-        assert!(check_document(&bad_rate).unwrap_err().contains("hit_rate"));
-        let bad_shed = doc("0.9", r#"{"submitted": 10, "completed": 7, "shed": 1}"#);
-        assert!(check_document(&bad_shed).unwrap_err().contains("load_shed"));
-    }
-
-    #[test]
     fn serve_checker_validates_hot_templates() {
+        let batch = r#"{"batch": 1, "parallel": 0, "probe": 0}"#;
         let doc = |templates: &str| {
-            format!(
-                r#"{{"benchmark": "serve_throughput", "serve_version": 1,
-                    "host_cores": 1, "workers": 2, "queue_depth": 4,
-                    "clients": [{{"clients": 1, "queries": 10, "shed": 0, "qps": 100.0,
-                                  "p50_us": 10.0, "p99_us": 20.0}}],
-                    "plan_cache": {{"hits": 1, "misses": 1, "invalidations": 0,
-                                    "hit_rate": 0.5}},
-                    "latency": {{"cached_p50_us": 1.0, "uncached_p50_us": 2.0}},
-                    "load_shed": {{"submitted": 10, "completed": 10, "shed": 0}},
-                    "hot_templates": {templates}}}"#
-            )
+            let registry = metrics_doc(batch, "1.0", "");
+            let body = registry.trim_end().strip_suffix('}').unwrap();
+            format!("{body}, \"hot_templates\": {templates}}}")
         };
         let good = doc(r#"[{"template": "select $1", "hits": 9, "executes": 10,
                  "p50_us": 5.0, "p99_us": 9.0},

@@ -22,6 +22,7 @@ use seq_ops::Window;
 
 use crate::cost::CostParams;
 use crate::info::{CatalogInfo, CatalogRef, FeedbackStats, StatsOverlay};
+use crate::lowering::ExecMode;
 use crate::planner::Optimized;
 
 /// Estimate/actual row counts are flagged as divergent when they disagree by
@@ -56,6 +57,8 @@ pub struct AnalyzeReport {
     pub rows: seq_core::ResultSet,
     /// End-to-end wall time of the execution.
     pub wall: std::time::Duration,
+    /// The execution path the plan ran on.
+    pub exec_mode: ExecMode,
     /// The optimizer's estimated cost of the executed (stream) plan.
     pub est_cost: f64,
     /// The §4.1 cost model priced on the *measured* counters.
@@ -80,7 +83,7 @@ pub struct AnalyzeReport {
 impl AnalyzeReport {
     /// Machine-readable JSON export: summary + per-operator comparisons +
     /// the embedded [`QueryProfile::to_json`] object. Hand-rolled, no serde.
-    pub fn to_json(&self, exec_mode: &str) -> String {
+    pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = write!(
@@ -88,7 +91,7 @@ impl AnalyzeReport {
             "{{\n  \"exec_mode\": \"{}\",\n  \"rows\": {},\n  \"wall_ms\": {:.3},\n  \
              \"est_cost\": {:.3},\n  \"measured_cost\": {:.3},\n  \
              \"est_pages_skipped\": {:.1},\n  \"actual_pages_skipped\": {},\n  \"estimates\": [",
-            exec_mode,
+            self.exec_mode,
             self.rows.len(),
             self.wall.as_secs_f64() * 1e3,
             self.est_cost,
@@ -208,6 +211,7 @@ pub fn explain_analyze_with(
     Ok(AnalyzeReport {
         rows,
         wall,
+        exec_mode: opt.exec_mode,
         est_cost: opt.est_cost,
         measured_cost,
         est_pages_skipped: opt.est_pages_skipped,
@@ -597,14 +601,14 @@ mod tests {
             );
         }
         assert!(report.text.contains("mode=batch"));
-        let json = report.to_json(&opt.exec_mode.to_string());
+        let json = report.to_json();
         assert!(json.contains("\"mode\": \"batch\""));
     }
 
     #[test]
     fn json_embeds_profile_and_estimates() {
-        let (report, opt) = analyze("(select (> close 90.0) (base S))", 0);
-        let json = report.to_json(&opt.exec_mode.to_string());
+        let (report, _) = analyze("(select (> close 90.0) (base S))", 0);
+        let json = report.to_json();
         assert!(json.contains("\"est_cost\""));
         assert!(json.contains("\"estimates\": ["));
         assert!(json.contains("\"feedback\": ["));

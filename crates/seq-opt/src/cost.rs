@@ -35,10 +35,6 @@ pub struct CostParams {
     /// "correlations between sequences in the positions of Null records").
     /// 1.0 = independent; >1 = positively correlated (more matches).
     pub null_correlation: f64,
-    /// Materializing one value from an encoded page column (delta unpack,
-    /// run expansion, dictionary lookup). Charged only for the compressed
-    /// fraction of the data: plain-stored columns copy at `record_cpu`.
-    pub decode_cpu: f64,
 }
 
 impl Default for CostParams {
@@ -50,7 +46,6 @@ impl Default for CostParams {
             cache_op: 0.005,
             predicate_k: 0.01,
             null_correlation: 1.0,
-            decode_cpu: 0.002,
         }
     }
 }
@@ -85,36 +80,6 @@ pub fn base_access_costs(meta: &SeqMeta, page_capacity: usize, params: &CostPara
     AccessCosts {
         stream: pages * params.seq_page_io + records * params.record_cpu,
         probed: span_len * params.rand_page_io,
-    }
-}
-
-/// Access costs to a base sequence stored on *encoded* columnar pages with
-/// compression ratio `ratio` (encoded bytes over plain bytes, `<= 1.0` by
-/// the pick-cheapest heuristic's plain fallback).
-///
-/// A stream scan over encoded pages moves `ratio`× the bytes of the plain
-/// layout — the I/O term shrinks proportionally — but pays `decode_cpu` to
-/// materialize each value of the compressed fraction `(1 − ratio)` of the
-/// data. Probing is unchanged: a probe touches one page either way. At
-/// `ratio = 1.0` (uncompressed) this is exactly [`base_access_costs`].
-pub fn encoded_access_costs(
-    meta: &SeqMeta,
-    page_capacity: usize,
-    params: &CostParams,
-    ratio: f64,
-) -> AccessCosts {
-    let base = base_access_costs(meta, page_capacity, params);
-    let span_len = span_len_f(&meta.span);
-    if span_len == 0.0 || !span_len.is_finite() {
-        return base;
-    }
-    let ratio = ratio.clamp(0.0, 1.0);
-    let records = span_len * meta.density;
-    let pages = (records / page_capacity.max(1) as f64).ceil();
-    AccessCosts {
-        stream: pages * params.seq_page_io * ratio
-            + records * (params.record_cpu + params.decode_cpu * (1.0 - ratio)),
-        probed: base.probed,
     }
 }
 
@@ -344,41 +309,6 @@ mod tests {
         let sparse = base_access_costs(&SeqMeta::with_span(Span::new(1, 6400), 0.25), 64, &p);
         assert!(sparse.stream < full.stream / 3.0);
         assert_eq!(sparse.probed, full.probed);
-    }
-
-    #[test]
-    fn encoded_costs_reduce_to_base_when_uncompressed() {
-        let p = params();
-        let meta = SeqMeta::with_span(Span::new(1, 6400), 0.8);
-        let base = base_access_costs(&meta, 64, &p);
-        let enc = encoded_access_costs(&meta, 64, &p, 1.0);
-        assert_eq!(enc, base);
-        // Out-of-range ratios clamp instead of inverting the model.
-        assert_eq!(encoded_access_costs(&meta, 64, &p, 1.7), base);
-        // Degenerate spans defer to the base pricing.
-        let empty = SeqMeta::with_span(Span::empty(), 1.0);
-        assert_eq!(encoded_access_costs(&empty, 64, &p, 0.5), AccessCosts::ZERO);
-    }
-
-    #[test]
-    fn encoded_costs_trade_io_for_decode_cpu() {
-        let p = params();
-        let meta = SeqMeta::with_span(Span::new(1, 6400), 1.0);
-        let base = base_access_costs(&meta, 64, &p);
-        let enc = encoded_access_costs(&meta, 64, &p, 0.25);
-        // Default decode_cpu keeps the trade profitable: a quarter-size scan
-        // beats the full-width one even after paying to decode.
-        assert!(enc.stream < base.stream, "{} vs {}", enc.stream, base.stream);
-        // Probing touches one page regardless of its encoding.
-        assert_eq!(enc.probed, base.probed);
-        // Monotone: better compression, cheaper scan.
-        let enc_half = encoded_access_costs(&meta, 64, &p, 0.5);
-        assert!(enc.stream < enc_half.stream && enc_half.stream < base.stream);
-        // The decode term is visible: zeroing decode_cpu prices the scan
-        // strictly cheaper than with it.
-        let mut free_decode = params();
-        free_decode.decode_cpu = 0.0;
-        assert!(encoded_access_costs(&meta, 64, &free_decode, 0.25).stream < enc.stream);
     }
 
     #[test]

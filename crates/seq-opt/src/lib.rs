@@ -34,8 +34,7 @@ pub use analyze::{
 pub use annotate::{annotate, Annotated};
 pub use blocks::{identify_blocks, Block, Blocks, InputSource, JoinBlock, NonUnitBlock};
 pub use cost::{
-    base_access_costs, encoded_access_costs, price_join, zone_skip_fraction, AccessCosts,
-    CostParams, JoinSide,
+    base_access_costs, price_join, zone_skip_fraction, AccessCosts, CostParams, JoinSide,
 };
 pub use info::{
     CatalogInfo, CatalogRef, FeedbackStats, StaticCatalogInfo, StatsOverlay, WithFeedback,

@@ -1,8 +1,10 @@
 //! Minimal wire client for the `seqd` line protocol (`seqsh --connect`,
-//! tests, and the serving benchmark).
+//! tests, and the benchmark's wire workloads).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+
+use crate::session::Reply;
 
 /// One server response: the payload lines of an `OK`, or the error line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,6 +18,19 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
+}
+
+impl From<Reply> for Response {
+    /// The response a wire client reads for `reply`: an error message
+    /// travels on one line.
+    fn from(reply: Reply) -> Response {
+        match reply {
+            Ok(lines) => Response::Ok(lines),
+            Err((code, message)) => {
+                Response::Err { code: code.to_string(), message: message.replace('\n', " ") }
+            }
+        }
+    }
 }
 
 impl Response {

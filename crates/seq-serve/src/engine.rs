@@ -1,6 +1,7 @@
-//! The shared query engine behind every server session.
+//! The shared query engine behind every session.
 //!
-//! One [`Engine`] serves all connections: catalog snapshots come from the
+//! One [`Engine`] serves all of a `seqd`'s connections, or `seqsh`'s one
+//! in-process session: catalog snapshots come from the
 //! [`SharedCatalog`], plans from the [`PlanCache`], measured statistics from
 //! the [`SharedStats`] overlay, and telemetry lands in one pooled
 //! [`SessionMetrics`] registry (every session shares it via
@@ -10,6 +11,7 @@
 //! cache, execute.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -17,16 +19,19 @@ use seq_core::{Result, ResultSet, Span};
 use seq_exec::{ExecContext, ExecStats, LatencyHistogram, Phase, SessionMetrics};
 use seq_lang::parse_query;
 use seq_opt::{
-    absorb_feedback, explain_analyze_with, optimize, CatalogRef, Optimized, OptimizerConfig,
-    StatsOverlay, WithFeedback,
+    absorb_feedback, explain_analyze_with, optimize, AnalyzeReport, CatalogRef, Optimized,
+    OptimizerConfig, StatsOverlay, WithFeedback,
 };
 
 use crate::canon::canonicalize;
 use crate::plancache::{cache_key, Lookup, PlanCache};
 use crate::snapshot::{SharedCatalog, SharedStats, Snapshot};
 
-/// Per-session optimizer and display knobs (the server's analogue of the
-/// shell's `\set` state). Everything that distinguishes one session's plans
+/// How many hot plan templates `\metrics` and `--metrics-out` surface.
+pub(crate) const HOT_TEMPLATE_TOP_N: usize = 8;
+
+/// Per-session optimizer and display knobs: the state `\set`, `\range`
+/// and `\limit` change. Everything that distinguishes one session's plans
 /// from another's is in here and in the cache key.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -39,13 +44,12 @@ pub struct SessionConfig {
     /// Whether shared measured statistics price this session's plans
     /// (`\set feedback`).
     pub feedback: bool,
-    /// Rows returned over the wire per query (`\limit`).
+    /// Rows a query's reply lists (`\limit`).
     pub limit: usize,
 }
 
 impl SessionConfig {
-    /// Defaults matching the shell: full optimization, one worker per core,
-    /// row cap.
+    /// Session defaults: full optimization, one worker per core, row cap.
     pub fn new(range: Span) -> SessionConfig {
         SessionConfig {
             range,
@@ -239,8 +243,10 @@ impl Engine {
     }
 
     /// EXPLAIN ANALYZE: execute under instrumentation and fold the measured
-    /// statistics into the shared overlay (visible to *all* sessions).
-    pub fn analyze(&self, text: &str, config: &SessionConfig) -> Result<String> {
+    /// statistics into the shared overlay (visible to *all* sessions). With
+    /// feedback on, the report's `refreshed` carries the overlay as it
+    /// stands after the fold.
+    pub fn analyze(&self, text: &str, config: &SessionConfig) -> Result<AnalyzeReport> {
         let snapshot = self.shared.load();
         let graph = parse_query(text)?;
         let optimized = self.optimize_fresh(&graph, config, &snapshot)?;
@@ -248,7 +254,7 @@ impl Engine {
         let mut ctx = ExecContext::with_stats(&snapshot.catalog, self.exec_stats.clone());
         ctx.share_telemetry(&self.metrics);
         let base = CatalogRef(&snapshot.catalog);
-        let report = self.stats.with_overlay(snapshot.epoch, |overlay| {
+        let mut report = self.stats.with_overlay(snapshot.epoch, |overlay| {
             if config.feedback && !overlay.is_empty() {
                 let info = WithFeedback::new(&base, overlay);
                 explain_analyze_with(&optimized, &mut ctx, &cfg.cost, &info)
@@ -258,8 +264,7 @@ impl Engine {
         })?;
         if config.feedback {
             let mut measured = StatsOverlay::new();
-            let folded = absorb_feedback(&optimized, &report, &mut measured);
-            if folded > 0 {
+            if absorb_feedback(&optimized, &report, &mut measured) > 0 {
                 let pairs: Vec<_> = measured
                     .iter_sorted()
                     .into_iter()
@@ -267,8 +272,26 @@ impl Engine {
                     .collect();
                 self.stats.absorb(snapshot.epoch, &pairs);
             }
+            report.refreshed = self.stats.describe(snapshot.epoch);
         }
-        Ok(report.text)
+        Ok(report)
+    }
+
+    /// Write the telemetry exports a session leaves behind: the Chrome
+    /// `trace_event` JSON to `trace_out` and the metrics document (hot
+    /// templates included) to `metrics_out`.
+    pub fn write_exports(&self, metrics_out: Option<&Path>, trace_out: Option<&Path>) {
+        let exports = [
+            ("trace", trace_out, self.metrics.trace_to_chrome_json()),
+            ("metrics", metrics_out, self.metrics_json(HOT_TEMPLATE_TOP_N)),
+        ];
+        for (kind, path, json) in exports {
+            let Some(path) = path else { continue };
+            match std::fs::write(path, json) {
+                Ok(()) => println!("{kind} JSON written to {}", path.display()),
+                Err(e) => eprintln!("could not write {}: {e}", path.display()),
+            }
+        }
     }
 
     /// Resolve a plan for `text`: cache probe first, full parse + optimize

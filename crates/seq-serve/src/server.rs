@@ -5,14 +5,17 @@
 //! - an **acceptor** thread takes connections (non-blocking accept, polled
 //!   against the shutdown flag);
 //! - one **handler** thread per connection owns the session state
-//!   ([`SessionConfig`]) and the socket. Session commands (`\set`,
-//!   `\range`, `\limit`, `\ping`) are answered in place; query work is
-//!   submitted to the worker pool and the handler blocks for the reply;
-//! - a fixed pool of **worker** threads executes submitted jobs against the
-//!   engine. Admission is a bounded `sync_channel`: when `queue_depth` jobs
-//!   are already waiting, `try_send` fails and the handler sheds the
-//!   request with `ERR busy` instead of queueing unboundedly (backpressure
-//!   under overload is an error the client can retry, not latency).
+//!   ([`SessionConfig`]) and the socket. It reads each line with
+//!   [`session::parse`]: session commands (`\set`, `\range`, `\limit`,
+//!   `\ping`) are answered in place; engine work is submitted to the worker
+//!   pool and the handler blocks for the reply. The acceptor joins the
+//!   handlers of closed connections as it accepts new ones;
+//! - a fixed pool of **worker** threads runs submitted commands through
+//!   [`Engine::execute`]. Admission is a bounded `sync_channel`: when
+//!   `queue_depth` jobs are already waiting, `try_send` fails and the
+//!   handler sheds the request with `ERR busy` instead of queueing
+//!   unboundedly (backpressure under overload is an error the client can
+//!   retry, not latency).
 //!
 //! ## Wire protocol
 //!
@@ -37,10 +40,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use seq_core::{Row, Sequence, Span};
-use seq_exec::ExecOptions;
+use seq_core::Span;
 
 use crate::engine::{Engine, SessionConfig};
+use crate::session::{self, Command, Reply, Step};
 
 /// How often blocked loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
@@ -49,9 +52,6 @@ const POLL: Duration = Duration::from_millis(50);
 /// a newline gets `ERR proto` and is disconnected, so a connection cannot
 /// grow its read buffer without bound.
 const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// How many hot plan templates `\metrics` surfaces.
-const HOT_TEMPLATE_TOP_N: usize = 8;
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -105,27 +105,13 @@ impl Admission {
     }
 }
 
-/// Work sent to the pool: a parsed wire command plus the session state it
-/// runs under, and the channel the reply goes back on.
+/// Work sent to the pool: a parsed session command plus the session state
+/// it runs under, and the channel the reply goes back on.
 struct Job {
     command: Command,
     config: SessionConfig,
     reply: mpsc::Sender<Reply>,
 }
-
-/// Commands that go through admission control to a worker.
-enum Command {
-    Query(String),
-    Explain(String),
-    Analyze(String),
-    Metrics,
-    Tables,
-    /// Testing aid: occupy a worker for the given milliseconds, so tests
-    /// and CI can saturate a small pool deterministically.
-    Sleep(u64),
-}
-
-type Reply = Result<Vec<String>, (&'static str, String)>;
 
 /// A running server: address, shared engine, and the thread herd.
 pub struct ServerHandle {
@@ -248,7 +234,17 @@ fn accept_loop(
                 let handler = std::thread::spawn(move || {
                     handle_connection(stream, &tx, &admission, &shutdown, session_range);
                 });
-                handlers.lock().unwrap().push(handler);
+                // Join the handlers of connections that have closed, so a
+                // long-running server holds one thread per live session.
+                let mut handlers = handlers.lock().unwrap();
+                for h in std::mem::take(&mut *handlers) {
+                    if h.is_finished() {
+                        let _ = h.join(); // finished: returns at once
+                    } else {
+                        handlers.push(h);
+                    }
+                }
+                handlers.push(handler);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
@@ -263,72 +259,10 @@ fn worker_loop(engine: &Arc<Engine>, admission: &Arc<Admission>, rx: &Arc<Mutex<
             Ok(job) => job,
             Err(_) => return, // channel closed: acceptor and handlers gone
         };
-        let reply = execute(engine, &job.command, &job.config);
+        let reply = engine.execute(&job.command, &job.config, None);
         admission.completed.fetch_add(1, Ordering::Relaxed);
         // The handler may have hung up (client disconnect); that's fine.
         let _ = job.reply.send(reply);
-    }
-}
-
-fn execute(engine: &Engine, command: &Command, config: &SessionConfig) -> Reply {
-    match command {
-        Command::Query(text) => match engine.run_query(text, config) {
-            Ok(outcome) => {
-                let mut lines = Vec::new();
-                for Row(pos, row) in outcome.rows.iter().take(config.limit) {
-                    lines.push(format!("{pos}: {row}"));
-                }
-                if outcome.rows.len() > config.limit {
-                    lines.push(format!(
-                        "... {} more rows (\\limit to adjust)",
-                        outcome.rows.len() - config.limit
-                    ));
-                }
-                lines.push(format!(
-                    "{} rows | {} | est cost {:.1} | {} | epoch {}",
-                    outcome.rows.len(),
-                    if outcome.cached { "cached" } else { "planned" },
-                    outcome.est_cost,
-                    outcome.exec_mode,
-                    outcome.epoch,
-                ));
-                Ok(lines)
-            }
-            Err(e) => Err(("query", e.to_string())),
-        },
-        Command::Explain(text) => match engine.explain(text, config) {
-            Ok(explain) => Ok(explain.lines().map(str::to_string).collect()),
-            Err(e) => Err(("query", e.to_string())),
-        },
-        Command::Analyze(text) => match engine.analyze(text, config) {
-            Ok(report) => Ok(report.lines().map(str::to_string).collect()),
-            Err(e) => Err(("query", e.to_string())),
-        },
-        Command::Metrics => {
-            let json = engine.metrics_json(HOT_TEMPLATE_TOP_N);
-            Ok(json.lines().map(str::to_string).collect())
-        }
-        Command::Tables => {
-            let snapshot = engine.shared.load();
-            let mut names: Vec<String> = snapshot.catalog.names().map(str::to_string).collect();
-            names.sort();
-            let mut lines = vec![format!("epoch {}", snapshot.epoch)];
-            for name in names {
-                match (snapshot.catalog.meta(&name), snapshot.catalog.get(&name)) {
-                    (Ok(meta), Ok(stored)) => lines.push(format!(
-                        "{name}: {meta} ({} records, {} pages)",
-                        stored.record_count(),
-                        stored.page_count()
-                    )),
-                    _ => lines.push(name),
-                }
-            }
-            Ok(lines)
-        }
-        Command::Sleep(ms) => {
-            std::thread::sleep(Duration::from_millis(*ms));
-            Ok(vec![format!("slept {ms}ms")])
-        }
     }
 }
 
@@ -367,8 +301,13 @@ fn handle_connection(
         if line.is_empty() || line.starts_with(';') {
             continue;
         }
-        match dispatch(line, tx, admission, &mut config) {
-            Some(Ok(lines)) => {
+        let reply = match session::parse(line, &mut config) {
+            Step::Quit => return,
+            Step::Reply(reply) => reply,
+            Step::Run(command) => submit(command, &config, tx, admission),
+        };
+        match reply {
+            Ok(lines) => {
                 let mut payload = format!("OK {}\n", lines.len());
                 for l in &lines {
                     payload.push_str(l);
@@ -379,67 +318,23 @@ fn handle_connection(
                     return;
                 }
             }
-            Some(Err((code, msg))) => {
+            Err((code, msg)) => {
                 if writeln!(out, "ERR {code} {}", msg.replace('\n', " ")).is_err() {
                     return;
                 }
             }
-            None => return, // \quit
         }
     }
 }
 
-/// Handle one wire line. `None` means the session asked to close.
-fn dispatch(
-    line: &str,
+/// Admission control: offer `command` to the bounded queue, shed on
+/// overflow, and wait for the worker's reply.
+fn submit(
+    command: Command,
+    config: &SessionConfig,
     tx: &SyncSender<Job>,
     admission: &Arc<Admission>,
-    config: &mut SessionConfig,
-) -> Option<Reply> {
-    let command = if let Some(rest) = line.strip_prefix('\\') {
-        let mut parts = rest.splitn(2, char::is_whitespace);
-        let head = parts.next().unwrap_or("");
-        let arg = parts.next().unwrap_or("").trim();
-        match head {
-            "quit" | "q" => return None,
-            "ping" => return Some(Ok(vec!["pong".to_string()])),
-            "limit" => {
-                return Some(match arg.parse::<usize>() {
-                    Ok(n) => {
-                        config.limit = n;
-                        Ok(vec![format!("limit {n}")])
-                    }
-                    Err(_) => Err(("proto", "usage: \\limit N".to_string())),
-                })
-            }
-            "range" => {
-                let mut nums = arg.split_whitespace().map(str::parse::<i64>);
-                return Some(match (nums.next(), nums.next()) {
-                    (Some(Ok(lo)), Some(Ok(hi))) => {
-                        config.range = Span::new(lo, hi);
-                        Ok(vec![format!("range {}", config.range)])
-                    }
-                    _ => Err(("proto", "usage: \\range LO HI".to_string())),
-                });
-            }
-            "set" => return Some(session_set(arg, config)),
-            "explain" if !arg.is_empty() => Command::Explain(arg.to_string()),
-            "analyze" if !arg.is_empty() => Command::Analyze(arg.to_string()),
-            "metrics" => Command::Metrics,
-            "tables" => Command::Tables,
-            "sleep" => match arg.parse::<u64>() {
-                Ok(ms) => Command::Sleep(ms.min(10_000)),
-                Err(_) => return Some(Err(("proto", "usage: \\sleep MILLIS".to_string()))),
-            },
-            other => {
-                return Some(Err(("proto", format!("unknown command \\{other}"))));
-            }
-        }
-    } else {
-        Command::Query(line.to_string())
-    };
-
-    // Admission control: bounded queue, shed on overflow.
+) -> Reply {
     let (reply_tx, reply_rx) = mpsc::channel();
     admission.submitted.fetch_add(1, Ordering::Relaxed);
     let job = Job { command, config: config.clone(), reply: reply_tx };
@@ -447,53 +342,16 @@ fn dispatch(
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             admission.shed.fetch_add(1, Ordering::Relaxed);
-            return Some(Err(("busy", "queue full, retry later".to_string())));
+            return Err(("busy", "queue full, retry later".to_string()));
         }
         Err(TrySendError::Disconnected(_)) => {
             admission.shed.fetch_add(1, Ordering::Relaxed);
-            return Some(Err(("shutdown", "server is draining".to_string())));
+            return Err(("shutdown", "server is draining".to_string()));
         }
     }
     // Drain the in-flight reply even if it takes a while (shutdown waits
     // for this, by design).
-    match reply_rx.recv() {
-        Ok(reply) => Some(reply),
-        Err(_) => Some(Err(("shutdown", "worker exited".to_string()))),
-    }
-}
-
-fn session_set(arg: &str, config: &mut SessionConfig) -> Reply {
-    let mut parts = arg.split_whitespace();
-    match (parts.next(), parts.next()) {
-        (Some("parallelism"), Some(n)) => {
-            let n = ExecOptions::parse_workers(n).map_err(|e| ("proto", e))?;
-            config.parallelism = n;
-            Ok(vec![format!("parallelism {n}")])
-        }
-        (Some("pushdown"), Some(v)) => match v {
-            "on" => {
-                config.pushdown = true;
-                Ok(vec!["pushdown on".to_string()])
-            }
-            "off" => {
-                config.pushdown = false;
-                Ok(vec!["pushdown off".to_string()])
-            }
-            _ => Err(("proto", "usage: \\set pushdown on|off".to_string())),
-        },
-        (Some("feedback"), Some(v)) => match v {
-            "on" => {
-                config.feedback = true;
-                Ok(vec!["feedback on".to_string()])
-            }
-            "off" => {
-                config.feedback = false;
-                Ok(vec!["feedback off".to_string()])
-            }
-            _ => Err(("proto", "usage: \\set feedback on|off".to_string())),
-        },
-        _ => Err(("proto", "usage: \\set parallelism|pushdown|feedback VALUE".to_string())),
-    }
+    reply_rx.recv().unwrap_or_else(|_| Err(("shutdown", "worker exited".to_string())))
 }
 
 /// What the connection's line pump observed.
@@ -606,3 +464,31 @@ pub fn install_signal_handlers() {
 /// No-op off unix; `seqd` then only shuts down programmatically.
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, Response};
+
+    #[test]
+    fn closed_connections_are_reaped_as_new_ones_arrive() {
+        let engine = Engine::new(seq_workload::table1_catalog(1, 42, 64), 8);
+        let handle = serve(engine, &ServerConfig::local(Span::new(1, 750))).unwrap();
+        let addr = handle.addr().to_string();
+        // 200 connect/close cycles, 20 connections at a time so the acceptor
+        // takes each batch in one burst.
+        for _ in 0..10 {
+            let mut batch: Vec<Client> = (0..20).map(|_| Client::connect(&addr).unwrap()).collect();
+            for client in &mut batch {
+                assert_eq!(client.send("\\ping").unwrap(), Response::Ok(vec!["pong".into()]));
+            }
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let mut live = Client::connect(&addr).unwrap();
+        assert!(matches!(live.send("\\ping").unwrap(), Response::Ok(_)));
+        let retained = handle.handlers.lock().unwrap().len();
+        assert!(retained <= 1 + 4, "{retained} handler threads kept for 1 live connection");
+        drop(live);
+        handle.join();
+    }
+}

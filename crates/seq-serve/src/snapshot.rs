@@ -1,24 +1,16 @@
-//! Epoch-stamped catalog snapshots with wait-free reader acquisition.
+//! Epoch-stamped catalog snapshots.
 //!
-//! The server publishes the catalog behind a [`SharedCatalog`]: an atomic
-//! pointer to the current [`Snapshot`] plus a retention list that keeps
-//! every published snapshot alive until the `SharedCatalog` itself drops.
-//! Readers acquire the current snapshot with one atomic load and one
-//! reference-count increment — no lock, no wait — so a publish in progress
-//! can never block a query, and a query in progress can never block a
-//! publish (acceptance: readers never block on publish). Queries then run
-//! entirely against their acquired snapshot: immutable data, stable epoch.
-//!
-//! The retention list is the safety argument for the lock-free read path:
-//! because a strong count is parked in `retained` for every snapshot ever
-//! published, the raw pointer in `current` always points to a live
-//! allocation, which makes the reader's `increment_strong_count` sound even
-//! if a publish lands between its load and its increment. Snapshots are
-//! small (an `Arc<Catalog>` and an epoch), so retaining them for the life
-//! of the server is cheap; a production system would reclaim via epochs.
+//! The server publishes the catalog behind a [`SharedCatalog`]: a
+//! read-write lock over an `Arc` of the current [`Snapshot`]. Readers
+//! acquire the current snapshot under the read lock with one reference-count
+//! increment; a publisher takes the write lock only to swap the `Arc`, and
+//! drops the old one after releasing it, so the last reader of an old
+//! snapshot frees it and its catalog. Publishers serialize on a separate
+//! mutex, so a publish in progress (building the new snapshot) never holds
+//! up a reader. Queries then run entirely against their acquired snapshot:
+//! immutable data, stable epoch.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use seq_opt::{FeedbackStats, StatsOverlay};
 use seq_storage::Catalog;
@@ -31,63 +23,42 @@ pub struct Snapshot {
     pub catalog: Arc<Catalog>,
 }
 
-/// Atomic publication point for catalog snapshots (a hand-rolled arc-swap:
-/// the standard library has no lock-free `Arc` cell and this crate takes no
-/// dependencies).
+/// Publication point for catalog snapshots.
 pub struct SharedCatalog {
-    /// Non-owning pointer to the current snapshot. The pointee's strong
-    /// count is owned by `retained`, never by this field.
-    current: AtomicPtr<Snapshot>,
-    /// Every snapshot ever published, in publish order. Holding one strong
-    /// count per snapshot here keeps `current`'s pointee alive for the
-    /// lock-free read path; only publishers lock it.
-    retained: Mutex<Vec<Arc<Snapshot>>>,
-    /// The epoch of the latest publish.
-    epoch: AtomicU64,
+    /// The current snapshot; written only for the swap itself.
+    current: RwLock<Arc<Snapshot>>,
+    /// Held by a publisher from reading the epoch to the swap, so epochs
+    /// are published in order.
+    publisher: Mutex<()>,
 }
 
 impl SharedCatalog {
     /// Publish `catalog` as epoch 1.
     pub fn new(catalog: Catalog) -> SharedCatalog {
         let snap = Arc::new(Snapshot { epoch: 1, catalog: Arc::new(catalog) });
-        let ptr = Arc::as_ptr(&snap) as *mut Snapshot;
-        SharedCatalog {
-            current: AtomicPtr::new(ptr),
-            retained: Mutex::new(vec![snap]),
-            epoch: AtomicU64::new(1),
-        }
+        SharedCatalog { current: RwLock::new(snap), publisher: Mutex::new(()) }
     }
 
     /// The epoch of the latest published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.current.read().unwrap().epoch
     }
 
-    /// Acquire the current snapshot: one atomic load plus one strong-count
-    /// increment. Never locks, never waits on a publisher.
+    /// Acquire the current snapshot: a read lock around one strong-count
+    /// increment. Never waits on a publisher building its snapshot.
     pub fn load(&self) -> Arc<Snapshot> {
-        let ptr = self.current.load(Ordering::Acquire);
-        // SAFETY: `ptr` came from `Arc::as_ptr` of a snapshot parked in
-        // `retained`, which holds a strong count for it until `self` drops;
-        // the allocation is therefore live, and incrementing its count then
-        // reconstituting an owning Arc is exactly the documented use of
-        // `increment_strong_count` + `from_raw`.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
+        Arc::clone(&self.current.read().unwrap())
     }
 
     /// Publish a new catalog version; returns its epoch. Readers switch to
-    /// it atomically; in-flight queries keep their old snapshot.
+    /// it atomically; in-flight queries keep their old snapshot, which is
+    /// freed when the last of them lets go.
     pub fn publish(&self, catalog: Catalog) -> u64 {
-        let mut retained = self.retained.lock().unwrap();
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
+        let _publisher = self.publisher.lock().unwrap();
+        let epoch = self.epoch() + 1;
         let snap = Arc::new(Snapshot { epoch, catalog: Arc::new(catalog) });
-        let ptr = Arc::as_ptr(&snap) as *mut Snapshot;
-        retained.push(snap); // park the strong count before exposing the ptr
-        self.current.store(ptr, Ordering::Release);
-        self.epoch.store(epoch, Ordering::Release);
+        let old = std::mem::replace(&mut *self.current.write().unwrap(), snap);
+        drop(old); // after the write lock is released
         epoch
     }
 
@@ -95,13 +66,8 @@ impl SharedCatalog {
     /// `publish` mid-flight. Test hook for the acceptance criterion that
     /// readers never block on publication: with this guard held, `load`
     /// must still complete.
-    pub fn hold_publish_lock(&self) -> MutexGuard<'_, Vec<Arc<Snapshot>>> {
-        self.retained.lock().unwrap()
-    }
-
-    /// Number of snapshots published so far (== retained, by construction).
-    pub fn published_count(&self) -> usize {
-        self.retained.lock().unwrap().len()
+    pub fn hold_publish_lock(&self) -> MutexGuard<'_, ()> {
+        self.publisher.lock().unwrap()
     }
 }
 
@@ -163,6 +129,12 @@ impl SharedStats {
         inner.rev
     }
 
+    /// Discard every measurement (`\feedback clear`). Bumps the revision
+    /// only when something was discarded, as an epoch advance does.
+    pub fn clear(&self) {
+        self.inner.lock().unwrap().discard();
+    }
+
     /// Whether any measured statistics are currently held for `epoch`.
     pub fn is_empty(&self, epoch: u64) -> bool {
         self.with_overlay(epoch, |o| o.is_empty())
@@ -179,15 +151,18 @@ impl SharedStats {
 impl SharedStatsInner {
     fn invalidate_if_stale(&mut self, epoch: u64) {
         if self.epoch != epoch {
-            // Bump the revision only when measurements were actually
-            // discarded: an empty overlay is the same overlay at any epoch,
-            // and a spurious bump would invalidate every cached plan once
-            // per publish for nothing.
-            if !self.overlay.is_empty() {
-                self.overlay.clear();
-                self.rev += 1;
-            }
+            self.discard();
             self.epoch = epoch;
+        }
+    }
+
+    /// Bump the revision only when measurements are actually discarded: an
+    /// empty overlay is the same overlay at any epoch, and a spurious bump
+    /// would invalidate every cached plan for nothing.
+    fn discard(&mut self) {
+        if !self.overlay.is_empty() {
+            self.overlay.clear();
+            self.rev += 1;
         }
     }
 }
@@ -216,7 +191,38 @@ mod tests {
         // The pre-publish reader still sees its own epoch and live data.
         assert_eq!(before.epoch, 1);
         assert!(before.catalog.get("S").is_ok());
-        assert_eq!(shared.published_count(), 2);
+        assert_eq!(shared.epoch(), 2);
+    }
+
+    #[test]
+    fn replaced_snapshots_are_freed_once_no_reader_holds_them() {
+        let shared = SharedCatalog::new(small_catalog());
+        let mut weak = vec![Arc::downgrade(&shared.load())];
+        let mut held = None;
+        for _ in 0..1_000 {
+            shared.publish(small_catalog());
+            let snap = shared.load();
+            weak.push(Arc::downgrade(&snap));
+            if snap.epoch == 500 {
+                held = Some(snap); // a reader still running against epoch 500
+            }
+        }
+        let live: Vec<u64> = weak.iter().filter_map(|w| w.upgrade()).map(|s| s.epoch).collect();
+        assert_eq!(live, [500, 1_001], "only the held and the current snapshot stay alive");
+        drop(held);
+        assert!(weak[499].upgrade().is_none(), "the last reader frees its snapshot");
+    }
+
+    #[test]
+    fn clear_bumps_the_revision_only_when_it_discards() {
+        let stats = SharedStats::new(1);
+        stats.clear();
+        assert_eq!(stats.rev(), 0, "clearing nothing changes nothing");
+        let fb = FeedbackStats { observed_rows: 10, refreshes: 1, ..Default::default() };
+        let rev = stats.absorb(1, &[("S".into(), fb)]);
+        stats.clear();
+        assert!(stats.is_empty(1));
+        assert_eq!(stats.rev(), rev + 1);
     }
 
     #[test]

@@ -140,6 +140,32 @@ fn concurrent_hits_are_bit_identical_to_uncached() {
     }
 }
 
+#[test]
+fn a_warmed_template_hits_on_every_new_literal() {
+    let eng = engine(2);
+    let cfg = config(2);
+    let q = |t: i64| format!("(select (> close {t}.0) (compose (base IBM) (base HP)))");
+    assert!(!eng.resolve(&q(89), &cfg).unwrap().1, "the first binding plans");
+    for t in 90..130 {
+        assert!(eng.resolve(&q(t), &cfg).unwrap().1, "literal {t} must hit the warmed entry");
+    }
+}
+
+#[test]
+fn two_templates_alternating_through_a_capacity_one_cache_miss_on_every_probe() {
+    let eng = Engine::new(table1_catalog(2, 42, 64), 1);
+    let cfg = config(2);
+    for i in 0..40 {
+        let text = if i % 2 == 0 {
+            format!("(select (> close {}.0) (compose (base IBM) (base HP)))", 90 + i % 25)
+        } else {
+            format!("(select (< close {}.0) (compose (base IBM) (base DEC)))", 90 + i % 25)
+        };
+        assert!(!eng.resolve(&text, &cfg).unwrap().1, "probe {i} must miss: {text}");
+    }
+    assert_eq!(eng.cache.len(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot reads (tentpole acceptance: readers never block on publish)
 

@@ -22,3 +22,22 @@ pub use stocks::{table1_catalog, table1_sequences, table1_spans};
 pub use weather::{
     generate as generate_weather, generate_regional, weather_catalog, WeatherSpec, WeatherWorld,
 };
+
+use seq_core::Span;
+use seq_storage::Catalog;
+
+/// The world `seqsh` and `seqd` serve under `--world name --scale scale`:
+/// its catalog and the position range a session starts with. `table1` is
+/// the Table 1 stocks over 750 positions per scale unit; `weather` the
+/// Example 1.1 volcanos and quakes over 20 000.
+pub fn named_world(name: &str, scale: i64) -> Result<(Catalog, Span), String> {
+    match name {
+        "table1" => Ok((table1_catalog(scale, 42, 64), Span::new(1, 750 * scale))),
+        "weather" => {
+            let span = Span::new(1, 20_000 * scale);
+            let spec = WeatherSpec::new(span, 800 * scale as usize, 150 * scale as usize, 42);
+            Ok((weather_catalog(&spec, 64).0, span))
+        }
+        other => Err(format!("unknown world {other:?} (expected table1 or weather)")),
+    }
+}

@@ -1,9 +1,11 @@
 //! seqd — the sequence query daemon.
 //!
-//! Serves the `seqsh` line protocol over TCP to many concurrent sessions,
+//! Serves the session `seqsh` runs locally (`seq_serve::session`: one
+//! grammar, one command executor) over TCP to many concurrent sessions,
 //! with a shared normalized plan cache, snapshot reads over the published
-//! catalog, and bounded-queue admission control (overload is answered with
-//! `ERR busy`, not unbounded latency).
+//! catalog, and bounded-queue admission control between a line's parse and
+//! its execution (overload is answered with `ERR busy`, not unbounded
+//! latency).
 //!
 //! ```sh
 //! cargo run --release --bin seqd -- --world table1 --port 7878   # --workers: cores
@@ -15,11 +17,10 @@
 
 use std::path::PathBuf;
 
-use seqproc::prelude::*;
 use seqproc::seq_serve::{
     install_signal_handlers, serve, signal_shutdown_requested, Engine, ServerConfig,
 };
-use seqproc::seq_workload::{table1_catalog, weather_catalog, WeatherSpec};
+use seqproc::seq_workload::named_world;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,39 +35,18 @@ fn main() {
     let mut trace_out: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
+        let value = args.get(i + 1);
         match args[i].as_str() {
-            "--world" => {
-                world = args.get(i + 1).cloned().unwrap_or_default();
-                i += 2;
-            }
-            "--scale" => {
-                scale = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(10);
-                i += 2;
-            }
-            "--port" => {
-                port = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(7878);
-                i += 2;
-            }
-            "--workers" => {
-                workers = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(default_workers);
-                i += 2;
-            }
-            "--queue-depth" => {
-                queue_depth = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(16);
-                i += 2;
-            }
+            "--world" => world = value.cloned().unwrap_or_default(),
+            "--scale" => scale = value.and_then(|s| s.parse().ok()).unwrap_or(10),
+            "--port" => port = value.and_then(|s| s.parse().ok()).unwrap_or(7878),
+            "--workers" => workers = value.and_then(|s| s.parse().ok()).unwrap_or(default_workers),
+            "--queue-depth" => queue_depth = value.and_then(|s| s.parse().ok()).unwrap_or(16),
             "--cache-capacity" => {
-                cache_capacity = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(256);
-                i += 2;
+                cache_capacity = value.and_then(|s| s.parse().ok()).unwrap_or(256)
             }
-            "--metrics-out" => {
-                metrics_out = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
-            "--trace-out" => {
-                trace_out = args.get(i + 1).map(PathBuf::from);
-                i += 2;
-            }
+            "--metrics-out" => metrics_out = value.map(PathBuf::from),
+            "--trace-out" => trace_out = value.map(PathBuf::from),
             other => {
                 eprintln!(
                     "unknown argument {other:?}; usage: seqd [--world table1|weather] \
@@ -76,23 +56,13 @@ fn main() {
                 std::process::exit(2);
             }
         }
+        i += 2;
     }
 
-    let (catalog, range) = match world.as_str() {
-        "table1" => (table1_catalog(scale, 42, 64), Span::new(1, 750 * scale)),
-        "weather" => {
-            let span = Span::new(1, 20_000 * scale);
-            let (c, _) = weather_catalog(
-                &WeatherSpec::new(span, 800 * scale as usize, 150 * scale as usize, 42),
-                64,
-            );
-            (c, span)
-        }
-        other => {
-            eprintln!("unknown world {other:?} (expected table1 or weather)");
-            std::process::exit(2);
-        }
-    };
+    let (catalog, range) = named_world(&world, scale).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     install_signal_handlers();
     let engine = Engine::new(catalog, cache_capacity);
@@ -125,18 +95,6 @@ fn main() {
     println!("seqd: draining in-flight queries...");
     let engine = handle.join();
 
-    if let Some(path) = &trace_out {
-        match std::fs::write(path, engine.metrics.trace_to_chrome_json()) {
-            Ok(()) => println!("trace JSON written to {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
-    if let Some(path) = &metrics_out {
-        let json = engine.metrics_json(8);
-        match std::fs::write(path, json) {
-            Ok(()) => println!("metrics JSON written to {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
+    engine.write_exports(metrics_out.as_deref(), trace_out.as_deref());
     println!("seqd: bye");
 }
